@@ -63,7 +63,6 @@ from .hessian import (
     scale_border,
 )
 from .oracle import (
-    GridDomain,
     GridMax,
     GridSpec,
     default_clamp_epsilon,
@@ -109,7 +108,7 @@ __all__ = [
     "StrategyGame", "best_allowed", "best_overall", "min_compliance_penalty",
     "apply_penalty", "compliance_dominant", "default_margin", "MARGIN_SCALE_FRACTION",
     # oracle
-    "GridSpec", "GridDomain", "GridMax", "grid_max_on_budget", "grid_max_on_rectangle",
+    "GridSpec", "GridMax", "grid_max_on_budget", "grid_max_on_rectangle",
     "finite_diff_gradient", "default_clamp_epsilon",
     # simulator
     "SimConfig", "SimState", "SweepRow", "CaseTemplate", "ExponentialHarm",

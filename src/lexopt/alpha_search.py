@@ -22,22 +22,15 @@ in grid order regardless of evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from ._validation import require_positive
-from .cobb_douglas import CobbDouglasProblem, OptimumSolution, solve_closed_form
+from .cobb_douglas import OptimumSolution, _solve
 from .errors import DomainError, InvalidParameterError
-from .hessian import (
-    HessianVariant,
-    SecondOrderClass,
-    build_bordered_hessian,
-    classify_from_determinant,
-    hessian_determinant,
-)
+from .hessian import HessianVariant, SecondOrderClass, _second_order
 
 
 class Objective(Enum):
@@ -109,7 +102,7 @@ def _select_best(
     """First entry attaining the maximum key; entries arrive in grid order,
     so a strict comparison implements the smallest-alpha tie-break."""
     best = None
-    best_value = -np.inf
+    best_value = -math.inf
     for entry in entries:
         value = key(entry)
         if value > best_value:
@@ -120,15 +113,16 @@ def _select_best(
 
 def search_alpha(cfg: AlphaSearchConfig) -> AlphaSearchResult:
     """Evaluate the grid, filter by admissibility, and pick alpha*."""
+    # the config has validated beta, the prices, P_C and every grid point, so
+    # candidates go straight to the float solver and second-order kernel
+    beta, p1, p2, P_C = cfg.beta, cfg.p1, cfg.p2, cfg.P_C
+    variant, cross = cfg.hessian_variant, cfg.include_cross_terms
     admissible: list[AdmissibleAlpha] = []
     for alpha in cfg.alpha_grid:
-        prob = CobbDouglasProblem(alpha=alpha, beta=cfg.beta, p1=cfg.p1, p2=cfg.p2, P_C=cfg.P_C)
-        sol = solve_closed_form(prob)
-        h = build_bordered_hessian(prob, sol, cfg.hessian_variant, cfg.include_cross_terms)
-        det = hessian_determinant(h)
-        scale = float(np.max(np.abs(h.entries)))
-        is_max = classify_from_determinant(det, scale) is SecondOrderClass.LOCAL_MAX
-        if sol.lam > 0.0 and sol.lam / (alpha + cfg.beta) > 0.0 and is_max:
+        sol = _solve(alpha, beta, p1, p2, P_C)
+        _, det, cls = _second_order(alpha, beta, p1, p2, P_C, sol, variant, cross)
+        is_max = cls is SecondOrderClass.LOCAL_MAX
+        if sol.lam > 0.0 and sol.lam / (alpha + beta) > 0.0 and is_max:
             admissible.append(AdmissibleAlpha(alpha=alpha, solution=sol, det_H=det))
 
     entries = tuple(admissible)

@@ -41,12 +41,7 @@ from .compliance import (
 from .core_model import CaseParameters, classify_scenario, default_thresholds, reasonable_bargain
 from .cost_schedule import CostSchedule, admissible, phi_component, phi_total, within_budget
 from .errors import DomainError, InvalidParameterError
-from .hessian import (
-    HessianVariant,
-    build_bordered_hessian,
-    classify_from_determinant,
-    hessian_determinant,
-)
+from .hessian import HessianVariant, _second_order
 from .sim import (
     CaseTemplate,
     ExponentialHarm,
@@ -55,8 +50,6 @@ from .sim import (
     run_simulation,
     sweep_admin_cost,
 )
-
-import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +337,20 @@ def _run_hessian(params: dict) -> CommandOutput:
     rows = []
     for variant, key in ((HessianVariant.SHADOW_FORM, "shadow_form"),
                          (HessianVariant.DIRECT_FORM, "direct_form")):
-        h = build_bordered_hessian(prob, sol, variant, cross)
-        det = hessian_determinant(h)
-        scale = float(np.max(np.abs(h.entries)))
-        label = classify_from_determinant(det, scale).value
-        m = h.entries
+        (b1, b2, h11, h12, h22), det, cls = _second_order(
+            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, sol, variant, cross
+        )
+        label = cls.value
         payload[key] = {
-            "matrix": [[float(v) for v in row] for row in m],
+            "matrix": [[0.0, b1, b2], [b1, h11, h12], [b2, h12, h22]],
             "det": det,
             "classification": label,
         }
         rows.append(
             {
                 "variant": variant.value,
-                "m00": float(m[0, 0]), "m01": float(m[0, 1]), "m02": float(m[0, 2]),
-                "m11": float(m[1, 1]), "m12": float(m[1, 2]), "m22": float(m[2, 2]),
+                "m00": 0.0, "m01": b1, "m02": b2,
+                "m11": h11, "m12": h12, "m22": h22,
                 "det": det,
                 "classification": label,
             }
@@ -523,7 +515,8 @@ def _run_simulate(params: dict) -> CommandOutput:
 
 
 def _run_sweep(params: dict) -> CommandOutput:
-    grid = _float_list("C_a_grid", params["C_a_grid"])
+    raw_grid = params["C_a_grid"]
+    grid = _float_list("C_a_grid", default_sweep_grid() if raw_grid is None else raw_grid)
     cfg = _build_sim_config(params, grid[0])
     sweep = sweep_admin_cost(cfg, grid)
     rows = [
@@ -617,7 +610,8 @@ COMMANDS: dict[str, CommandSpec] = {
         "run the litigation market over the configured horizon",
     ),
     "sweep": CommandSpec(
-        tuple(_SIM_COMMON_FIELDS) + (Field("C_a_grid", JSONVAL, list(default_sweep_grid())),),
+        # None: _run_sweep takes default_sweep_grid(), so numpy loads only then
+        tuple(_SIM_COMMON_FIELDS) + (Field("C_a_grid", JSONVAL, None),),
         _run_sweep,
         "rerun the horizon across an administration-cost grid",
     ),

@@ -66,17 +66,19 @@ class OptimumSolution:
     identity_residual: float
 
 
-def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
-    """U = L_C**alpha * R_B**beta; zero whenever either argument is zero."""
-    L_C = float(L_C)
-    R_B = float(R_B)
+def _utility(alpha: float, beta: float, L_C: float, R_B: float) -> float:
     if math.isnan(L_C) or L_C < 0.0:
         raise InvalidParameterError(f"L_C must be >= 0, got {L_C!r}")
     if math.isnan(R_B) or R_B < 0.0:
         raise InvalidParameterError(f"R_B must be >= 0, got {R_B!r}")
     if L_C == 0.0 or R_B == 0.0:
         return 0.0
-    return L_C**prob.alpha * R_B**prob.beta
+    return L_C**alpha * R_B**beta
+
+
+def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
+    """U = L_C**alpha * R_B**beta; zero whenever either argument is zero."""
+    return _utility(prob.alpha, prob.beta, float(L_C), float(R_B))
 
 
 def utility_gradient(prob: CobbDouglasProblem, L_C: float, R_B: float) -> tuple[float, float]:
@@ -106,14 +108,32 @@ def solve_closed_form(prob: CobbDouglasProblem) -> OptimumSolution:
     The budget binds, demands split P_C in proportion alpha : beta, and the
     multiplier comes from the L_C first-order condition.
     """
-    a, b = prob.alpha, prob.beta
+    return _solve(prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C)
+
+
+def _solve(a: float, b: float, p1: float, p2: float, P_C: float) -> OptimumSolution:
+    """solve_closed_form on fields a CobbDouglasProblem has already validated.
+
+    A power that leaves the float range, or U* underflowing to zero (which
+    leaves the identity residual undefined), is a DomainError.
+    """
     total = a + b
     # multiply before dividing so round-number inputs stay exact
-    L_C_star = (a * prob.P_C) / (total * prob.p1)
-    R_B_star = (b * prob.P_C) / (total * prob.p2)
-    lam = a * L_C_star ** (a - 1.0) * R_B_star**b / prob.p1
-    U_star = utility(prob, L_C_star, R_B_star)
-    identity_residual = abs(U_star - (lam / total) * prob.P_C) / U_star
+    L_C_star = (a * P_C) / (total * p1)
+    R_B_star = (b * P_C) / (total * p2)
+    try:
+        lam = a * L_C_star ** (a - 1.0) * R_B_star**b / p1
+        U_star = _utility(a, b, L_C_star, R_B_star)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(
+            f"optimum leaves the float range at L_C*={L_C_star!r}, R_B*={R_B_star!r}: {exc}"
+        ) from None
+    if U_star == 0.0:
+        raise DomainError(
+            f"U* underflows to 0 at L_C*={L_C_star!r}, R_B*={R_B_star!r}, "
+            "so the identity residual is undefined"
+        )
+    identity_residual = abs(U_star - (lam / total) * P_C) / U_star
     return OptimumSolution(
         L_C_star=L_C_star,
         R_B_star=R_B_star,

@@ -18,22 +18,17 @@ is preferred because 1e4 line points buy the fidelity of 1e8 area points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ._validation import require_positive
 from .cobb_douglas import CobbDouglasProblem
 from .errors import DomainError, InvalidParameterError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: eps = CLAMP_RTOL * (P_C / min(p1, p2)) unless the caller overrides it.
 CLAMP_RTOL = 1e-9
-
-
-class GridDomain(Enum):
-    BUDGET_LINE = "BudgetLine"
-    RECTANGLE = "Rectangle"
 
 
 class GridMax(NamedTuple):
@@ -45,7 +40,6 @@ class GridMax(NamedTuple):
 @dataclass(frozen=True)
 class GridSpec:
     points_per_axis: int = 10_000
-    domain: GridDomain = GridDomain.BUDGET_LINE
     clamp_epsilon: float | None = None
 
     def __post_init__(self) -> None:
@@ -73,6 +67,8 @@ def grid_max_on_budget(prob: CobbDouglasProblem, spec: GridSpec = GridSpec()) ->
     Deterministic: numpy's argmax returns the first index attaining the
     maximum, so equal utilities resolve by grid order.
     """
+    import numpy as np
+
     eps = _resolve_epsilon(prob, spec)
     L = np.linspace(eps, prob.P_C / prob.p1 - eps, spec.points_per_axis)
     R = (prob.P_C - prob.p1 * L) / prob.p2
@@ -87,6 +83,8 @@ def grid_max_on_rectangle(prob: CobbDouglasProblem, spec: GridSpec = GridSpec(po
     The box ignores the budget, so this suits admissibility-style questions
     rather than constrained optima; row-major argmax keeps ties deterministic.
     """
+    import numpy as np
+
     eps = _resolve_epsilon(prob, spec)
     L = np.linspace(eps, prob.P_C / prob.p1 - eps, spec.points_per_axis)
     R = np.linspace(eps, prob.P_C / prob.p2 - eps, spec.points_per_axis)
@@ -107,6 +105,8 @@ def finite_diff_gradient(
     ValueError the stencil has left f's domain, and that is reported as a
     DomainError rather than a generic failure.
     """
+    import numpy as np
+
     x = np.asarray(point, dtype=float)
     steps = np.broadcast_to(np.asarray(h, dtype=float), x.shape).copy()
     if np.any(steps <= 0.0) or not np.all(np.isfinite(steps)):

@@ -34,9 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._validation import (
     require_count,
@@ -45,6 +43,9 @@ from ._validation import (
 )
 from .core_model import CaseParameters, Decision, classify_scenario, default_thresholds
 from .errors import InvalidParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,8 @@ def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None
     p_harm = cfg.harm_probability_fn(B)
     if cfg.stochastic:
         if rng is None:
+            import numpy as np
+
             rng = np.random.default_rng(cfg.seed)
         injuries = float(rng.binomial(cfg.n_injurers, p_harm))
     else:
@@ -211,7 +214,11 @@ def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None
 
 def run_simulation(cfg: SimConfig) -> list[SimState]:
     """Full horizon from the zero state; returns the state after each tick."""
-    rng = np.random.default_rng(cfg.seed) if cfg.stochastic else None
+    rng = None
+    if cfg.stochastic:
+        import numpy as np
+
+        rng = np.random.default_rng(cfg.seed)
     states: list[SimState] = []
     state = INITIAL_STATE
     for _ in range(cfg.ticks):
@@ -285,4 +292,6 @@ def default_config() -> SimConfig:
 
 def default_sweep_grid() -> tuple[float, ...]:
     """20 administration-cost levels spanning both sides of the default thresholds."""
+    import numpy as np
+
     return tuple(np.linspace(0.0, 55.0, 20))

@@ -1,15 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexopt import (
     AdmissibleAlpha,
     AlphaSearchConfig,
+    AlphaSearchResult,
     DomainError,
     HessianVariant,
     InvalidParameterError,
     Objective,
     OptimumSolution,
+    SecondOrderClass,
+    build_bordered_hessian,
+    classify_from_determinant,
     final_utility,
+    hessian_determinant,
     search_alpha,
     solve_closed_form,
 )
@@ -159,3 +168,69 @@ class TestSelectBest:
         entries = (self.entry(0.2, 5.0), self.entry(0.4, 6.0))
         best = _select_best(entries, lambda e: e.solution.U_star)
         assert best is not None and best.alpha == 0.4
+
+
+def reference_search(cfg: AlphaSearchConfig) -> AlphaSearchResult:
+    """search_alpha written out on the public numpy path, one problem per candidate."""
+    admissible = []
+    for alpha in cfg.alpha_grid:
+        prob = CobbDouglasProblem(alpha=alpha, beta=cfg.beta, p1=cfg.p1, p2=cfg.p2, P_C=cfg.P_C)
+        sol = solve_closed_form(prob)
+        h = build_bordered_hessian(prob, sol, cfg.hessian_variant, cfg.include_cross_terms)
+        det = hessian_determinant(h)
+        cls = classify_from_determinant(det, float(np.max(np.abs(h.entries))))
+        is_max = cls is SecondOrderClass.LOCAL_MAX
+        if sol.lam > 0.0 and sol.lam / (alpha + cfg.beta) > 0.0 and is_max:
+            admissible.append(AdmissibleAlpha(alpha=alpha, solution=sol, det_H=det))
+    if not admissible:
+        return AlphaSearchResult(tuple(admissible), None, None, None)
+    key = (lambda e: e.solution.U_star) if cfg.objective is Objective.MAX_UTILITY else (
+        lambda e: e.solution.lam)
+    best_value = max(key(e) for e in admissible)
+    best = next(e for e in admissible if key(e) == best_value)
+    sol = best.solution
+    u_final = (sol.lam / (best.alpha + cfg.beta)) * (sol.L_C_star + sol.R_B_star)
+    return AlphaSearchResult(tuple(admissible), best.alpha, sol.L_C_star, u_final)
+
+
+def _hex_fields(x):
+    """Every field of a search result, floats as float.hex so the last bit counts."""
+    if isinstance(x, float):
+        return x.hex()
+    if dataclasses.is_dataclass(x):
+        return [_hex_fields(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, tuple):
+        return [_hex_fields(v) for v in x]
+    return x
+
+
+class TestAgainstReferenceLoop:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        grid=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=40, unique=True).map(sorted),
+        beta=st.floats(0.05, 5.0),
+        p1=st.floats(0.1, 10.0),
+        p2=st.floats(0.1, 10.0),
+        P_C=st.floats(0.1, 100.0),
+        objective=st.sampled_from(Objective),
+        variant=st.sampled_from(HessianVariant),
+        cross=st.booleans(),
+    )
+    def test_field_by_field(self, grid, beta, p1, p2, P_C, objective, variant, cross):
+        cfg = AlphaSearchConfig(
+            alpha_grid=tuple(grid), beta=beta, p1=p1, p2=p2, P_C=P_C,
+            objective=objective, hessian_variant=variant, include_cross_terms=cross,
+        )
+        assert _hex_fields(search_alpha(cfg)) == _hex_fields(reference_search(cfg))
+
+    @pytest.mark.parametrize("variant", list(HessianVariant))
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_dense_grid(self, variant, cross):
+        grid = tuple(0.05 + i * (4.95 / 999) for i in range(1000))
+        cfg = AlphaSearchConfig(
+            alpha_grid=grid, beta=0.7, p1=1.3, p2=0.8, P_C=9.0,
+            hessian_variant=variant, include_cross_terms=cross,
+        )
+        result = search_alpha(cfg)
+        assert result.admissible
+        assert _hex_fields(result) == _hex_fields(reference_search(cfg))

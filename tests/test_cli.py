@@ -123,6 +123,27 @@ class TestSolveAndHessian:
         assert payload["direct_form"]["classification"] == "LocalMax"
         assert payload["shadow_form"]["matrix"][0] == [0.0, -0.5, -0.5]
 
+    def test_hessian_matrices_match_the_numpy_builder(self, capsys):
+        from lexopt import CobbDouglasProblem, HessianVariant, build_bordered_hessian
+
+        argv = ["hessian", "--alpha", "1.5", "--beta", "0.7", "--p1", "1.3", "--p2", "0.8",
+                "--P_C", "9", "--cross_terms"]
+        prob = CobbDouglasProblem(1.5, 0.7, 1.3, 0.8, 9.0)
+        sol = solve_closed_form(prob)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        payload = parse_json(out)
+        code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        keys = ((HessianVariant.SHADOW_FORM, "shadow_form"),
+                (HessianVariant.DIRECT_FORM, "direct_form"))
+        for (variant, key), row in zip(keys, rows):
+            m = build_bordered_hessian(prob, sol, variant, include_cross_terms=True).entries
+            assert payload[key]["matrix"] == m.tolist()
+            cells = [m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2]]
+            assert row[1:7] == [format(float(v), ".17g") for v in cells]
+
     def test_hessian_csv_has_one_row_per_variant(self, capsys):
         code, out, _ = run_cli(capsys, ["hessian", *SQRT_ARGS, "--format", "csv"])
         lines = out.splitlines()
@@ -395,6 +416,37 @@ class TestErrorPaths:
                                         "--S_B", "60", "--C_a", "10", "--C_b", "4"])
         assert code == 1
         assert "p" in err
+
+
+class TestFloatRangeFailures:
+    """Results that leave the float range are domain failures, never tracebacks."""
+
+    UNDERFLOW_ARGS = ["--beta", "1", "--p1", "1", "--p2", "1", "--P_C", "0.5"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # L_C**2 underflows to 0 in the ShadowForm diagonal
+            ["hessian", "--alpha", "1e-300", "--beta", "1", "--p1", "1", "--p2", "1",
+             "--P_C", "6"],
+            # the ShadowForm diagonal is ~1e160, so the noise floor scale**3 overflows
+            ["hessian", "--alpha", "1.7e-161", "--beta", "1", "--p1", "1", "--p2", "1",
+             "--P_C", "6"],
+            # U* = L_C**2000 * R_B underflows to 0
+            ["solve", "--alpha", "2000", *UNDERFLOW_ARGS],
+            ["alpha-search", "--alpha_grid", "[2000]", *UNDERFLOW_ARGS],
+            # L_C* underflows to 0 and is raised to a negative power
+            ["solve", "--alpha", "1e-320", "--beta", "1", "--p1", "1", "--p2", "1",
+             "--P_C", "1e-10"],
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, capsys, argv):
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ")
 
 
 class TestModuleEntryPoint:

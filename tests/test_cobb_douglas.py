@@ -144,6 +144,21 @@ class TestSolveClosedForm:
                 CobbDouglasProblem(**{**kw, field: bad})
 
 
+    def test_underflowing_utility_is_a_domain_error(self):
+        # U* = L_C**2000 * R_B underflows to 0, leaving the identity residual undefined
+        with pytest.raises(DomainError, match="U\\* underflows"):
+            solve_closed_form(CobbDouglasProblem(2000.0, 1.0, 1.0, 1.0, 0.5))
+
+    def test_underflowing_demand_is_a_domain_error(self):
+        # L_C* underflows to 0, which cannot be raised to alpha - 1 < 0
+        with pytest.raises(DomainError, match="float range"):
+            solve_closed_form(CobbDouglasProblem(1e-320, 1.0, 1.0, 1.0, 1e-10))
+
+    def test_overflowing_power_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="float range"):
+            solve_closed_form(CobbDouglasProblem(3.0, 3.0, 1.0, 1.0, 1e200))
+
+
 class TestFirstOrderResiduals:
     def test_vanish_at_optimum(self):
         rng = np.random.default_rng(26)

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexopt import (
     DET_NOISE_RTOL,
     BorderedHessian,
     CobbDouglasProblem,
+    DomainError,
     HessianVariant,
     InvalidParameterError,
     SecondOrderClass,
@@ -15,6 +20,7 @@ from lexopt import (
     scale_border,
     solve_closed_form,
 )
+from lexopt.hessian import _determinant, _scale, _second_order
 
 SQRT_PROB = CobbDouglasProblem(0.5, 0.5, 1, 1, 2)
 
@@ -224,3 +230,98 @@ class TestClassification:
         report = classify_second_order(prob, solve_closed_form(prob), include_cross_terms=True)
         assert report[HessianVariant.SHADOW_FORM] is SecondOrderClass.LOCAL_MAX
         assert report[HessianVariant.DIRECT_FORM] is SecondOrderClass.LOCAL_MAX
+
+
+class TestFloatRange:
+    def test_underflowing_square_is_a_domain_error(self):
+        # L_C* = 6e-300, so L_C**2 underflows to 0 in the ShadowForm diagonal
+        prob = CobbDouglasProblem(1e-300, 1.0, 1.0, 1.0, 6.0)
+        sol = solve_closed_form(prob)
+        with pytest.raises(DomainError, match="ShadowForm"):
+            classify_second_order(prob, sol)
+        with pytest.raises(DomainError, match="ShadowForm"):
+            build_bordered_hessian(prob, sol, HessianVariant.SHADOW_FORM)
+
+    def test_overflowing_power_is_a_domain_error(self):
+        # L_C**(alpha - 2) ~ (6e-300)**-2 overflows in the DirectForm diagonal
+        prob = CobbDouglasProblem(1e-300, 1.0, 1.0, 1.0, 6.0)
+        sol = solve_closed_form(prob)
+        with pytest.raises(DomainError, match="DirectForm"):
+            build_bordered_hessian(prob, sol, HessianVariant.DIRECT_FORM)
+
+    def test_overflowing_noise_floor_is_a_domain_error(self):
+        # entries ~1e160: the determinant is finite but scale**3 is not
+        prob = CobbDouglasProblem(1.7e-161, 1.0, 1.0, 1.0, 6.0)
+        with pytest.raises(DomainError, match="noise floor"):
+            classify_second_order(prob, solve_closed_form(prob))
+
+
+class TestNonFiniteEntries:
+    """A NaN entry makes the determinant NaN, so the scale never decides the class."""
+
+    @pytest.mark.parametrize("position", range(5))
+    def test_any_nan_entry_gives_nan_determinant_and_local_min(self, position):
+        entries = [-0.5, -0.5, -0.5, 0.25, -0.25]
+        entries[position] = math.nan
+        det = _determinant(*entries)
+        assert math.isnan(det)
+        for scale in (_scale(*entries), 0.0, 1.0, math.inf, math.nan):
+            assert classify_from_determinant(det, scale) is SecondOrderClass.LOCAL_MIN
+
+    @pytest.mark.parametrize("position", [2, 3, 4])
+    def test_infinite_block_entry_gives_nan_determinant(self, position):
+        # the corner term 0 * (h11 * h22 - h12**2) is 0 * inf = NaN, as in the
+        # full expansion on the matrix, where the rest alone would give +-inf
+        entries = [-0.5, -0.5, -0.5, 0.25, -0.25]
+        entries[position] = math.inf
+        assert math.isnan(_determinant(*entries))
+
+
+def _seed_cofactor(m: np.ndarray) -> float:
+    """The full first-row expansion on the numpy matrix, as the seed code computed it."""
+    return (
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
+
+
+problems = st.builds(
+    CobbDouglasProblem,
+    alpha=st.floats(0.05, 5.0),
+    beta=st.floats(0.05, 5.0),
+    p1=st.floats(0.1, 10.0),
+    p2=st.floats(0.1, 10.0),
+    P_C=st.floats(0.1, 100.0),
+)
+
+
+class TestFloatKernel:
+    """The plain-float kernel against the numpy matrix and a generic determinant."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(prob=problems, variant=st.sampled_from(HessianVariant), cross=st.booleans())
+    def test_matches_numpy_path(self, prob, variant, cross):
+        sol = solve_closed_form(prob)
+        entries, det, cls = _second_order(
+            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, sol, variant, cross
+        )
+        h = build_bordered_hessian(prob, sol, variant, cross)
+        m = h.entries
+        b1, b2, h11, h12, h22 = entries
+        layout = [0.0, b1, b2, b1, h11, h12, b2, h12, h22]
+        assert [v.hex() for v in layout] == [float(v).hex() for v in m.ravel()]
+
+        # bit for bit: the public wrapper and the seed expansion on numpy scalars
+        assert det.hex() == hessian_determinant(h).hex()
+        assert det.hex() == float(_seed_cofactor(m)).hex()
+        assert cls is classify_from_determinant(det, float(np.max(np.abs(m))))
+        assert cls is classify_second_order(prob, sol, cross)[variant]
+
+        # a generic determinant routine agrees within 1e-9 relative.  Where the
+        # expansion cancels (the DirectForm without cross terms vanishes on
+        # 2*alpha*beta = alpha + beta) both routines return rounding noise of
+        # order eps * scale**3, so that much absolute slack is allowed too.
+        ref = float(np.linalg.det(m))
+        scale = _scale(*entries)
+        assert abs(det - ref) <= 1e-9 * abs(ref) + 1e-12 * scale**3
