@@ -38,7 +38,7 @@ from .compliance import (
     default_margin,
     min_compliance_penalty,
 )
-from .core_model import CaseParameters, classify_scenario, default_thresholds, reasonable_bargain
+from .core_model import CaseParameters, classify_scenario, reasonable_bargain, resolve_thresholds
 from .cost_schedule import CostSchedule, admissible, phi_component, phi_total, within_budget
 from .errors import DomainError, InvalidParameterError
 from .hessian import HessianVariant, _second_order
@@ -290,10 +290,7 @@ def _run_bargain(params: dict) -> CommandOutput:
 
 def _run_classify(params: dict) -> CommandOutput:
     case = CaseParameters(**{f.key: params[f.key] for f in _CASE_FIELDS})
-    theta_a, theta_b = params["theta_a"], params["theta_b"]
-    default_a, default_b = default_thresholds(case)
-    theta_a = default_a if theta_a is None else theta_a
-    theta_b = default_b if theta_b is None else theta_b
+    theta_a, theta_b = resolve_thresholds(case, params["theta_a"], params["theta_b"])
     scenario = classify_scenario(case, theta_a, theta_b)
     record = {
         "label": scenario.label.value,
@@ -367,7 +364,7 @@ def _run_phi(params: dict) -> CommandOutput:
     for i, pair in enumerate(raw_rates):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidParameterError(f"rates[{i}] must be a [plus, minus] pair, got {pair!r}")
-        rates.append((float(pair[0]), float(pair[1])))
+        rates.append(_float_list(f"rates[{i}]", pair))
     schedule = CostSchedule(C_b_fixed=params["C_b_fixed"], rates=tuple(rates))
     L = _float_list("L", params["L"])
     with_fixed = params["with_fixed"]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 
 #: Default margin is this fraction of the utility scale (see default_margin).
 MARGIN_SCALE_FRACTION = 1e-6
@@ -95,14 +95,28 @@ def min_compliance_penalty(g: StrategyGame, margin: float | None = None) -> floa
         raise InvalidParameterError(f"margin must be > 0, got {margin!r}")
     _, best_in = best_allowed(g)
     _, best_out = _argmax(g.utilities, g.disallowed)
-    return max(0.0, best_out - best_in + margin)
+    tau = max(0.0, best_out - best_in + margin)
+    if not math.isfinite(tau):
+        raise DomainError(
+            f"compliance penalty overflowed the float range: best disallowed utility "
+            f"{best_out!r} minus best allowed utility {best_in!r} plus margin {margin!r}"
+        )
+    return tau
 
 
 def apply_penalty(g: StrategyGame, tau: float) -> StrategyGame:
     """Game with tau subtracted from every disallowed strategy's utility."""
+    if not math.isfinite(tau):
+        raise InvalidParameterError(f"tau must be finite, got {tau!r}")
     penalized = {
         name: (u - tau if name not in g.allowed else u) for name, u in g.utilities.items()
     }
+    for name, u in penalized.items():
+        if not math.isfinite(u):
+            raise DomainError(
+                f"penalized utility of {name!r} overflowed the float range: "
+                f"{g.utilities[name]!r} minus penalty {tau!r}"
+            )
     return StrategyGame(utilities=penalized, allowed=g.allowed)
 
 

@@ -121,6 +121,19 @@ def default_thresholds(c: CaseParameters) -> tuple[float, float]:
     return half, half
 
 
+def resolve_thresholds(
+    c: CaseParameters,
+    theta_a: float | None = None,
+    theta_b: float | None = None,
+) -> tuple[float, float]:
+    """The High/Low cutoffs to use: each one not given defaults to P_C / 2."""
+    if theta_a is None or theta_b is None:
+        default_a, default_b = default_thresholds(c)
+        theta_a = default_a if theta_a is None else theta_a
+        theta_b = default_b if theta_b is None else theta_b
+    return theta_a, theta_b
+
+
 def classify_scenario(
     c: CaseParameters,
     theta_a: float | None = None,
@@ -138,10 +151,7 @@ def classify_scenario(
     payoff.  Every other quadrant goes to trial.  Thresholds default to
     P_C / 2 and must be strictly positive.
     """
-    if theta_a is None or theta_b is None:
-        default_a, default_b = default_thresholds(c)
-        theta_a = default_a if theta_a is None else theta_a
-        theta_b = default_b if theta_b is None else theta_b
+    theta_a, theta_b = resolve_thresholds(c, theta_a, theta_b)
     theta_a = require_finite("theta_a", theta_a)
     theta_b = require_finite("theta_b", theta_b)
     if theta_a <= 0.0:

@@ -28,20 +28,29 @@ the run-level settlement rate, and final welfare per grid point, with the
 best-welfare and fewest-trials rows flagged (ties to the smallest C_a).
 Whether the welfare argmax sits at an interior C_a is reported by the data,
 never asserted by the code.
+
+A run is compiled once before its first tick: the dispute primitives, the
+thresholds and the settle/trial decision do not change over a run, and the
+precaution choice depends only on the lagged settlement rate, which is 0.0
+on the first tick and exactly 0.0 or 1.0 after it.  harm_probability_fn is
+therefore treated as a pure function: it is evaluated once per distinct rate
+in a run, not once per tick.  Totals are still added tick by tick, in tick
+order, so every result keeps the bits of the plain per-tick loop.  ``step``
+in stochastic mode needs the caller's ``rng``, passed on every call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ._validation import (
     require_count,
     require_nonnegative,
     require_unit_interval,
 )
-from .core_model import CaseParameters, Decision, classify_scenario, default_thresholds
+from .core_model import CaseParameters, Decision, classify_scenario, resolve_thresholds
 from .errors import InvalidParameterError
 
 if TYPE_CHECKING:
@@ -124,14 +133,8 @@ class SimConfig:
             previous = p
 
     def thresholds(self) -> tuple[float, float]:
-        if self.theta_a is not None and self.theta_b is not None:
-            return self.theta_a, self.theta_b
-        probe = self.case_template.with_admin_cost(self.C_a_policy)
-        default_a, default_b = default_thresholds(probe)
-        return (
-            default_a if self.theta_a is None else self.theta_a,
-            default_b if self.theta_b is None else self.theta_b,
-        )
+        case = self.case_template.with_admin_cost(self.C_a_policy)
+        return resolve_thresholds(case, self.theta_a, self.theta_b)
 
 
 @dataclass(frozen=True)
@@ -169,60 +172,121 @@ def choose_precaution(cfg: SimConfig, settlement_rate: float = 0.0) -> float:
     return best_B
 
 
-def _settlement_rate(state: SimState) -> float:
+def _settlement_rate(state: SimState | _Tick) -> float:
     return state.settlements / state.filings if state.filings > 0.0 else 0.0
 
 
-def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None) -> SimState:
-    """Advance one tick; the settlement rate feeding precaution lags by one tick."""
-    B = choose_precaution(cfg, _settlement_rate(state))
-    p_harm = cfg.harm_probability_fn(B)
-    if cfg.stochastic:
-        if rng is None:
-            import numpy as np
+class _Tick(NamedTuple):
+    """What one tick adds; the running totals belong to the caller."""
 
-            rng = np.random.default_rng(cfg.seed)
-        injuries = float(rng.binomial(cfg.n_injurers, p_harm))
-    else:
-        injuries = cfg.n_injurers * p_harm
-    filings = injuries
+    injuries: float
+    filings: float
+    settlements: float
+    trials: float
+    welfare: float
 
-    case = cfg.case_template.with_admin_cost(cfg.C_a_policy)
-    theta_a, theta_b = cfg.thresholds()
-    scenario = classify_scenario(case, theta_a, theta_b)
-    if scenario.decision is Decision.SETTLE:
-        settlements, trials = filings, 0.0
-    else:
-        settlements, trials = 0.0, filings
 
-    payoffs = settlements * case.S_B + trials * case.p * case.W_B
-    transaction_costs = settlements * case.C_b + trials * case.C_a
-    tick_welfare = (
-        payoffs - transaction_costs - cfg.n_injurers * B - injuries * cfg.L_harm
-    )
+class _RunPlan:
+    """The part of a run that no tick changes, built once per run.
 
+    It holds the dispute primitives at the run's administration cost, the
+    resolved thresholds and the settle/trial decision, and caches the
+    precaution choice (B, P_harm(B)) by lagged settlement rate.  The decision
+    is fixed for the run, so from the second tick on the rate is exactly 0.0
+    or 1.0 and a run makes at most two precaution choices.  In deterministic
+    mode a tick depends on the rate alone, so its whole outcome is cached.
+    """
+
+    def __init__(self, cfg: SimConfig, C_a: float) -> None:
+        self.cfg = cfg
+        self.case = cfg.case_template.with_admin_cost(C_a)
+        self.thresholds = resolve_thresholds(self.case, cfg.theta_a, cfg.theta_b)
+        scenario = classify_scenario(self.case, *self.thresholds)
+        self.settles = scenario.decision is Decision.SETTLE
+        self._precautions: dict[float, tuple[float, float]] = {}
+        self._outcomes: dict[float, _Tick] = {}
+
+    def precaution(self, settlement_rate: float) -> tuple[float, float]:
+        """(B, P_harm(B)) chosen against the given lagged settlement rate."""
+        found = self._precautions.get(settlement_rate)
+        if found is None:
+            B = choose_precaution(self.cfg, settlement_rate)
+            found = (B, self.cfg.harm_probability_fn(B))
+            self._precautions[settlement_rate] = found
+        return found
+
+    def tick(self, settlement_rate: float, rng: np.random.Generator | None) -> _Tick:
+        """One tick's outcome; stochastic mode makes one binomial draw from rng."""
+        cfg = self.cfg
+        if cfg.stochastic:
+            B, p_harm = self.precaution(settlement_rate)
+            return self._outcome(B, float(rng.binomial(cfg.n_injurers, p_harm)))
+        found = self._outcomes.get(settlement_rate)
+        if found is None:
+            B, p_harm = self.precaution(settlement_rate)
+            found = self._outcome(B, cfg.n_injurers * p_harm)
+            self._outcomes[settlement_rate] = found
+        return found
+
+    def _outcome(self, B: float, injuries: float) -> _Tick:
+        case = self.case
+        filings = injuries
+        if self.settles:
+            settlements, trials = filings, 0.0
+        else:
+            settlements, trials = 0.0, filings
+        payoffs = settlements * case.S_B + trials * case.p * case.W_B
+        transaction_costs = settlements * case.C_b + trials * case.C_a
+        welfare = (
+            payoffs - transaction_costs - self.cfg.n_injurers * B - injuries * self.cfg.L_harm
+        )
+        return _Tick(injuries, filings, settlements, trials, welfare)
+
+
+def _generator(cfg: SimConfig) -> np.random.Generator | None:
+    """The run's binomial stream, seeded from cfg.seed; None in deterministic mode."""
+    if not cfg.stochastic:
+        return None
+    import numpy as np
+
+    return np.random.default_rng(cfg.seed)
+
+
+def _advance(state: SimState, t: _Tick) -> SimState:
     return SimState(
         tick=state.tick + 1,
-        injuries=injuries,
-        filings=filings,
-        settlements=settlements,
-        trials=trials,
-        aggregate_trials=state.aggregate_trials + trials,
-        welfare=state.welfare + tick_welfare,
+        injuries=t.injuries,
+        filings=t.filings,
+        settlements=t.settlements,
+        trials=t.trials,
+        aggregate_trials=state.aggregate_trials + t.trials,
+        welfare=state.welfare + t.welfare,
     )
+
+
+def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None) -> SimState:
+    """Advance one tick; the settlement rate feeding precaution lags by one tick.
+
+    In stochastic mode the injuries are drawn from rng, which is required:
+    pass one generator and keep passing it, as run_simulation does.
+    """
+    if cfg.stochastic and rng is None:
+        raise InvalidParameterError(
+            "step needs an rng in stochastic mode: pass one numpy Generator and "
+            "reuse it on every tick"
+        )
+    plan = _RunPlan(cfg, cfg.C_a_policy)
+    return _advance(state, plan.tick(_settlement_rate(state), rng))
 
 
 def run_simulation(cfg: SimConfig) -> list[SimState]:
     """Full horizon from the zero state; returns the state after each tick."""
-    rng = None
-    if cfg.stochastic:
-        import numpy as np
-
-        rng = np.random.default_rng(cfg.seed)
+    plan = _RunPlan(cfg, cfg.C_a_policy)
+    rng = _generator(cfg)
     states: list[SimState] = []
     state = INITIAL_STATE
     for _ in range(cfg.ticks):
-        state = step(state, cfg, rng)
+        state = _advance(state, plan.tick(_settlement_rate(state), rng))
         states.append(state)
     return states
 
@@ -253,12 +317,20 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
 
     results = []
     for C_a in grid:
-        states = run_simulation(replace(cfg, C_a_policy=C_a))
-        total_filings = sum(s.filings for s in states)
-        total_settlements = sum(s.settlements for s in states)
-        rate = total_settlements / total_filings if total_filings > 0.0 else 0.0
-        final = states[-1]
-        results.append((C_a, final.aggregate_trials, rate, final.welfare))
+        plan = _RunPlan(cfg, C_a)
+        rng = _generator(cfg)
+        # explicit + in tick order, as run_simulation accumulates: sum() of
+        # floats is compensated on Python >= 3.12 and would move last digits
+        filings = settlements = trials = welfare = 0.0
+        rate = 0.0
+        for _ in range(cfg.ticks):
+            t = plan.tick(rate, rng)
+            filings += t.filings
+            settlements += t.settlements
+            trials += t.trials
+            welfare += t.welfare
+            rate = _settlement_rate(t)
+        results.append((C_a, trials, settlements / filings if filings > 0.0 else 0.0, welfare))
 
     best_welfare_at = max(range(len(results)), key=lambda i: (results[i][3], -i))
     fewest_trials_at = min(range(len(results)), key=lambda i: (results[i][1], i))

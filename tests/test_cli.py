@@ -202,6 +202,15 @@ class TestPhi:
         assert code == 1
         assert "rates[0]" in err
 
+    @pytest.mark.parametrize("rates", ['[["a", 1]]', "[[null, 1]]"])
+    def test_non_numeric_rate_is_invalid_input(self, capsys, rates):
+        # these ended in a ValueError / TypeError traceback
+        code, out, err = run_cli(capsys, ["phi", "--rates", rates, "--L", "[1]"])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error: rates[0][0] must be a number")
+
 
 class TestAlphaSearch:
     BASE = ["alpha-search", "--beta", "0.5", "--p1", "1", "--p2", "1", "--P_C", "2"]
@@ -267,6 +276,24 @@ class TestComply:
         code, _, err = run_cli(capsys, argv)
         assert code == 1
         assert "no disallowed" in err
+
+    @pytest.mark.parametrize(
+        "utilities",
+        [
+            # the penalty itself overflows to inf
+            '{"a": 1e308, "b": -1e308}',
+            # the penalty is finite but c - penalty overflows to -inf
+            '{"a": 1e308, "b": 0, "c": -1e308}',
+        ],
+    )
+    def test_penalty_overflow_is_a_domain_failure(self, capsys, utilities):
+        argv = ["comply", "--utilities", utilities, "--allowed", '["b"]']
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert "overflowed" in err
+        assert "must be finite" not in err
 
 
 class TestSimulateAndSweep:

@@ -3,6 +3,7 @@ import pytest
 
 from lexopt import (
     MARGIN_SCALE_FRACTION,
+    DomainError,
     InvalidParameterError,
     StrategyGame,
     apply_penalty,
@@ -100,6 +101,11 @@ class TestMinCompliancePenalty:
         with pytest.raises(InvalidParameterError, match="margin"):
             min_compliance_penalty(GAME, margin=margin)
 
+    def test_overflowing_penalty_is_a_domain_error(self):
+        g = StrategyGame(utilities={"a": 1e308, "b": -1e308}, allowed=frozenset({"b"}))
+        with pytest.raises(DomainError, match="overflowed"):
+            min_compliance_penalty(g)
+
     def test_penalty_restores_dominance(self):
         # The subtraction u - tau can round by an ulp, so dominance is
         # asserted at a margin shaved below the requested one by far more
@@ -142,6 +148,17 @@ class TestApplyPenalty:
     def test_zero_penalty_is_identity(self):
         g = apply_penalty(GAME, 0.0)
         assert g.utilities == GAME.utilities
+
+    def test_overflowing_penalized_utility_is_a_domain_error(self):
+        g = StrategyGame(utilities={"a": 1e308, "b": 0.0, "c": -1e308},
+                         allowed=frozenset({"b"}))
+        with pytest.raises(DomainError, match="'c' overflowed"):
+            apply_penalty(g, min_compliance_penalty(g))
+
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+    def test_nonfinite_penalty_is_invalid(self, tau):
+        with pytest.raises(InvalidParameterError, match="tau"):
+            apply_penalty(GAME, tau)
 
     def test_post_penalty_argmax_is_allowed(self):
         rng = np.random.default_rng(53)

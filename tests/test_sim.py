@@ -1,16 +1,25 @@
+import dataclasses
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexopt import (
     CaseTemplate,
+    Decision,
     ExponentialHarm,
     InvalidParameterError,
     SimConfig,
+    SimState,
+    SweepRow,
     choose_precaution,
+    classify_scenario,
     default_config,
     default_sweep_grid,
+    default_thresholds,
     run_simulation,
     step,
     sweep_admin_cost,
@@ -170,6 +179,12 @@ class TestStep:
         expected = inj * 60.0 - inj * 4.0 - 10_000 * 5.0 - inj * 200.0
         assert s1.welfare == expected
 
+    def test_stochastic_step_needs_an_rng(self):
+        # a generator seeded afresh on every call drew the same injuries each tick
+        cfg = replace(default_config(), stochastic=True, n_injurers=1000)
+        with pytest.raises(InvalidParameterError, match="rng"):
+            step(INITIAL_STATE, cfg)
+
     def test_welfare_accumulates(self):
         cfg = default_config()
         s1 = step(INITIAL_STATE, cfg)
@@ -199,6 +214,24 @@ class TestRunSimulation:
         for state in run_simulation(small_config(stochastic=True, seed=7)):
             assert state.injuries == int(state.injuries)
             assert state.settlements + state.trials == state.filings
+
+    @pytest.mark.parametrize("C_a", [10.0, 30.0])
+    def test_harm_fn_runs_once_per_distinct_rate_not_per_tick(self, C_a):
+        calls = []
+
+        def harm(B):
+            calls.append(B)
+            return 0.1 * math.exp(-0.1 * B)
+
+        cfg = replace(default_config(), harm_probability_fn=harm, C_a_policy=C_a)
+        counts = []
+        for run in (replace(cfg, ticks=2), replace(cfg, ticks=500)):
+            calls.clear()  # SimConfig validation calls it once per grid level
+            run_simulation(run)
+            counts.append(len(calls))
+        # one precaution choice per distinct lagged settlement rate, and the
+        # rate is 0.0 or 1.0 from the second tick on
+        assert counts[0] == counts[1] <= 2 * (len(cfg.precaution_cost_grid) + 1)
 
     def test_settlement_rate_helper(self):
         assert _settlement_rate(INITIAL_STATE) == 0.0
@@ -259,3 +292,155 @@ class TestSweepAdminCost:
         assert len(grid) == 20
         assert grid[0] == 0.0
         assert grid[-1] == 55.0
+
+
+# ---------------------------------------------------------------------------
+# the per-tick loop as the reference for the compiled run
+
+
+def reference_step(state, cfg, rng=None):
+    """One tick recomputed from scratch, as the simulator did before it compiled runs."""
+    B = choose_precaution(cfg, _settlement_rate(state))
+    p_harm = cfg.harm_probability_fn(B)
+    if cfg.stochastic:
+        injuries = float(rng.binomial(cfg.n_injurers, p_harm))
+    else:
+        injuries = cfg.n_injurers * p_harm
+    filings = injuries
+
+    case = cfg.case_template.with_admin_cost(cfg.C_a_policy)
+    default_a, default_b = default_thresholds(case)
+    theta_a = default_a if cfg.theta_a is None else cfg.theta_a
+    theta_b = default_b if cfg.theta_b is None else cfg.theta_b
+    scenario = classify_scenario(case, theta_a, theta_b)
+    if scenario.decision is Decision.SETTLE:
+        settlements, trials = filings, 0.0
+    else:
+        settlements, trials = 0.0, filings
+
+    payoffs = settlements * case.S_B + trials * case.p * case.W_B
+    transaction_costs = settlements * case.C_b + trials * case.C_a
+    tick_welfare = payoffs - transaction_costs - cfg.n_injurers * B - injuries * cfg.L_harm
+    return SimState(
+        tick=state.tick + 1,
+        injuries=injuries,
+        filings=filings,
+        settlements=settlements,
+        trials=trials,
+        aggregate_trials=state.aggregate_trials + trials,
+        welfare=state.welfare + tick_welfare,
+    )
+
+
+def reference_run(cfg):
+    rng = np.random.default_rng(cfg.seed) if cfg.stochastic else None
+    states, state = [], INITIAL_STATE
+    for _ in range(cfg.ticks):
+        state = reference_step(state, cfg, rng)
+        states.append(state)
+    return states
+
+
+def reference_sweep(cfg, grid):
+    results = []
+    for C_a in grid:
+        states = reference_run(replace(cfg, C_a_policy=C_a))
+        # left to right from zero, which is what sum() does up to Python 3.11
+        filings = settlements = 0.0
+        for s in states:
+            filings += s.filings
+            settlements += s.settlements
+        rate = settlements / filings if filings > 0.0 else 0.0
+        results.append((C_a, states[-1].aggregate_trials, rate, states[-1].welfare))
+    best = max(range(len(results)), key=lambda i: (results[i][3], -i))
+    fewest = min(range(len(results)), key=lambda i: (results[i][1], i))
+    return [SweepRow(*row, best_welfare=(i == best), fewest_trials=(i == fewest))
+            for i, row in enumerate(results)]
+
+
+def _hex_fields(items):
+    """Every field of every state or row, floats as float.hex so the last bit counts."""
+    return [
+        [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(item)]
+        for item in items
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return _hex_fields(fn(*args))
+    except InvalidParameterError as exc:
+        return f"InvalidParameterError: {exc}"
+
+
+@st.composite
+def sim_configs(draw):
+    theta = st.one_of(st.none(), st.floats(0.5, 60.0))
+    return SimConfig(
+        n_injurers=draw(st.integers(1, 10**6)),
+        precaution_cost_grid=tuple(draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5))),
+        harm_probability_fn=ExponentialHarm(
+            p0=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+            decay=draw(st.floats(0.0, 1.0)),
+        ),
+        L_harm=draw(st.floats(0.0, 500.0)),
+        case_template=CaseTemplate(
+            p=draw(st.floats(0.0, 1.0)),
+            W_B=draw(st.floats(0.0, 200.0)),
+            S_B=draw(st.floats(0.0, 120.0)),
+            C_b=draw(st.floats(0.0, 40.0)),
+        ),
+        C_a_policy=draw(st.floats(0.0, 60.0)),
+        settlement_liability_discount=draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                                     st.floats(0.0, 1.0))),
+        ticks=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**32)),
+        theta_a=draw(theta),
+        theta_b=draw(theta),
+        stochastic=draw(st.booleans()),
+    )
+
+
+#: Cells below the default admin threshold (27.5) go to trial, cells above settle.
+BOTH_DECISIONS = [0.0, 10.0, 27.5, 30.0, 55.0]
+
+
+class TestAgainstReferenceLoop:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cfg=sim_configs(),
+           grid=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6, unique=True).map(sorted))
+    @example(cfg=small_config(ticks=30), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(ticks=30, stochastic=True, seed=5), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(theta_a=3.0, theta_b=7.0), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(theta_a=20.0), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(harm_probability_fn=ExponentialHarm(p0=0.0, decay=0.1)),
+             grid=BOTH_DECISIONS)
+    @example(cfg=small_config(settlement_liability_discount=0.0), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(settlement_liability_discount=1.0, stochastic=True),
+             grid=BOTH_DECISIONS)
+    def test_field_by_field(self, cfg, grid):
+        assert _outcome(run_simulation, cfg) == _outcome(reference_run, cfg)
+        assert _outcome(sweep_admin_cost, cfg, grid) == _outcome(reference_sweep, cfg, grid)
+
+        def chained_steps(step_fn):
+            rng = np.random.default_rng(cfg.seed) if cfg.stochastic else None
+            states, state = [], INITIAL_STATE
+            for _ in range(cfg.ticks):
+                state = step_fn(state, cfg, rng)
+                states.append(state)
+            return states
+
+        assert _outcome(chained_steps, step) == _outcome(chained_steps, reference_step)
+
+    def test_examples_reach_both_decisions(self):
+        cfg = small_config()
+        decisions = {
+            classify_scenario(cfg.case_template.with_admin_cost(C_a)).decision
+            for C_a in BOTH_DECISIONS
+        }
+        assert decisions == {Decision.SETTLE, Decision.TRIAL}
+
+    def test_default_sweep_at_benchmark_length(self):
+        cfg = replace(default_config(), ticks=500)
+        grid = default_sweep_grid()
+        assert _hex_fields(sweep_admin_cost(cfg, grid)) == _hex_fields(reference_sweep(cfg, grid))
