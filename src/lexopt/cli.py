@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -47,13 +49,18 @@ from .sim import (
     ExponentialHarm,
     SimConfig,
     default_sweep_grid,
+    require_admin_cost_grid,
     run_simulation,
     sweep_admin_cost,
 )
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: one walk for both formats.  A scalar's text comes from one
+# table keyed by exact type (a subclass such as numpy.float64 takes its base
+# type's entry).  A list of dicts sharing one key order renders through a row
+# template made once per list.  Values render in payload order, so the first
+# non-finite float is the one reported.
 
 
 def _fmt_float(x: float) -> str:
@@ -61,54 +68,70 @@ def _fmt_float(x: float) -> str:
     # caller passed a bad field, so it is a domain failure
     if not math.isfinite(x):
         raise DomainError(f"result overflowed the representable range: {x!r}")
-    return format(x, ".17g")
+    return "%.17g" % x  # the text of format(x, ".17g"), made faster
+
+
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    float: _fmt_float, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__
+}
+# the formats differ only in how they write None and strings
+_JSON_TEXT = {**_SCALAR_TEXT, type(None): lambda _: "null", str: json.dumps}
+_CSV_TEXT = {**_SCALAR_TEXT, type(None): lambda _: "", str: str}
+
+
+def _subclass_text(table: dict, value: Any) -> str | None:
+    """A scalar subclass's text by its base type's entry (None if not a scalar)."""
+    base = next((b for b in (str, int, float) if isinstance(value, b)), None)
+    return None if base is None else table[base](value)
+
+
+def _json_template(keys: tuple, level: int) -> str:
+    """A dict's JSON text at this nesting level, with %s where each value goes."""
+    pad = "  " * level
+    body = ",\n".join(f"{pad}  {json.dumps(str(k)).replace('%', '%%')}: %s" for k in keys)
+    return "{\n" + body + "\n" + pad + "}"
+
+
+def _json_values(obj: dict, level: int) -> tuple[str, ...]:
+    get, nested = _JSON_TEXT.get, functools.partial(_json_render, level=level)
+    return tuple([get(type(v), nested)(v) for v in obj.values()])
 
 
 def _json_render(obj: Any, level: int = 0) -> str:
-    pad = "  " * level
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
+    text = _JSON_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = ",\n".join(f"{pad}  {_json_render(v, level + 1)}" for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
+        pad = "  " * level
+        keys, template, items = None, "", []
+        for item in obj:
+            if type(item) is not dict or not item:
+                items.append(f"{pad}  {_json_render(item, level + 1)}")
+                continue
+            if tuple(item) != keys:  # a row with other keys gets its own template
+                keys = tuple(item)
+                template = pad + "  " + _json_template(keys, level + 1)
+            items.append(template % _json_values(item, level + 2))
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_json_render(v, level + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    raise TypeError(f"unsupported payload type {type(obj)!r}")
+        return _json_template(tuple(obj), level) % _json_values(obj, level + 1) if obj else "{}"
+    text = _subclass_text(_JSON_TEXT, obj)
+    if text is None:
+        raise TypeError(f"unsupported payload type {type(obj)!r}")
+    return text
 
 
 def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
-    return str(value)
+    text = _subclass_text(_CSV_TEXT, value)
+    return str(value) if text is None else text
 
 
 def _csv_lines(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row[c]) for c in columns])
+    get, buf = _CSV_TEXT.get, io.StringIO()
+    cells = ([get(type(v), _csv_cell)(v) for v in map(row.__getitem__, columns)] for row in rows)
+    csv.writer(buf, lineterminator="\n").writerows(itertools.chain([columns], cells))
     return buf.getvalue()
 
 
@@ -196,27 +219,19 @@ def _load_config_file(path: str) -> dict:
     return loaded
 
 
+# what a value of each scalar kind must be, and how an error names it
+_KIND_TYPES = {FLOAT: ((int, float), "a number"), INT: (int, "an integer"),
+               BOOL: (bool, "a boolean"), STR: (str, "a string")}
+
+
 def _coerce(field_spec: Field, value: Any, source: str) -> Any:
-    key, kind = field_spec.key, field_spec.kind
-    if value is None:
-        return None
-    if kind == FLOAT:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidParameterError(f"{key} must be a number ({source}), got {value!r}")
-        return float(value)
-    if kind == INT:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidParameterError(f"{key} must be an integer ({source}), got {value!r}")
-        return value
-    if kind == BOOL:
-        if not isinstance(value, bool):
-            raise InvalidParameterError(f"{key} must be a boolean ({source}), got {value!r}")
-        return value
-    if kind == STR:
-        if not isinstance(value, str):
-            raise InvalidParameterError(f"{key} must be a string ({source}), got {value!r}")
-        return value
-    return value  # JSONVAL: structure checked by the command runner
+    kind = field_spec.kind
+    if value is None or kind == JSONVAL:
+        return value  # JSONVAL: structure checked by the command runner
+    types, noun = _KIND_TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != BOOL):
+        raise InvalidParameterError(f"{field_spec.key} must be {noun} ({source}), got {value!r}")
+    return float(value) if kind == FLOAT else value
 
 
 def _resolve_seed_from_env() -> int:
@@ -381,11 +396,8 @@ def _run_phi(params: dict) -> CommandOutput:
         ),
     }
     rows = [{"component": i, "L": L_i, "phi": c} for i, (L_i, c) in enumerate(zip(L, components))]
-    comments = [f"total={_fmt_float(total)}"]
-    if payload["admissible"] is not None:
-        comments.append(f"admissible={'true' if payload['admissible'] else 'false'}")
-    if payload["within_budget"] is not None:
-        comments.append(f"within_budget={'true' if payload['within_budget'] else 'false'}")
+    comments = [f"{k}={_json_render(payload[k])}" for k in ("total", "admissible", "within_budget")
+                if payload[k] is not None]
     return CommandOutput(payload, ["component", "L", "phi"], rows, comments)
 
 
@@ -429,12 +441,7 @@ def _run_alpha_search(params: dict) -> CommandOutput:
         "L_C_opt": result.L_C_opt,
         "U_star_final": result.U_star_final,
     }
-    comments = [
-        "alpha_star=" + ("null" if result.alpha_star is None else _fmt_float(result.alpha_star)),
-        "L_C_opt=" + ("null" if result.L_C_opt is None else _fmt_float(result.L_C_opt)),
-        "U_star_final="
-        + ("null" if result.U_star_final is None else _fmt_float(result.U_star_final)),
-    ]
+    comments = [f"{k}={_json_render(payload[k])}" for k in ("alpha_star", "L_C_opt", "U_star_final")]
     columns = ["alpha", "L_C_star", "R_B_star", "lambda", "U_star", "det_H"]
     return CommandOutput(payload, columns, rows, comments)
 
@@ -514,7 +521,8 @@ def _run_simulate(params: dict) -> CommandOutput:
 def _run_sweep(params: dict) -> CommandOutput:
     raw_grid = params["C_a_grid"]
     grid = _float_list("C_a_grid", default_sweep_grid() if raw_grid is None else raw_grid)
-    cfg = _build_sim_config(params, grid[0])
+    # the grid is checked first, so that its errors do not name C_a_policy
+    cfg = _build_sim_config(params, require_admin_cost_grid(grid)[0])
     sweep = sweep_admin_cost(cfg, grid)
     rows = [
         {
@@ -536,10 +544,7 @@ def _run_sweep(params: dict) -> CommandOutput:
         "best_welfare_C_a": best_welfare_C_a,
         "fewest_trials_C_a": fewest_trials_C_a,
     }
-    comments = [
-        f"best_welfare_C_a={_fmt_float(best_welfare_C_a)}",
-        f"fewest_trials_C_a={_fmt_float(fewest_trials_C_a)}",
-    ]
+    comments = [f"{k}={_json_render(payload[k])}" for k in ("best_welfare_C_a", "fewest_trials_C_a")]
     columns = ["C_a", "aggregate_trials", "settlement_rate", "welfare"]
     return CommandOutput(payload, columns, rows, comments)
 
@@ -632,19 +637,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="JSON config file; flags override its values")
         sub.add_argument("--format", choices=("json", "csv"), default="json")
         for f in spec.fields:
-            flag = f"--{f.key}"
             if f.kind == BOOL:
-                sub.add_argument(flag, action=argparse.BooleanOptionalAction, default=None,
-                                 help=f.help or None)
-            elif f.kind == FLOAT:
-                sub.add_argument(flag, type=float, default=None, help=f.help or None)
-            elif f.kind == INT:
-                sub.add_argument(flag, type=int, default=None, help=f.help or None)
-            elif f.kind == STR:
-                sub.add_argument(flag, type=str, default=None, help=f.help or None)
+                sub.add_argument(f"--{f.key}", action=argparse.BooleanOptionalAction,
+                                 default=None, help=f.help or None)
             else:
-                sub.add_argument(flag, type=json.loads, default=None,
-                                 help=(f.help or "") + " (JSON literal)")
+                parse = {FLOAT: float, INT: int, STR: str, JSONVAL: json.loads}[f.kind]
+                help_text = f"{f.help} (JSON literal)" if f.kind == JSONVAL else f.help or None
+                sub.add_argument(f"--{f.key}", type=parse, default=None, help=help_text)
     return parser
 
 

@@ -114,16 +114,23 @@ def solve_closed_form(prob: CobbDouglasProblem) -> OptimumSolution:
 def _solve(a: float, b: float, p1: float, p2: float, P_C: float) -> OptimumSolution:
     """solve_closed_form on fields a CobbDouglasProblem has already validated.
 
-    A power that leaves the float range, or U* underflowing to zero (which
-    leaves the identity residual undefined), is a DomainError.
+    A quotient or power that leaves the float range, U* underflowing to zero
+    (which leaves the identity residual undefined), and a demand, multiplier
+    or U* that is not finite are each a DomainError.  The demands are computed
+    here, not passed in, so U* is the plain power product, without
+    ``utility``'s argument checks.
     """
     total = a + b
-    # multiply before dividing so round-number inputs stay exact
-    L_C_star = (a * P_C) / (total * p1)
-    R_B_star = (b * P_C) / (total * p2)
+    try:
+        # multiply before dividing so round-number inputs stay exact
+        L_C_star = (a * P_C) / (total * p1)
+        R_B_star = (b * P_C) / (total * p2)
+    except ZeroDivisionError:
+        raise DomainError("(alpha + beta) * p1 or p2 underflows to 0, so the demands "
+                          "are undefined") from None
     try:
         lam = a * L_C_star ** (a - 1.0) * R_B_star**b / p1
-        U_star = _utility(a, b, L_C_star, R_B_star)
+        U_star = L_C_star**a * R_B_star**b
     except (ZeroDivisionError, OverflowError) as exc:
         raise DomainError(
             f"optimum leaves the float range at L_C*={L_C_star!r}, R_B*={R_B_star!r}: {exc}"
@@ -134,6 +141,12 @@ def _solve(a: float, b: float, p1: float, p2: float, P_C: float) -> OptimumSolut
             "so the identity residual is undefined"
         )
     identity_residual = abs(U_star - (lam / total) * P_C) / U_star
+    # a demand, lambda or U* that is inf or nan leaves the residual inf or nan
+    if not math.isfinite(identity_residual):
+        raise DomainError(
+            f"optimum is not finite: L_C*={L_C_star!r}, R_B*={R_B_star!r}, "
+            f"lambda={lam!r}, U*={U_star!r}"
+        )
     return OptimumSolution(
         L_C_star=L_C_star,
         R_B_star=R_B_star,

@@ -105,6 +105,9 @@ class SimConfig:
         require_count("ticks", self.ticks)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
+        if self.stochastic and self.seed < 0:
+            # numpy's default_rng refuses negative seeds
+            raise InvalidParameterError(f"seed must be >= 0 in stochastic mode, got {self.seed}")
         if len(self.precaution_cost_grid) == 0:
             raise InvalidParameterError("precaution_cost_grid must be nonempty")
         grid = tuple(
@@ -301,6 +304,16 @@ class SweepRow:
     fewest_trials: bool
 
 
+def require_admin_cost_grid(C_a_grid: Sequence[float]) -> list[float]:
+    """The grid as floats: nonempty, finite, >= 0 and strictly increasing."""
+    if len(C_a_grid) == 0:
+        raise InvalidParameterError("C_a_grid must be nonempty")
+    grid = [require_nonnegative(f"C_a_grid[{i}]", c) for i, c in enumerate(C_a_grid)]
+    if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
+        raise InvalidParameterError("C_a_grid must be strictly increasing")
+    return grid
+
+
 def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow]:
     """Rerun the horizon for each administration cost on the grid.
 
@@ -309,12 +322,7 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
     one row is flagged best_welfare and one fewest_trials (ties to the
     smallest C_a).
     """
-    if len(C_a_grid) == 0:
-        raise InvalidParameterError("C_a_grid must be nonempty")
-    grid = [require_nonnegative(f"C_a_grid[{i}]", c) for i, c in enumerate(C_a_grid)]
-    if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
-        raise InvalidParameterError("C_a_grid must be strictly increasing")
-
+    grid = require_admin_cost_grid(C_a_grid)
     results = []
     for C_a in grid:
         plan = _RunPlan(cfg, C_a)

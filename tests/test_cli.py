@@ -360,6 +360,39 @@ class TestSimulateAndSweep:
         assert payload["fewest_trials_C_a"] == 30.0
 
 
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--C_a_grid", "[0, 30]"]])
+    def test_negative_seed_is_invalid_in_stochastic_mode(self, capsys, command):
+        for fmt in ("json", "csv"):
+            argv = [*command, *self.SMALL, "--seed", "-1", "--stochastic", "--format", fmt]
+            code, out, err = run_cli(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert err.splitlines() == ["error: seed must be >= 0 in stochastic mode, got -1"]
+
+    def test_negative_seed_is_printed_in_deterministic_mode(self, capsys):
+        code, out, _ = run_cli(capsys, ["simulate", *self.SMALL, "--seed", "-1"])
+        assert code == 0
+        assert parse_json(out)["seed"] == -1
+        code, out, _ = run_cli(capsys, ["sweep", *self.SMALL, "--seed", "-1", "--C_a_grid", "[0]"])
+        assert code == 0
+        assert parse_json(out)["seed"] == -1
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ("[-1]", "C_a_grid[0] must be >= 0, got -1.0"),
+            ("[NaN]", "C_a_grid[0] must be finite, got nan"),
+            ("[0, -1]", "C_a_grid[1] must be >= 0, got -1.0"),
+            ("[5, 1]", "C_a_grid must be strictly increasing"),
+        ],
+    )
+    def test_sweep_grid_errors_name_the_grid(self, capsys, grid, message):
+        code, out, err = run_cli(capsys, ["sweep", *self.SMALL, "--seed", "0", "--C_a_grid", grid])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+
 class TestConfigFile:
     def test_config_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "case.json"
@@ -449,6 +482,7 @@ class TestFloatRangeFailures:
     """Results that leave the float range are domain failures, never tracebacks."""
 
     UNDERFLOW_ARGS = ["--beta", "1", "--p1", "1", "--p2", "1", "--P_C", "0.5"]
+    OVERFLOW_ARGS = ["--alpha", "1e308", "--beta", "1", "--p1", "1", "--p2", "1", "--P_C", "6"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -465,6 +499,16 @@ class TestFloatRangeFailures:
             # L_C* underflows to 0 and is raised to a negative power
             ["solve", "--alpha", "1e-320", "--beta", "1", "--p1", "1", "--p2", "1",
              "--P_C", "1e-10"],
+            # alpha * P_C overflows, so L_C* = inf reaches every command
+            ["solve", *OVERFLOW_ARGS],
+            ["hessian", *OVERFLOW_ARGS],
+            ["alpha-search", "--alpha_grid", "[1e308]", *OVERFLOW_ARGS[2:]],
+            # alpha * P_C and (alpha + beta) * p1 both overflow: L_C* = inf / inf = nan
+            ["solve", "--alpha", "1e308", "--beta", "1", "--p1", "1e308", "--p2", "1",
+             "--P_C", "6"],
+            # alpha * P_C and (alpha + beta) * p1 both underflow: L_C* = 0 / 0
+            ["solve", "--alpha", "1e-300", "--beta", "1e-300", "--p1", "1e-300", "--p2", "1",
+             "--P_C", "1e-300"],
         ],
     )
     def test_exit_2_with_one_error_line(self, capsys, argv):
@@ -474,6 +518,12 @@ class TestFloatRangeFailures:
             assert out == ""
             assert len(err.splitlines()) == 1
             assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["solve", "hessian"])
+    def test_infinite_demand_is_not_blamed_on_a_computed_field(self, capsys, command):
+        code, _, err = run_cli(capsys, [command, *self.OVERFLOW_ARGS])
+        assert code == 2
+        assert err.startswith("error: optimum is not finite: L_C*=inf")
 
 
 class TestModuleEntryPoint:

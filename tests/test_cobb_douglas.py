@@ -158,6 +158,28 @@ class TestSolveClosedForm:
         with pytest.raises(DomainError, match="float range"):
             solve_closed_form(CobbDouglasProblem(3.0, 3.0, 1.0, 1.0, 1e200))
 
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            # alpha * P_C overflows: L_C* = inf, and lambda and U* with it
+            (1e308, 1.0, 1.0, 1.0, 6.0),
+            # R_B* = inf
+            (1.0, 1e308, 1.0, 1.0, 6.0),
+            # L_C* = inf / inf = nan
+            (1e308, 1.0, 1e308, 1.0, 6.0),
+            # finite demands and U* = 1e300, but lambda = R_B* / p1 overflows to inf
+            (1.0, 1.0, 1e-160, 2.5e-161, 1e-10),
+        ],
+    )
+    def test_non_finite_optimum_is_a_domain_error(self, prob):
+        with pytest.raises(DomainError, match="optimum is not finite"):
+            solve_closed_form(CobbDouglasProblem(*prob))
+
+    def test_zero_over_zero_demand_is_a_domain_error(self):
+        # alpha * P_C and (alpha + beta) * p1 both underflow to 0
+        with pytest.raises(DomainError, match="demands are undefined"):
+            solve_closed_form(CobbDouglasProblem(1e-300, 1e-300, 1e-300, 1.0, 1e-300))
+
 
 class TestFirstOrderResiduals:
     def test_vanish_at_optimum(self):

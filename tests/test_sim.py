@@ -24,7 +24,7 @@ from lexopt import (
     step,
     sweep_admin_cost,
 )
-from lexopt.sim import INITIAL_STATE, _settlement_rate
+from lexopt.sim import INITIAL_STATE, _settlement_rate, require_admin_cost_grid
 
 
 def small_config(**overrides) -> SimConfig:
@@ -82,6 +82,13 @@ class TestSimConfigValidation:
             small_config(seed=1.5)
         with pytest.raises(InvalidParameterError, match="seed"):
             small_config(seed=True)
+
+    def test_stochastic_seed_must_be_nonnegative(self):
+        # numpy's default_rng refuses a negative seed with a bare ValueError
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            small_config(seed=-1, stochastic=True)
+        assert run_simulation(small_config(seed=-1))[0].tick == 1
+        assert len(run_simulation(small_config(seed=0, stochastic=True))) == 10
 
     def test_grid_must_be_nonempty_and_nonnegative(self):
         with pytest.raises(InvalidParameterError, match="nonempty"):
@@ -248,6 +255,9 @@ class TestSweepAdminCost:
             sweep_admin_cost(cfg, [1.0, 1.0])
         with pytest.raises(InvalidParameterError, match=r"C_a_grid\[0\]"):
             sweep_admin_cost(cfg, [-1.0, 2.0])
+        with pytest.raises(InvalidParameterError, match=r"C_a_grid\[1\] must be finite"):
+            sweep_admin_cost(cfg, [1.0, math.nan])
+        assert require_admin_cost_grid((0, 2.5)) == [0.0, 2.5]
 
     def test_rate_steps_at_the_admin_threshold(self):
         rows = sweep_admin_cost(default_config(), default_sweep_grid())
