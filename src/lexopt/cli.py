@@ -26,33 +26,16 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import __version__
-from .alpha_search import AlphaSearchConfig, Objective, search_alpha
-from .cobb_douglas import CobbDouglasProblem, first_order_residuals, mrs, solve_closed_form
-from .compliance import (
-    StrategyGame,
-    apply_penalty,
-    best_allowed,
-    best_overall,
-    compliance_dominant,
-    default_margin,
-    min_compliance_penalty,
-)
-from .core_model import CaseParameters, classify_scenario, reasonable_bargain, resolve_thresholds
-from .cost_schedule import CostSchedule, admissible, phi_component, phi_total, within_budget
 from .errors import DomainError, InvalidParameterError
-from .hessian import HessianVariant, _second_order
-from .sim import (
-    CaseTemplate,
-    ExponentialHarm,
-    SimConfig,
-    default_sweep_grid,
-    require_admin_cost_grid,
-    run_simulation,
-    sweep_admin_cost,
-)
+
+if TYPE_CHECKING:
+    from .sim import SimConfig
+
+# Each command runner imports the model modules it uses inside its body, so
+# a process loads only what its command runs.
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +275,8 @@ def _float_list(key: str, value: Any) -> tuple[float, ...]:
 
 
 def _run_bargain(params: dict) -> CommandOutput:
+    from .core_model import CaseParameters, reasonable_bargain
+
     case = CaseParameters(**{f.key: params[f.key] for f in _CASE_FIELDS})
     d = reasonable_bargain(case)
     record = {
@@ -304,6 +289,8 @@ def _run_bargain(params: dict) -> CommandOutput:
 
 
 def _run_classify(params: dict) -> CommandOutput:
+    from .core_model import CaseParameters, classify_scenario, resolve_thresholds
+
     case = CaseParameters(**{f.key: params[f.key] for f in _CASE_FIELDS})
     theta_a, theta_b = resolve_thresholds(case, params["theta_a"], params["theta_b"])
     scenario = classify_scenario(case, theta_a, theta_b)
@@ -317,6 +304,8 @@ def _run_classify(params: dict) -> CommandOutput:
 
 
 def _run_solve(params: dict) -> CommandOutput:
+    from .cobb_douglas import CobbDouglasProblem, first_order_residuals, mrs, solve_closed_form
+
     prob = CobbDouglasProblem(**{f.key: params[f.key] for f in _PROBLEM_FIELDS})
     sol = solve_closed_form(prob)
     r_L, r_R, r_budget = first_order_residuals(prob, sol)
@@ -337,6 +326,9 @@ def _run_solve(params: dict) -> CommandOutput:
 
 
 def _run_hessian(params: dict) -> CommandOutput:
+    from .cobb_douglas import CobbDouglasProblem, solve_closed_form
+    from .hessian import HessianVariant, _second_order
+
     prob = CobbDouglasProblem(**{f.key: params[f.key] for f in _PROBLEM_FIELDS})
     sol = solve_closed_form(prob)
     cross = params["cross_terms"]
@@ -372,6 +364,8 @@ def _run_hessian(params: dict) -> CommandOutput:
 
 
 def _run_phi(params: dict) -> CommandOutput:
+    from .cost_schedule import CostSchedule, admissible, phi_component, phi_total, within_budget
+
     raw_rates = params["rates"]
     if not isinstance(raw_rates, (list, tuple)) or not raw_rates:
         raise InvalidParameterError("rates must be a nonempty JSON array of [plus, minus] pairs")
@@ -410,6 +404,9 @@ def _parse_enum(key: str, enum_cls, raw: str):
 
 
 def _run_alpha_search(params: dict) -> CommandOutput:
+    from .alpha_search import AlphaSearchConfig, Objective, search_alpha
+    from .hessian import HessianVariant
+
     cfg = AlphaSearchConfig(
         alpha_grid=_float_list("alpha_grid", params["alpha_grid"]),
         beta=params["beta"],
@@ -447,6 +444,9 @@ def _run_alpha_search(params: dict) -> CommandOutput:
 
 
 def _run_comply(params: dict) -> CommandOutput:
+    from .compliance import (StrategyGame, apply_penalty, best_allowed, best_overall,
+                             compliance_dominant, default_margin, min_compliance_penalty)
+
     raw_utilities = params["utilities"]
     if not isinstance(raw_utilities, dict) or not raw_utilities:
         raise InvalidParameterError("utilities must be a nonempty JSON object of strategy: utility")
@@ -480,6 +480,8 @@ def _run_comply(params: dict) -> CommandOutput:
 
 
 def _build_sim_config(params: dict, C_a_policy: float) -> SimConfig:
+    from .sim import CaseTemplate, ExponentialHarm, SimConfig
+
     return SimConfig(
         n_injurers=params["n_injurers"],
         precaution_cost_grid=_float_list("precaution_grid", params["precaution_grid"]),
@@ -499,6 +501,8 @@ def _build_sim_config(params: dict, C_a_policy: float) -> SimConfig:
 
 
 def _run_simulate(params: dict) -> CommandOutput:
+    from .sim import run_simulation
+
     cfg = _build_sim_config(params, params["C_a"])
     states = run_simulation(cfg)
     rows = [
@@ -519,6 +523,8 @@ def _run_simulate(params: dict) -> CommandOutput:
 
 
 def _run_sweep(params: dict) -> CommandOutput:
+    from .sim import default_sweep_grid, require_admin_cost_grid, sweep_admin_cost
+
     raw_grid = params["C_a_grid"]
     grid = _float_list("C_a_grid", default_sweep_grid() if raw_grid is None else raw_grid)
     # the grid is checked first, so that its errors do not name C_a_policy
@@ -612,7 +618,7 @@ COMMANDS: dict[str, CommandSpec] = {
         "run the litigation market over the configured horizon",
     ),
     "sweep": CommandSpec(
-        # None: _run_sweep takes default_sweep_grid(), so numpy loads only then
+        # None: _run_sweep takes default_sweep_grid(), so building the parser needs no sim
         tuple(_SIM_COMMON_FIELDS) + (Field("C_a_grid", JSONVAL, None),),
         _run_sweep,
         "rerun the horizon across an administration-cost grid",
@@ -626,6 +632,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+    def _parse_optional(self, arg_string: str):
+        # argparse reads only -1 and -.5 spellings as negative numbers; any
+        # text float() takes (-1e3, -inf) is a value, never an option
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

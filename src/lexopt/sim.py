@@ -56,6 +56,8 @@ from .errors import InvalidParameterError
 if TYPE_CHECKING:
     import numpy as np
 
+_MAX_DRAW_COUNT = 2**63 - 1  # the largest count numpy's Generator.binomial takes (int64)
+
 
 @dataclass(frozen=True)
 class ExponentialHarm:
@@ -108,6 +110,10 @@ class SimConfig:
         if self.stochastic and self.seed < 0:
             # numpy's default_rng refuses negative seeds
             raise InvalidParameterError(f"seed must be >= 0 in stochastic mode, got {self.seed}")
+        if self.stochastic and self.n_injurers > _MAX_DRAW_COUNT:
+            raise InvalidParameterError(
+                f"n_injurers must be <= {_MAX_DRAW_COUNT} in stochastic mode, got {self.n_injurers}"
+            )
         if len(self.precaution_cost_grid) == 0:
             raise InvalidParameterError("precaution_cost_grid must be nonempty")
         grid = tuple(
@@ -371,7 +377,9 @@ def default_config() -> SimConfig:
 
 
 def default_sweep_grid() -> tuple[float, ...]:
-    """20 administration-cost levels spanning both sides of the default thresholds."""
-    import numpy as np
+    """20 administration-cost levels spanning both sides of the default thresholds.
 
-    return tuple(np.linspace(0.0, 55.0, 20))
+    The values of ``numpy.linspace(0.0, 55.0, 20)`` bit for bit (the same
+    step, start and endpoint arithmetic), as plain floats and without numpy.
+    """
+    return tuple(k * (55.0 / 19) + 0.0 for k in range(19)) + (55.0,)

@@ -369,6 +369,20 @@ class TestSimulateAndSweep:
             assert out == ""
             assert err.splitlines() == ["error: seed must be >= 0 in stochastic mode, got -1"]
 
+    def test_injurer_count_above_a_c_long_is_invalid_in_stochastic_mode(self, capsys):
+        for fmt in ("json", "csv"):
+            argv = ["simulate", "--seed", "0", "--ticks", "2", "--stochastic",
+                    "--n_injurers", str(10**20), "--format", fmt]
+            code, out, err = run_cli(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert err.splitlines() == [
+                f"error: n_injurers must be <= {2**63 - 1} in stochastic mode, got {10**20}"
+            ]
+        code, _, _ = run_cli(capsys, ["simulate", "--seed", "0", "--ticks", "2",
+                                      "--n_injurers", str(10**20)])
+        assert code == 0
+
     def test_negative_seed_is_printed_in_deterministic_mode(self, capsys):
         code, out, _ = run_cli(capsys, ["simulate", *self.SMALL, "--seed", "-1"])
         assert code == 0
@@ -476,6 +490,33 @@ class TestErrorPaths:
                                         "--S_B", "60", "--C_a", "10", "--C_b", "4"])
         assert code == 1
         assert "p" in err
+
+
+class TestNegativeNumberSpellings:
+    """Any text float() reads is a flag value, even one argparse would call an option."""
+
+    PHI = ["phi", "--rates", "[[0.2, 0.3]]", "--L", "[5]", "--P_C", "55"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("spelling", ["-1e3", "-1E3", "-1000.0e0", "-1e+3"])
+    def test_exponent_form_reads_like_the_plain_number(self, capsys, fmt, spelling):
+        expected = run_cli(capsys, [*self.PHI, "--R_B", "-1000", "--format", fmt])
+        assert expected[0] == 0
+        assert run_cli(capsys, [*self.PHI, "--R_B", spelling, "--format", fmt]) == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("spelling,shown", [("-inf", "-inf"), ("-Infinity", "-inf"),
+                                                ("-nan", "nan")])
+    def test_non_finite_values_reach_the_finiteness_check(self, capsys, fmt, spelling, shown):
+        code, out, err = run_cli(capsys, [*self.PHI, "--R_B", spelling, "--format", fmt])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: R_B must be finite, got {shown}"]
+
+    def test_json_values_and_help_keep_working(self, capsys):
+        code, out, _ = run_cli(capsys, ["phi", "--rates", "[[0.2, 0.3]]", "--L", "-1e3"])
+        assert code == 1  # json.loads reads -1e3 as a number, which is not an array
+        assert run_cli(capsys, ["bargain", "-h"])[0] == 0
+        assert run_cli(capsys, ["bargain", "--p", "-x"])[0] == 64
 
 
 class TestFloatRangeFailures:

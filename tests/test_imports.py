@@ -1,29 +1,43 @@
-"""numpy stays off the import path of commands that only do float arithmetic.
+"""Each command loads only the modules it runs; numpy stays off the import
+path of commands that only do float arithmetic.
 
-Each check runs in a fresh interpreter, because this test process has numpy
-loaded already.
+Each check that looks at sys.modules runs in a fresh interpreter, because
+this test process has loaded numpy and every lexopt module already.
 """
 
+import importlib
 import json
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
+import lexopt
+from lexopt.sim import default_sweep_grid
+
 PROBE = """
 import contextlib, io, json, sys
 import lexopt
-loaded = {"import lexopt": "numpy" in sys.modules}
+
+def loaded():
+    return {"numpy": "numpy" in sys.modules,
+            "lexopt": sorted(m for m in sys.modules if m.startswith("lexopt."))}
+
+seen = [loaded()]
 from lexopt.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     if code != 0:
         raise SystemExit(f"{argv} exited with {code}")
-    loaded[argv[0]] = "numpy" in sys.modules
-print(json.dumps(loaded))
+    seen.append(loaded())
+print(json.dumps(seen))
 """
 
 PROBLEM = ["--alpha", "2", "--beta", "1", "--p1", "1", "--p2", "1", "--P_C", "6"]
 CASE = ["--p", "0.5", "--W_B", "100", "--S_B", "60", "--C_b", "4", "--C_a", "10"]
+STOCHASTIC = ["simulate", "--seed", "0", "--ticks", "2", "--stochastic"]
 
 NUMPY_FREE = [
     ["bargain", *CASE],
@@ -37,10 +51,12 @@ NUMPY_FREE = [
     ["comply", "--utilities", '{"a": 3, "b": 1}', "--allowed", '["b"]'],
     ["simulate", "--seed", "0", "--ticks", "5"],
     ["sweep", "--seed", "0", "--ticks", "5", "--C_a_grid", "[0, 10, 30]"],
+    ["sweep", "--seed", "0", "--ticks", "5"],  # the default grid
 ]
 
 
-def probe(commands: list[list[str]]) -> dict[str, bool]:
+def probe(commands: list[list[str]]) -> list[dict]:
+    """What is loaded after `import lexopt` and after each command, in order."""
     done = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(commands)],
         capture_output=True, text=True, timeout=120,
@@ -50,12 +66,59 @@ def probe(commands: list[list[str]]) -> dict[str, bool]:
 
 
 def test_arithmetic_commands_never_import_numpy():
-    loaded = probe(NUMPY_FREE)
-    assert loaded == {"import lexopt": False, **{argv[0]: False for argv in NUMPY_FREE}}
+    assert [seen["numpy"] for seen in probe(NUMPY_FREE)] == [False] * (len(NUMPY_FREE) + 1)
 
 
 def test_probe_sees_numpy_where_it_is_used():
-    # the default sweep grid and stochastic draws do load numpy, so the probe
-    # above would notice an import
-    assert probe([["sweep", "--seed", "0", "--ticks", "2"]])["sweep"]
-    assert probe([["simulate", "--seed", "0", "--ticks", "2", "--stochastic"]])["simulate"]
+    # stochastic draws do load numpy, so the probe above would notice an import
+    assert probe([STOCHASTIC])[-1]["numpy"]
+
+
+def test_import_lexopt_loads_no_submodule():
+    assert probe([])[0]["lexopt"] == []
+
+
+@pytest.mark.parametrize("argv", [["bargain", *CASE], ["classify", *CASE]])
+def test_case_commands_load_only_the_case_model(argv):
+    loaded = probe([argv])[-1]["lexopt"]
+    assert "lexopt.core_model" in loaded
+    for unused in ("sim", "alpha_search", "hessian", "oracle"):
+        assert f"lexopt.{unused}" not in loaded
+
+
+def test_no_command_loads_the_oracle():
+    loaded = probe([*NUMPY_FREE, STOCHASTIC])[-1]["lexopt"]
+    assert "lexopt.sim" in loaded and "lexopt.oracle" not in loaded
+
+
+def test_every_export_is_its_submodule_attribute():
+    for module, names in lexopt._EXPORTS.items():
+        submodule = importlib.import_module(f"lexopt.{module}")
+        for name in names:
+            assert getattr(lexopt, name) is getattr(submodule, name), name
+    assert lexopt.__all__ == ["__version__", *lexopt._SOURCE]
+    assert set(lexopt.__all__) <= set(dir(lexopt))
+    star: dict = {}
+    exec("from lexopt import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(lexopt.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'lexopt' has no attribute 'no_such_name'"):
+        lexopt.no_such_name  # noqa: B018
+    assert not hasattr(lexopt, "_solve")  # private names are not exported
+
+
+def test_submodule_attribute_loads_on_first_use():
+    code = ("import sys, lexopt; step = lexopt.sim.step; "
+            "print(step is lexopt.step, 'lexopt.hessian' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]
+
+
+def test_default_sweep_grid_is_numpy_linspace_as_plain_floats():
+    grid = default_sweep_grid()
+    assert all(type(c) is float for c in grid)
+    assert [c.hex() for c in grid] == [float(c).hex() for c in np.linspace(0.0, 55.0, 20)]

@@ -90,6 +90,13 @@ class TestSimConfigValidation:
         assert run_simulation(small_config(seed=-1))[0].tick == 1
         assert len(run_simulation(small_config(seed=0, stochastic=True))) == 10
 
+    def test_stochastic_injurer_count_must_fit_a_binomial_draw(self):
+        # numpy's binomial refuses a count above 2**63 - 1 with a bare OverflowError
+        with pytest.raises(InvalidParameterError, match="n_injurers must be <= 9223372036854775807"):
+            small_config(n_injurers=2**63, stochastic=True)
+        assert len(run_simulation(small_config(n_injurers=2**63 - 1, stochastic=True))) == 10
+        assert run_simulation(small_config(n_injurers=10**20))[0].injuries > 0
+
     def test_grid_must_be_nonempty_and_nonnegative(self):
         with pytest.raises(InvalidParameterError, match="nonempty"):
             small_config(precaution_cost_grid=())
