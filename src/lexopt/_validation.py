@@ -5,6 +5,7 @@ field name in the message and returns the value coerced to ``float``.
 """
 
 import math
+from typing import Callable, Iterable
 
 from .errors import InvalidParameterError
 
@@ -43,3 +44,15 @@ def require_count(name: str, value: int) -> int:
     if value <= 0:
         raise InvalidParameterError(f"{name} must be >= 1, got {value!r}")
     return value
+
+
+def require_increasing(
+    name: str, values: Iterable[float], check: Callable[[str, float], float]
+) -> list[float]:
+    """Each value through ``check`` as ``name[i]``; nonempty and strictly increasing."""
+    grid = [check(f"{name}[{i}]", v) for i, v in enumerate(values)]
+    if not grid:
+        raise InvalidParameterError(f"{name} must be nonempty")
+    if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
+        raise InvalidParameterError(f"{name} must be strictly increasing")
+    return grid

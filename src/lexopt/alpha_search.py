@@ -22,14 +22,13 @@ in grid order regardless of evaluation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from ._validation import require_positive
+from ._validation import require_increasing, require_positive
 from .cobb_douglas import OptimumSolution, _solve
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError
 from .hessian import HessianVariant, SecondOrderClass, _second_order
 
 
@@ -50,14 +49,8 @@ class AlphaSearchConfig:
     include_cross_terms: bool = field(default=False)
 
     def __post_init__(self) -> None:
-        grid = tuple(float(a) for a in self.alpha_grid)
-        if len(grid) == 0:
-            raise InvalidParameterError("alpha_grid must be nonempty")
-        for i, a in enumerate(grid):
-            require_positive(f"alpha_grid[{i}]", a)
-        if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
-            raise InvalidParameterError("alpha_grid must be strictly increasing")
-        object.__setattr__(self, "alpha_grid", grid)
+        grid = require_increasing("alpha_grid", self.alpha_grid, require_positive)
+        object.__setattr__(self, "alpha_grid", tuple(grid))
         object.__setattr__(self, "beta", require_positive("beta", self.beta))
         object.__setattr__(self, "p1", require_positive("p1", self.p1))
         object.__setattr__(self, "p2", require_positive("p2", self.p2))
@@ -92,23 +85,12 @@ def final_utility(
     return (sol.lam / (alpha_star + beta)) * (phi_sum + R_B)
 
 
-def _objective_value(objective: Objective, sol: OptimumSolution) -> float:
-    return sol.U_star if objective is Objective.MAX_UTILITY else sol.lam
-
-
 def _select_best(
     entries: tuple[AdmissibleAlpha, ...], key: Callable[[AdmissibleAlpha], float]
 ) -> AdmissibleAlpha | None:
     """First entry attaining the maximum key; entries arrive in grid order,
-    so a strict comparison implements the smallest-alpha tie-break."""
-    best = None
-    best_value = -math.inf
-    for entry in entries:
-        value = key(entry)
-        if value > best_value:
-            best = entry
-            best_value = value
-    return best
+    and max keeps the first of equal keys: the smallest-alpha tie-break."""
+    return max(entries, key=key, default=None)
 
 
 def search_alpha(cfg: AlphaSearchConfig) -> AlphaSearchResult:
@@ -126,7 +108,8 @@ def search_alpha(cfg: AlphaSearchConfig) -> AlphaSearchResult:
             admissible.append(AdmissibleAlpha(alpha=alpha, solution=sol, det_H=det))
 
     entries = tuple(admissible)
-    best = _select_best(entries, lambda e: _objective_value(cfg.objective, e.solution))
+    by_utility = cfg.objective is Objective.MAX_UTILITY
+    best = _select_best(entries, lambda e: e.solution.U_star if by_utility else e.solution.lam)
     if best is None:
         return AlphaSearchResult(admissible=entries, alpha_star=None, L_C_opt=None, U_star_final=None)
 

@@ -195,7 +195,7 @@ def _load_config_file(path: str) -> dict:
             loaded = json.load(fh)
     except OSError as exc:
         raise InvalidParameterError(f"config: cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise InvalidParameterError(f"config: {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise InvalidParameterError(f"config: {path!r} must contain a JSON object")
@@ -504,19 +504,9 @@ def _run_simulate(params: dict) -> CommandOutput:
     from .sim import run_simulation
 
     cfg = _build_sim_config(params, params["C_a"])
-    states = run_simulation(cfg)
-    rows = [
-        {
-            "tick": s.tick,
-            "injuries": s.injuries,
-            "filings": s.filings,
-            "settlements": s.settlements,
-            "trials": s.trials,
-            "aggregate_trials": s.aggregate_trials,
-            "welfare": s.welfare,
-        }
-        for s in states
-    ]
+    # vars() of a sim record is its fields in declaration order, as long as the
+    # record has no slots and no attribute set besides its fields
+    rows = [vars(s) for s in run_simulation(cfg)]
     columns = ["tick", "injuries", "filings", "settlements", "trials", "aggregate_trials", "welfare"]
     payload = {"seed": cfg.seed, "ticks": cfg.ticks, "rows": rows}
     return CommandOutput(payload, columns, rows)
@@ -530,25 +520,12 @@ def _run_sweep(params: dict) -> CommandOutput:
     # the grid is checked first, so that its errors do not name C_a_policy
     cfg = _build_sim_config(params, require_admin_cost_grid(grid)[0])
     sweep = sweep_admin_cost(cfg, grid)
-    rows = [
-        {
-            "C_a": r.C_a,
-            "aggregate_trials": r.aggregate_trials,
-            "settlement_rate": r.settlement_rate,
-            "welfare": r.welfare,
-        }
-        for r in sweep
-    ]
-    best_welfare_C_a = next(r.C_a for r in sweep if r.best_welfare)
-    fewest_trials_C_a = next(r.C_a for r in sweep if r.fewest_trials)
+    rows = [vars(r) for r in sweep]  # the SweepRow fields, as in _run_simulate
     payload = {
         "seed": cfg.seed,
-        "rows": [
-            {**row, "best_welfare": r.best_welfare, "fewest_trials": r.fewest_trials}
-            for row, r in zip(rows, sweep)
-        ],
-        "best_welfare_C_a": best_welfare_C_a,
-        "fewest_trials_C_a": fewest_trials_C_a,
+        "rows": rows,
+        "best_welfare_C_a": next(r.C_a for r in sweep if r.best_welfare),
+        "fewest_trials_C_a": next(r.C_a for r in sweep if r.fewest_trials),
     }
     comments = [f"{k}={_json_render(payload[k])}" for k in ("best_welfare_C_a", "fewest_trials_C_a")]
     columns = ["C_a", "aggregate_trials", "settlement_rate", "welfare"]
@@ -644,6 +621,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def loads(text: str) -> Any:
+        # argparse makes a ValueError a usage error naming this function
+        try:
+            return json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc
+
     parser = _Parser(prog="lexopt", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"lexopt {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -656,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument(f"--{f.key}", action=argparse.BooleanOptionalAction,
                                  default=None, help=f.help or None)
             else:
-                parse = {FLOAT: float, INT: int, STR: str, JSONVAL: json.loads}[f.kind]
+                parse = {FLOAT: float, INT: int, STR: str, JSONVAL: loads}[f.kind]
                 help_text = f"{f.help} (JSON literal)" if f.kind == JSONVAL else f.help or None
                 sub.add_argument(f"--{f.key}", type=parse, default=None, help=help_text)
     return parser
@@ -666,10 +650,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 1
+    except SystemExit as exc:  # argparse exits with an int: 0 for --help, 64 for usage
+        return exc.code
 
     spec = COMMANDS[args.command]
     try:

@@ -66,19 +66,16 @@ class OptimumSolution:
     identity_residual: float
 
 
-def _utility(alpha: float, beta: float, L_C: float, R_B: float) -> float:
+def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
+    """U = L_C**alpha * R_B**beta; zero whenever either argument is zero."""
+    L_C, R_B = float(L_C), float(R_B)
     if math.isnan(L_C) or L_C < 0.0:
         raise InvalidParameterError(f"L_C must be >= 0, got {L_C!r}")
     if math.isnan(R_B) or R_B < 0.0:
         raise InvalidParameterError(f"R_B must be >= 0, got {R_B!r}")
     if L_C == 0.0 or R_B == 0.0:
         return 0.0
-    return L_C**alpha * R_B**beta
-
-
-def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
-    """U = L_C**alpha * R_B**beta; zero whenever either argument is zero."""
-    return _utility(prob.alpha, prob.beta, float(L_C), float(R_B))
+    return L_C**prob.alpha * R_B**prob.beta
 
 
 def utility_gradient(prob: CobbDouglasProblem, L_C: float, R_B: float) -> tuple[float, float]:

@@ -56,14 +56,9 @@ class StrategyGame:
 
 
 def _argmax(utilities: Mapping[str, float], names) -> tuple[str, float]:
-    best_name = None
-    best_u = -math.inf
-    for name in sorted(names):
-        u = utilities[name]
-        if u > best_u:
-            best_name = name
-            best_u = u
-    return best_name, best_u
+    # max keeps the first of equal utilities: the smallest identifier
+    best_name = max(sorted(names), key=utilities.__getitem__)
+    return best_name, utilities[best_name]
 
 
 def best_allowed(g: StrategyGame) -> tuple[str, float]:

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ._validation import (
     require_count,
+    require_increasing,
     require_nonnegative,
     require_unit_interval,
 )
@@ -167,18 +168,15 @@ def choose_precaution(cfg: SimConfig, settlement_rate: float = 0.0) -> float:
     """Cost-minimizing precaution against liability discounted by settlement.
 
     Minimizes B + P_harm(B) * L_harm * (1 - discount * settlement_rate) over
-    the grid; ties resolve to the smaller B.
+    the sorted grid; min keeps the first of equal costs, so ties resolve to
+    the smaller B.
     """
     settlement_rate = require_unit_interval("settlement_rate", settlement_rate)
     liability_weight = 1.0 - cfg.settlement_liability_discount * settlement_rate
-    best_B = None
-    best_cost = math.inf
-    for B in cfg.precaution_cost_grid:
-        cost = B + cfg.harm_probability_fn(B) * cfg.L_harm * liability_weight
-        if cost < best_cost:
-            best_B = B
-            best_cost = cost
-    return best_B
+    return min(
+        cfg.precaution_cost_grid,
+        key=lambda B: B + cfg.harm_probability_fn(B) * cfg.L_harm * liability_weight,
+    )
 
 
 def _settlement_rate(state: SimState | _Tick) -> float:
@@ -312,12 +310,7 @@ class SweepRow:
 
 def require_admin_cost_grid(C_a_grid: Sequence[float]) -> list[float]:
     """The grid as floats: nonempty, finite, >= 0 and strictly increasing."""
-    if len(C_a_grid) == 0:
-        raise InvalidParameterError("C_a_grid must be nonempty")
-    grid = [require_nonnegative(f"C_a_grid[{i}]", c) for i, c in enumerate(C_a_grid)]
-    if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
-        raise InvalidParameterError("C_a_grid must be strictly increasing")
-    return grid
+    return require_increasing("C_a_grid", C_a_grid, require_nonnegative)
 
 
 def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow]:

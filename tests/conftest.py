@@ -6,7 +6,16 @@ decimal arithmetic, not from the code under test; every row lands on a
 representable double, so equality is exact.  The table covers zero activity,
 both directions, zero rates, fixed-charge rows, and sub-unit boundary
 magnitudes.
+
+Every Hypothesis test runs under one profile: derandomized, with no example
+database and no deadline, so a run is reproducible and a slow shared host
+cannot fail it.  Each test sets its own ``max_examples``.
 """
+
+from hypothesis import settings
+
+settings.register_profile("lexopt", deadline=None, derandomize=True, database=None)
+settings.load_profile("lexopt")
 
 PHI_TABLE = [
     (0.0, 0.2, 0.2, 5.0, False, 1.0),

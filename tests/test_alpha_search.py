@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -48,6 +50,22 @@ class TestConfigValidation:
     def test_grid_entries_must_be_positive(self):
         with pytest.raises(InvalidParameterError, match=r"alpha_grid\[0\]"):
             base_config(alpha_grid=(0.0, 0.5))
+
+    @pytest.mark.parametrize("grid,message", [
+        ((), "alpha_grid must be nonempty"),
+        ((0.5, -1), "alpha_grid[1] must be > 0, got -1.0"),
+        ((math.inf,), "alpha_grid[0] must be finite, got inf"),
+        ((0.5, 0.25), "alpha_grid must be strictly increasing"),
+    ])
+    def test_grid_messages(self, grid, message):
+        with pytest.raises(InvalidParameterError) as info:
+            base_config(alpha_grid=grid)
+        assert str(info.value) == message
+
+    def test_grid_is_stored_as_a_tuple_of_floats(self):
+        cfg = base_config(alpha_grid=[1, 2.5])
+        assert cfg.alpha_grid == (1.0, 2.5)
+        assert all(type(a) is float for a in cfg.alpha_grid)
 
     @pytest.mark.parametrize("field", ["beta", "p1", "p2", "P_C"])
     def test_scalar_fields_must_be_positive(self, field):
@@ -169,6 +187,27 @@ class TestSelectBest:
         best = _select_best(entries, lambda e: e.solution.U_star)
         assert best is not None and best.alpha == 0.4
 
+    @settings(max_examples=300)
+    @given(values=st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 2.5, 7.0]),
+                                     st.floats(allow_nan=False, allow_infinity=False)),
+                           max_size=8))
+    def test_matches_the_reference_loop(self, values):
+        entries = tuple(self.entry(0.1 * (i + 1), v) for i, v in enumerate(values))
+        key = attrgetter("solution.U_star")
+        assert _select_best(entries, key) is reference_select_best(entries, key)
+
+
+def reference_select_best(entries, key):
+    """_select_best as the strict-> loop it was before it called max."""
+    best = None
+    best_value = -math.inf
+    for entry in entries:
+        value = key(entry)
+        if value > best_value:
+            best = entry
+            best_value = value
+    return best
+
 
 def reference_search(cfg: AlphaSearchConfig) -> AlphaSearchResult:
     """search_alpha written out on the public numpy path, one problem per candidate."""
@@ -205,7 +244,7 @@ def _hex_fields(x):
 
 
 class TestAgainstReferenceLoop:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(
         grid=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=40, unique=True).map(sorted),
         beta=st.floats(0.05, 5.0),

@@ -461,6 +461,20 @@ class TestConfigFile:
         assert code == 1
         assert "JSON object" in err
 
+    @pytest.mark.parametrize("content,reason", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"p": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"p": ' + b"[" * 5000 + b"]" * 5000 + b"}", "maximum recursion depth exceeded"),
+    ], ids=["not-utf8", "5000-digit-int", "deep-nesting"])
+    def test_undecodable_config_file_is_invalid_input(self, capsys, tmp_path, content, reason):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        code, out, err = run_cli(capsys, ["bargain", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: config: {str(cfg)!r} is not valid JSON: ")
+        assert reason in err
+
     def test_wrong_type_in_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "case.json"
         cfg.write_text(json.dumps({"p": "half", "W_B": 100, "S_B": 60, "C_a": 10, "C_b": 4}))
@@ -479,6 +493,13 @@ class TestErrorPaths:
     def test_non_numeric_flag_is_a_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["bargain", "--p", "half"])
         assert code == 64
+
+    def test_deeply_nested_json_flag_is_a_usage_error(self, capsys):
+        deep = "[" * 5000 + "]" * 5000
+        code, out, err = run_cli(capsys, ["phi", "--rates", deep, "--L", "[1]"])
+        assert (code, out) == (64, "")
+        last = err.splitlines()[-1]
+        assert last == f"lexopt phi: error: argument --rates: invalid loads value: {deep!r}"
 
     def test_missing_required_field_names_it(self, capsys):
         code, _, err = run_cli(capsys, ["solve", "--alpha", "0.5"])
@@ -559,6 +580,17 @@ class TestFloatRangeFailures:
             assert out == ""
             assert len(err.splitlines()) == 1
             assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_every_precaution_cost_overflowing_is_a_domain_failure(self, capsys, command, fmt):
+        # every level costs 1.7e308 + 1 * 1.7e308 = inf; the first level is chosen and
+        # the welfare it implies is -inf
+        argv = [command, "--seed", "0", "--ticks", "2", "--precaution_grid", "[1.7e308]",
+                "--L_harm", "1.7e308", "--harm_p0", "1", "--harm_decay", "0", "--discount", "0"]
+        code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: result overflowed the representable range: -inf"]
 
     @pytest.mark.parametrize("command", ["solve", "hessian"])
     def test_infinite_demand_is_not_blamed_on_a_computed_field(self, capsys, command):

@@ -1,11 +1,12 @@
 """Generated argv for all nine commands keeps the CLI's exit-code contract.
 
 Each case starts from a valid invocation of one command, replaces or drops a
-few of its flags, may move some of them into a JSON config file, and may add
-a malformed token or config key.  Every run must exit 0, 1, 2 or 64 without
-an exception escaping; a failure prints nothing on stdout and exactly one
-``error:`` line on stderr (after any override notes); a success prints the
-same bytes when run again.  An argv whose every token is a value its flag's
+few of its flags, may move some of them into a JSON config file (or swap the
+file for bytes that do not decode), and may add a malformed token, a JSON
+flag nested too deeply, or a bad config key.  Every run must exit 0, 1, 2 or
+64 without an exception escaping; a failure prints nothing on stdout and
+exactly one ``error:`` line on stderr (after any override notes); a success
+prints the same bytes when run again.  An argv whose every token is a value its flag's
 parser accepts is never a usage error, so a value argparse mistakes for an
 option (``--R_B -1e3``) fails the test.
 """
@@ -67,6 +68,12 @@ JSON_VALUES = {
 }
 STR_VALUES = ["MaxUtility", "MaxLambda", "ShadowForm", "DirectForm", "other", ""]
 MALFORMED = ["half", "{", "[1,", "--", "-x", "--nope", "stray", "1.5.2"]
+# JSON nested deeper than the parser's recursion limit, given to a JSON flag
+DEEP_JSON = "[" * 5000 + "]" * 5000
+# config files that are not UTF-8, hold an integer past int()'s digit limit,
+# nest too deeply, or are not JSON at all
+RAW_CONFIGS = [b"\xff\xfe{}", b"\xef\xbb\xbf{}", b'{"seed": ' + b"9" * 5000 + b"}",
+               b'{"x": ' + DEEP_JSON.encode() + b"}", b"{not json", b""]
 # what a config file holds for a flag's value text, by the flag's kind
 FILE_VALUE = {FLOAT: float, INT: int, STR: str, BOOL: bool, JSONVAL: json.loads}
 
@@ -85,7 +92,10 @@ def value_text(key: str, kind: str) -> st.SearchStrategy:
 
 @st.composite
 def cases(draw):
-    """(argv, config or None, well_formed): well_formed when every value suits its flag."""
+    """(argv, config, well_formed): well_formed when every value suits its flag.
+
+    config is None, a dict to write as JSON, or the raw bytes of the file.
+    """
     command = draw(st.sampled_from(sorted(COMMANDS)))
     kinds = {f.key: f.kind for f in COMMANDS[command].fields}
     values = dict(BASES[command])
@@ -99,6 +109,7 @@ def cases(draw):
         config = {key: FILE_VALUE[kinds[key]](values.pop(key)) for key in sorted(in_file)}
         # a key the command does not have, or a value of the wrong JSON type
         config.update(draw(st.sampled_from([{}, {}, {"nope": 1}, {sorted(kinds)[0]: "x"}])))
+        config = draw(st.sampled_from([config] * len(RAW_CONFIGS) + RAW_CONFIGS))
     groups = []
     for key, value in values.items():
         if kinds[key] == BOOL:
@@ -108,7 +119,8 @@ def cases(draw):
         else:
             groups.append([f"--{key}", value])
     groups.append(["--format", draw(st.sampled_from(["json", "csv"]))])
-    malformed = draw(st.lists(st.sampled_from(MALFORMED), max_size=1))
+    deep_flags = [f"--{key}={DEEP_JSON}" for key in sorted(kinds) if kinds[key] == JSONVAL]
+    malformed = draw(st.lists(st.sampled_from(MALFORMED + deep_flags), max_size=1))
     argv = [command, *(t for g in draw(st.permutations(groups)) for t in g), *malformed]
     return argv, config, not malformed
 
@@ -130,15 +142,15 @@ def test_every_base_invocation_succeeds(command):
         assert out.startswith("# lexopt ")
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(case=cases())
 def test_generated_argv_keeps_the_exit_code_contract(case):
     argv, config, well_formed = case
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             path = os.path.join(tmp, "config.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(config, fh)
+            with open(path, "wb") as fh:
+                fh.write(config if isinstance(config, bytes) else json.dumps(config).encode())
             argv = [*argv, "--config", path]
         check_contract(argv, well_formed)
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexopt import (
     MARGIN_SCALE_FRACTION,
@@ -63,6 +67,34 @@ class TestSelectors:
         )
         assert best_allowed(g) == ("a", 5.0)
         assert best_overall(g) == ("a", 5.0)
+
+    @settings(max_examples=300)
+    @given(
+        utilities=st.dictionaries(
+            st.sampled_from(["a", "b", "c", "d", "e", "B", "a1"]),
+            st.one_of(st.sampled_from([-1.0, 0.0, 3.0]),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1,
+        ),
+        data=st.data(),
+    )
+    def test_matches_the_reference_loop(self, utilities, data):
+        allowed = data.draw(st.sets(st.sampled_from(sorted(utilities)), min_size=1))
+        g = StrategyGame(utilities=utilities, allowed=frozenset(allowed))
+        assert best_allowed(g) == reference_argmax(g.utilities, g.allowed)
+        assert best_overall(g) == reference_argmax(g.utilities, g.utilities.keys())
+
+
+def reference_argmax(utilities, names):
+    """The selectors' strict-> loop as it was before they called max."""
+    best_name = None
+    best_u = -math.inf
+    for name in sorted(names):
+        u = utilities[name]
+        if u > best_u:
+            best_name = name
+            best_u = u
+    return best_name, best_u
 
 
 class TestDefaultMargin:

@@ -299,7 +299,7 @@ problems = st.builds(
 class TestFloatKernel:
     """The plain-float kernel against the numpy matrix and a generic determinant."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(prob=problems, variant=st.sampled_from(HessianVariant), cross=st.booleans())
     def test_matches_numpy_path(self, prob, variant, cross):
         sol = solve_closed_form(prob)

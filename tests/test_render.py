@@ -190,26 +190,26 @@ SIM_LIKE = {
 
 
 class TestAgainstReference:
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120)
     @given(payload=payloads())
     @example(payload=SIM_LIKE)
     @example(payload={"a%sb": [{"%d": 1.5, "%%": "%s"}], "": {}, "e": [], "t": ()})
     def test_json_bytes(self, payload):
         assert _json_render(payload) == ref_json_render(payload)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(table=tables())
     @example(table=(list(SIM_LIKE["rows"][0]), SIM_LIKE["rows"]))
     def test_csv_bytes(self, table):
         columns, rows = table
         assert _csv_lines(columns, rows) == ref_csv_lines(columns, rows)
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120)
     @given(payload=payloads(non_finite=True))
     def test_json_outcome_with_non_finite_values(self, payload):
         assert outcome(_json_render, payload) == outcome(ref_json_render, payload)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(table=tables(non_finite=True))
     def test_csv_outcome_with_non_finite_values(self, table):
         assert outcome(_csv_lines, *table) == outcome(ref_csv_lines, *table)
@@ -258,7 +258,7 @@ class TestFloatText:
             (x,) = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))
             assert "%.17g" % x == format(x, ".17g")
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     @example(x=-0.0)
     @example(x=5e-324)

@@ -24,6 +24,7 @@ from lexopt import (
     step,
     sweep_admin_cost,
 )
+from lexopt._validation import require_unit_interval
 from lexopt.sim import INITIAL_STATE, _settlement_rate, require_admin_cost_grid
 
 
@@ -137,6 +138,32 @@ class TestThresholds:
         assert cfg.thresholds() == (3.0, 27.5)
 
 
+@st.composite
+def precaution_cases(draw):
+    """(levels, probabilities, L_harm, discount, rate) for one precaution choice.
+
+    Half the cases put unit-spaced levels against a weighted loss of 16 and
+    probabilities in steps of 1/16, so neighbouring costs tie whenever the
+    probability falls by one step; the rest draw any finite values.
+    """
+    if draw(st.booleans()):
+        start, n = draw(st.integers(0, 4)), draw(st.integers(1, 6))
+        drops = draw(st.lists(st.sampled_from([0, 1, 1, 2]), min_size=n, max_size=n))
+        k = draw(st.integers(0, 16))
+        probabilities = []
+        for drop in drops:
+            probabilities.append(k / 16)
+            k = max(0, k - drop)
+        L_harm, discount, rate = draw(st.sampled_from(
+            [(16.0, 0.0, 1.0), (16.0, 1.0, 0.0), (32.0, 0.5, 1.0), (32.0, 1.0, 0.5)]))
+        return [float(start + i) for i in range(n)], probabilities, L_harm, discount, rate
+    levels = draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6, unique=True))
+    probabilities = draw(st.lists(st.floats(0.0, 1.0), min_size=len(levels),
+                                  max_size=len(levels)))
+    return (levels, probabilities, draw(st.floats(0.0, 1e6)), draw(st.floats(0.0, 1.0)),
+            draw(st.floats(0.0, 1.0)))
+
+
 class TestChoosePrecaution:
     def test_full_liability_picks_interior_level(self):
         assert choose_precaution(default_config(), settlement_rate=0.0) == 5.0
@@ -156,6 +183,31 @@ class TestChoosePrecaution:
     def test_rate_outside_unit_interval_rejected(self):
         with pytest.raises(InvalidParameterError, match="settlement_rate"):
             choose_precaution(default_config(), settlement_rate=1.5)
+
+    def test_all_overflowing_costs_pick_the_first_level(self):
+        # every cost is B + 1 * 1.7e308 = inf, so no level is cheaper than the first
+        cfg = small_config(
+            precaution_cost_grid=(1.7e308, 1.75e308),
+            harm_probability_fn=ExponentialHarm(p0=1.0, decay=0.0),
+            L_harm=1.7e308,
+            settlement_liability_discount=0.0,
+        )
+        assert choose_precaution(cfg, settlement_rate=0.0) == 1.7e308
+        assert reference_choose_precaution(cfg, settlement_rate=0.0) is None
+
+    @settings(max_examples=300)
+    @given(case=precaution_cases())
+    # every level costs 20 in the first example and 8 in the second
+    @example(case=([0.0, 10.0], [0.5, 0.25], 40.0, 0.0, 0.0))
+    @example(case=([0.0, 4.0, 8.0], [1.0, 0.5, 0.0], 16.0, 0.5, 1.0))
+    def test_matches_the_reference_loop(self, case):
+        levels, probabilities, L_harm, discount, rate = case
+        levels = sorted(levels)
+        table = dict(zip(levels, sorted(probabilities, reverse=True)))
+        cfg = small_config(precaution_cost_grid=tuple(levels),
+                           harm_probability_fn=table.__getitem__, L_harm=L_harm,
+                           settlement_liability_discount=discount)
+        assert choose_precaution(cfg, rate) == reference_choose_precaution(cfg, rate)
 
 
 class TestStep:
@@ -304,6 +356,12 @@ class TestSweepAdminCost:
         rows = sweep_admin_cost(cfg, [0.0, 30.0, 55.0])
         assert all(r.settlement_rate == 0.0 for r in rows)
 
+    def test_records_hold_their_fields_in_their_instance_dict(self):
+        # the CLI prints vars() of each state and row
+        cfg = small_config()
+        for record in (run_simulation(cfg)[0], sweep_admin_cost(cfg, [0.0])[0]):
+            assert list(vars(record)) == [f.name for f in dataclasses.fields(record)]
+
     def test_default_sweep_grid_shape(self):
         grid = default_sweep_grid()
         assert len(grid) == 20
@@ -315,9 +373,26 @@ class TestSweepAdminCost:
 # the per-tick loop as the reference for the compiled run
 
 
+def reference_choose_precaution(cfg: SimConfig, settlement_rate: float = 0.0) -> float | None:
+    """choose_precaution as the strict-< loop it was before it called min.
+
+    Returns None when every cost is inf.
+    """
+    settlement_rate = require_unit_interval("settlement_rate", settlement_rate)
+    liability_weight = 1.0 - cfg.settlement_liability_discount * settlement_rate
+    best_B = None
+    best_cost = math.inf
+    for B in cfg.precaution_cost_grid:
+        cost = B + cfg.harm_probability_fn(B) * cfg.L_harm * liability_weight
+        if cost < best_cost:
+            best_B = B
+            best_cost = cost
+    return best_B
+
+
 def reference_step(state, cfg, rng=None):
     """One tick recomputed from scratch, as the simulator did before it compiled runs."""
-    B = choose_precaution(cfg, _settlement_rate(state))
+    B = reference_choose_precaution(cfg, _settlement_rate(state))
     p_harm = cfg.harm_probability_fn(B)
     if cfg.stochastic:
         injuries = float(rng.binomial(cfg.n_injurers, p_harm))
@@ -423,7 +498,7 @@ BOTH_DECISIONS = [0.0, 10.0, 27.5, 30.0, 55.0]
 
 
 class TestAgainstReferenceLoop:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(cfg=sim_configs(),
            grid=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6, unique=True).map(sorted))
     @example(cfg=small_config(ticks=30), grid=BOTH_DECISIONS)
