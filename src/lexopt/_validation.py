@@ -11,7 +11,13 @@ from .errors import InvalidParameterError
 
 
 def require_finite(name: str, value: float) -> float:
-    value = float(value)
+    if type(value) is not float:  # the common case, a float, needs no conversion
+        try:
+            if isinstance(value, (str, bytes, bytearray)):
+                raise TypeError("text is not a number, though float() reads it")
+            value = float(value)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return value

@@ -121,8 +121,8 @@ def _csv_lines(columns: Sequence[str], rows: Sequence[dict]) -> str:
 @dataclass
 class CommandOutput:
     json_payload: dict
-    csv_columns: list[str]
-    csv_rows: list[dict]
+    csv_rows: list[dict] | None = None  # None: the payload is the one row
+    csv_columns: Sequence[str] | None = None  # None: the first row's keys
     csv_comments: list[str] = field(default_factory=list)
 
 
@@ -131,7 +131,8 @@ def _emit(out: CommandOutput, fmt: str) -> str:
     if fmt == "json":
         return header + _json_render(out.json_payload) + "\n"
     comments = "".join(f"# {c}\n" for c in out.csv_comments)
-    return header + comments + _csv_lines(out.csv_columns, out.csv_rows)
+    rows = [out.json_payload] if out.csv_rows is None else out.csv_rows
+    return header + comments + _csv_lines(out.csv_columns or list(rows[0]), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +149,6 @@ class Field:
     kind: str
     default: Any = _REQUIRED
     help: str = ""
-
-    @property
-    def required(self) -> bool:
-        return self.default is _REQUIRED
 
 
 _CASE_FIELDS = [
@@ -207,13 +204,14 @@ _KIND_TYPES = {FLOAT: ((int, float), "a number"), INT: (int, "an integer"),
                BOOL: (bool, "a boolean"), STR: (str, "a string")}
 
 
-def _coerce(field_spec: Field, value: Any, source: str) -> Any:
+def _coerce(field_spec: Field, value: Any) -> Any:
+    """A config-file value checked against its field's kind (argparse types the flags)."""
     kind = field_spec.kind
-    if value is None or kind == JSONVAL:
-        return value  # JSONVAL: structure checked by the command runner
+    if kind == JSONVAL:
+        return value  # structure checked by the command runner
     types, noun = _KIND_TYPES[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and kind != BOOL):
-        raise InvalidParameterError(f"{field_spec.key} must be {noun} ({source}), got {value!r}")
+        raise InvalidParameterError(f"{field_spec.key} must be {noun} (config file), got {value!r}")
     return float(value) if kind == FLOAT else value
 
 
@@ -245,29 +243,30 @@ def _merge_params(fields: Sequence[Field], args: argparse.Namespace) -> dict:
                 f"note: --{f.key}={flag_value!r} overrides config file value {file_value!r}",
                 file=sys.stderr,
             )
-        value = flag_value if flag_value is not None else file_value
-        if value is None:
-            if f.key == "seed" and f.required:
-                merged[f.key] = _resolve_seed_from_env()
-                continue
-            if f.required:
-                raise InvalidParameterError(f"{f.key} is required (flag --{f.key} or config file)")
+        if flag_value is not None:
+            merged[f.key] = flag_value
+        elif file_value is not None:
+            merged[f.key] = _coerce(f, file_value)
+        elif f.key == "seed":
+            merged[f.key] = _resolve_seed_from_env()
+        elif f.default is _REQUIRED:
+            raise InvalidParameterError(f"{f.key} is required (flag --{f.key} or config file)")
+        else:
             merged[f.key] = f.default
-            continue
-        source = "flag" if flag_value is not None else "config file"
-        merged[f.key] = _coerce(f, value, source)
     return merged
+
+
+def _number(key: str, value: Any) -> float:
+    """A JSON number as a float; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameterError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _float_list(key: str, value: Any) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise InvalidParameterError(f"{key} must be a nonempty JSON array of numbers")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InvalidParameterError(f"{key}[{i}] must be a number, got {v!r}")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(_number(f"{key}[{i}]", v) for i, v in enumerate(value))
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +278,8 @@ def _run_bargain(params: dict) -> CommandOutput:
 
     case = CaseParameters(**{f.key: params[f.key] for f in _CASE_FIELDS})
     d = reasonable_bargain(case)
-    record = {
-        "R_B": d.R_B,
-        "P_C": d.P_C,
-        "L_C": d.L_C,
-        "negative_bargain": d.negative_bargain,
-    }
-    return CommandOutput(record, list(record), [record])
+    # vars() of the record is its fields in order, as for the sim records below
+    return CommandOutput({**vars(d), "negative_bargain": d.negative_bargain})
 
 
 def _run_classify(params: dict) -> CommandOutput:
@@ -294,13 +288,12 @@ def _run_classify(params: dict) -> CommandOutput:
     case = CaseParameters(**{f.key: params[f.key] for f in _CASE_FIELDS})
     theta_a, theta_b = resolve_thresholds(case, params["theta_a"], params["theta_b"])
     scenario = classify_scenario(case, theta_a, theta_b)
-    record = {
+    return CommandOutput({
         "label": scenario.label.value,
         "decision": scenario.decision.value,
         "theta_a": theta_a,
         "theta_b": theta_b,
-    }
-    return CommandOutput(record, list(record), [record])
+    })
 
 
 def _run_solve(params: dict) -> CommandOutput:
@@ -309,7 +302,7 @@ def _run_solve(params: dict) -> CommandOutput:
     prob = CobbDouglasProblem(**{f.key: params[f.key] for f in _PROBLEM_FIELDS})
     sol = solve_closed_form(prob)
     r_L, r_R, r_budget = first_order_residuals(prob, sol)
-    record = {
+    return CommandOutput({
         "L_C_star": sol.L_C_star,
         "R_B_star": sol.R_B_star,
         "lambda": sol.lam,
@@ -321,13 +314,12 @@ def _run_solve(params: dict) -> CommandOutput:
         "budget_residual": r_budget,
         "mrs": mrs(prob, sol.L_C_star, sol.R_B_star),
         "price_ratio": prob.p1 / prob.p2,
-    }
-    return CommandOutput(record, list(record), [record])
+    })
 
 
 def _run_hessian(params: dict) -> CommandOutput:
     from .cobb_douglas import CobbDouglasProblem, solve_closed_form
-    from .hessian import HessianVariant, _second_order
+    from .hessian import HessianVariant, _matrix, _second_order
 
     prob = CobbDouglasProblem(**{f.key: params[f.key] for f in _PROBLEM_FIELDS})
     sol = solve_closed_form(prob)
@@ -339,28 +331,16 @@ def _run_hessian(params: dict) -> CommandOutput:
         "include_cross_terms": cross,
     }
     rows = []
-    for variant, key in ((HessianVariant.SHADOW_FORM, "shadow_form"),
-                         (HessianVariant.DIRECT_FORM, "direct_form")):
-        (b1, b2, h11, h12, h22), det, cls = _second_order(
+    for variant in HessianVariant:  # payload keys shadow_form, direct_form
+        entries, det, cls = _second_order(
             prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, sol, variant, cross
         )
-        label = cls.value
-        payload[key] = {
-            "matrix": [[0.0, b1, b2], [b1, h11, h12], [b2, h12, h22]],
-            "det": det,
-            "classification": label,
-        }
-        rows.append(
-            {
-                "variant": variant.value,
-                "m00": 0.0, "m01": b1, "m02": b2,
-                "m11": h11, "m12": h12, "m22": h22,
-                "det": det,
-                "classification": label,
-            }
-        )
-    columns = ["variant", "m00", "m01", "m02", "m11", "m12", "m22", "det", "classification"]
-    return CommandOutput(payload, columns, rows)
+        m = _matrix(*entries)
+        payload[variant.name.lower()] = {"matrix": m, "det": det, "classification": cls.value}
+        # the CSV row holds the upper triangle of the symmetric matrix
+        cells = {f"m{i}{j}": m[i][j] for i in range(3) for j in range(i, 3)}
+        rows.append({"variant": variant.value, **cells, "det": det, "classification": cls.value})
+    return CommandOutput(payload, rows)
 
 
 def _run_phi(params: dict) -> CommandOutput:
@@ -392,7 +372,7 @@ def _run_phi(params: dict) -> CommandOutput:
     rows = [{"component": i, "L": L_i, "phi": c} for i, (L_i, c) in enumerate(zip(L, components))]
     comments = [f"{k}={_json_render(payload[k])}" for k in ("total", "admissible", "within_budget")
                 if payload[k] is not None]
-    return CommandOutput(payload, ["component", "L", "phi"], rows, comments)
+    return CommandOutput(payload, rows, csv_comments=comments)
 
 
 def _parse_enum(key: str, enum_cls, raw: str):
@@ -409,10 +389,7 @@ def _run_alpha_search(params: dict) -> CommandOutput:
 
     cfg = AlphaSearchConfig(
         alpha_grid=_float_list("alpha_grid", params["alpha_grid"]),
-        beta=params["beta"],
-        p1=params["p1"],
-        p2=params["p2"],
-        P_C=params["P_C"],
+        **{k: params[k] for k in ("beta", "p1", "p2", "P_C")},
         objective=_parse_enum("objective", Objective, params["objective"]),
         hessian_variant=_parse_enum("hessian_variant", HessianVariant, params["hessian_variant"]),
         include_cross_terms=params["cross_terms"],
@@ -439,8 +416,9 @@ def _run_alpha_search(params: dict) -> CommandOutput:
         "U_star_final": result.U_star_final,
     }
     comments = [f"{k}={_json_render(payload[k])}" for k in ("alpha_star", "L_C_opt", "U_star_final")]
+    # a header of its own: the rows may be empty, and the header still prints
     columns = ["alpha", "L_C_star", "R_B_star", "lambda", "U_star", "det_H"]
-    return CommandOutput(payload, columns, rows, comments)
+    return CommandOutput(payload, rows, columns, comments)
 
 
 def _run_comply(params: dict) -> CommandOutput:
@@ -450,11 +428,7 @@ def _run_comply(params: dict) -> CommandOutput:
     raw_utilities = params["utilities"]
     if not isinstance(raw_utilities, dict) or not raw_utilities:
         raise InvalidParameterError("utilities must be a nonempty JSON object of strategy: utility")
-    utilities = {}
-    for name, u in raw_utilities.items():
-        if isinstance(u, bool) or not isinstance(u, (int, float)):
-            raise InvalidParameterError(f"utilities[{name!r}] must be a number, got {u!r}")
-        utilities[str(name)] = float(u)
+    utilities = {str(name): _number(f"utilities[{name!r}]", u) for name, u in raw_utilities.items()}
     raw_allowed = params["allowed"]
     if not isinstance(raw_allowed, (list, tuple)):
         raise InvalidParameterError("allowed must be a JSON array of strategy names")
@@ -467,7 +441,7 @@ def _run_comply(params: dict) -> CommandOutput:
     penalized = apply_penalty(game, tau)
     best_in, best_in_u = best_allowed(game)
     post_name, post_u = best_overall(penalized)
-    record = {
+    return CommandOutput({
         "best_allowed_strategy": best_in,
         "best_allowed_utility": best_in_u,
         "margin": margin,
@@ -475,29 +449,41 @@ def _run_comply(params: dict) -> CommandOutput:
         "post_penalty_best_strategy": post_name,
         "post_penalty_best_utility": post_u,
         "compliance_dominant": compliance_dominant(penalized, margin),
-    }
-    return CommandOutput(record, list(record), [record])
+    })
+
+
+# the SimConfig fields whose flags are spelled otherwise, field -> flag
+_SIM_FLAG_NAMES = {"precaution_cost_grid": "precaution_grid", "p0": "harm_p0",
+                   "decay": "harm_decay", "C_a_policy": "C_a",
+                   "settlement_liability_discount": "discount"}
 
 
 def _build_sim_config(params: dict, C_a_policy: float) -> SimConfig:
     from .sim import CaseTemplate, ExponentialHarm, SimConfig
 
-    return SimConfig(
-        n_injurers=params["n_injurers"],
-        precaution_cost_grid=_float_list("precaution_grid", params["precaution_grid"]),
-        harm_probability_fn=ExponentialHarm(p0=params["harm_p0"], decay=params["harm_decay"]),
-        L_harm=params["L_harm"],
-        case_template=CaseTemplate(
-            p=params["p"], W_B=params["W_B"], S_B=params["S_B"], C_b=params["C_b"]
-        ),
-        C_a_policy=C_a_policy,
-        settlement_liability_discount=params["discount"],
-        ticks=params["ticks"],
-        seed=params["seed"],
-        theta_a=params["theta_a"],
-        theta_b=params["theta_b"],
-        stochastic=params["stochastic"],
-    )
+    try:
+        return SimConfig(
+            n_injurers=params["n_injurers"],
+            precaution_cost_grid=_float_list("precaution_grid", params["precaution_grid"]),
+            harm_probability_fn=ExponentialHarm(p0=params["harm_p0"], decay=params["harm_decay"]),
+            L_harm=params["L_harm"],
+            case_template=CaseTemplate(
+                p=params["p"], W_B=params["W_B"], S_B=params["S_B"], C_b=params["C_b"]
+            ),
+            C_a_policy=C_a_policy,
+            settlement_liability_discount=params["discount"],
+            ticks=params["ticks"],
+            seed=params["seed"],
+            theta_a=params["theta_a"],
+            theta_b=params["theta_b"],
+            stochastic=params["stochastic"],
+        )
+    except InvalidParameterError as exc:
+        # a message starts with its field: "p0 must ...", "precaution_cost_grid[0] must ..."
+        name = str(exc).split(" ", 1)[0].split("[", 1)[0]
+        if name not in _SIM_FLAG_NAMES:
+            raise
+        raise InvalidParameterError(_SIM_FLAG_NAMES[name] + str(exc)[len(name):]) from exc
 
 
 def _run_simulate(params: dict) -> CommandOutput:
@@ -507,9 +493,7 @@ def _run_simulate(params: dict) -> CommandOutput:
     # vars() of a sim record is its fields in declaration order, as long as the
     # record has no slots and no attribute set besides its fields
     rows = [vars(s) for s in run_simulation(cfg)]
-    columns = ["tick", "injuries", "filings", "settlements", "trials", "aggregate_trials", "welfare"]
-    payload = {"seed": cfg.seed, "ticks": cfg.ticks, "rows": rows}
-    return CommandOutput(payload, columns, rows)
+    return CommandOutput({"seed": cfg.seed, "ticks": cfg.ticks, "rows": rows}, rows)
 
 
 def _run_sweep(params: dict) -> CommandOutput:
@@ -528,8 +512,9 @@ def _run_sweep(params: dict) -> CommandOutput:
         "fewest_trials_C_a": next(r.C_a for r in sweep if r.fewest_trials),
     }
     comments = [f"{k}={_json_render(payload[k])}" for k in ("best_welfare_C_a", "fewest_trials_C_a")]
+    # a header of its own: the CSV leaves out the rows' best_welfare and fewest_trials flags
     columns = ["C_a", "aggregate_trials", "settlement_rate", "welfare"]
-    return CommandOutput(payload, columns, rows, comments)
+    return CommandOutput(payload, rows, columns, comments)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from ._validation import require_finite
 from .errors import DomainError, InvalidParameterError
 
 #: Default margin is this fraction of the utility scale (see default_margin).
@@ -37,8 +38,7 @@ class StrategyGame:
         if not utilities:
             raise InvalidParameterError("utilities must contain at least one strategy")
         for name, u in utilities.items():
-            if not math.isfinite(u):
-                raise InvalidParameterError(f"utilities[{name!r}] must be finite, got {u!r}")
+            require_finite(f"utilities[{name!r}]", u)
         allowed = frozenset(self.allowed)
         if not allowed:
             raise InvalidParameterError("allowed must be nonempty")

@@ -72,7 +72,10 @@ def phi_total(s: CostSchedule, L: Sequence[float], with_fixed: bool = False) -> 
         raise InvalidParameterError(
             f"L has {len(L)} components but the schedule has {len(s.rates)}"
         )
-    return sum(phi_component(s, i, L_i, with_fixed) for i, L_i in enumerate(L))
+    total = 0.0  # explicit + in component order: sum() is compensated on Python >= 3.12
+    for i, L_i in enumerate(L):
+        total += phi_component(s, i, L_i, with_fixed)
+    return total
 
 
 def admissible(s: CostSchedule, L: Sequence[float], R_B: float, with_fixed: bool = False) -> bool:

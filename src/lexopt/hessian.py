@@ -102,6 +102,11 @@ def _entries(
     return -lam * p1, -lam * p2, h11, h12, h22
 
 
+def _matrix(b1: float, b2: float, h11: float, h12: float, h22: float) -> list[list[float]]:
+    """The 3x3 bordered matrix of the distinct entries, as nested lists."""
+    return [[0.0, b1, b2], [b1, h11, h12], [b2, h12, h22]]
+
+
 def _determinant(b1: float, b2: float, h11: float, h12: float, h22: float) -> float:
     """Cofactor expansion along the first (border) row, corner term included.
 
@@ -178,17 +183,9 @@ def build_bordered_hessian(
     """Assemble the bordered Hessian at the point carried by ``sol``."""
     import numpy as np
 
-    b1, b2, h11, h12, h22 = _entries(
-        prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, sol, variant, include_cross_terms
-    )
-    entries = np.array(
-        [
-            [0.0, b1, b2],
-            [b1, h11, h12],
-            [b2, h12, h22],
-        ]
-    )
-    return BorderedHessian(entries=entries, variant=variant, include_cross_terms=include_cross_terms)
+    cross = include_cross_terms
+    e = _entries(prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, sol, variant, cross)
+    return BorderedHessian(np.array(_matrix(*e)), variant, cross)
 
 
 def hessian_determinant(h: BorderedHessian) -> float:

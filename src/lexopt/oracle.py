@@ -61,6 +61,14 @@ def _resolve_epsilon(prob: CobbDouglasProblem, spec: GridSpec) -> float:
     return spec.clamp_epsilon if spec.clamp_epsilon is not None else default_clamp_epsilon(prob)
 
 
+def _clamped_axis(name: str, upper: float, eps: float) -> tuple[float, float]:
+    """The range [eps, upper - eps]; a DomainError when the clamp leaves nothing."""
+    high = upper - eps
+    if high <= eps:
+        raise DomainError(f"the clamped {name} range [{eps!r}, {high!r}] is empty")
+    return eps, high
+
+
 def grid_max_on_budget(prob: CobbDouglasProblem, spec: GridSpec = GridSpec()) -> GridMax:
     """Brute-force maximum of U along the binding budget line.
 
@@ -70,7 +78,7 @@ def grid_max_on_budget(prob: CobbDouglasProblem, spec: GridSpec = GridSpec()) ->
     import numpy as np
 
     eps = _resolve_epsilon(prob, spec)
-    L = np.linspace(eps, prob.P_C / prob.p1 - eps, spec.points_per_axis)
+    L = np.linspace(*_clamped_axis("L_C", prob.P_C / prob.p1, eps), spec.points_per_axis)
     R = (prob.P_C - prob.p1 * L) / prob.p2
     U = L**prob.alpha * R**prob.beta
     i = int(np.argmax(U))
@@ -86,8 +94,8 @@ def grid_max_on_rectangle(prob: CobbDouglasProblem, spec: GridSpec = GridSpec(po
     import numpy as np
 
     eps = _resolve_epsilon(prob, spec)
-    L = np.linspace(eps, prob.P_C / prob.p1 - eps, spec.points_per_axis)
-    R = np.linspace(eps, prob.P_C / prob.p2 - eps, spec.points_per_axis)
+    L = np.linspace(*_clamped_axis("L_C", prob.P_C / prob.p1, eps), spec.points_per_axis)
+    R = np.linspace(*_clamped_axis("R_B", prob.P_C / prob.p2, eps), spec.points_per_axis)
     U = np.outer(L**prob.alpha, R**prob.beta)
     flat = int(np.argmax(U))
     i, j = divmod(flat, spec.points_per_axis)

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from lexopt import __version__, solve_closed_form
-from lexopt.cli import main
+from lexopt import __version__, default_config, solve_closed_form
+from lexopt.cli import COMMANDS, _build_sim_config, _merge_params, build_parser, main
 
 BARGAIN_ARGS = ["--p", "0.5", "--W_B", "100", "--S_B", "60", "--C_a", "10", "--C_b", "4"]
 SQRT_ARGS = ["--alpha", "0.5", "--beta", "0.5", "--p1", "1", "--p2", "1", "--P_C", "2"]
@@ -405,6 +405,30 @@ class TestSimulateAndSweep:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "command,flag,value,message",
+        [
+            (command, *case)
+            for command in ("simulate", "sweep")
+            for case in (
+                ("--discount", "2", "discount must lie in [0, 1], got 2.0"),
+                ("--harm_p0", "2", "harm_p0 must lie in [0, 1], got 2.0"),
+                ("--harm_decay", "-1", "harm_decay must be >= 0, got -1.0"),
+                ("--precaution_grid", "[-1]", "precaution_grid[0] must be >= 0, got -1.0"),
+            )
+        ] + [("simulate", "--C_a", "-1", "C_a must be >= 0, got -1.0")],
+    )
+    def test_field_errors_name_the_flag(self, capsys, command, flag, value, message, fmt):
+        argv = [command, *self.SMALL, "--seed", "0", flag, value, "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_simulate_flag_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["simulate", "--seed", "0"])
+        params = _merge_params(COMMANDS["simulate"].fields, args)
+        assert _build_sim_config(params, params["C_a"]) == default_config()
 
 
 class TestConfigFile:

@@ -49,6 +49,11 @@ class TestStrategyGameValidation:
         with pytest.raises(InvalidParameterError, match="finite"):
             StrategyGame(utilities={"a": float("inf")}, allowed=frozenset({"a"}))
 
+    @pytest.mark.parametrize("u", ["1", None])
+    def test_non_numeric_utility_names_the_field(self, u):
+        with pytest.raises(InvalidParameterError, match=r"utilities\['a'\] must be a number"):
+            StrategyGame(utilities={"a": u, "b": 2}, allowed=frozenset({"a"}))
+
     def test_disallowed_is_the_complement(self):
         assert GAME.disallowed == frozenset({"evade"})
 

@@ -36,6 +36,10 @@ class TestCostScheduleValidation:
         with pytest.raises(InvalidParameterError, match="alpha_plus"):
             CostSchedule(0.0, ((math.nan, 0.1),))
 
+    def test_non_numeric_rate_names_the_field(self):
+        with pytest.raises(InvalidParameterError, match=r"rates\[0\].alpha_plus must be a number"):
+            CostSchedule(0.0, (("a", "b"),))
+
     def test_len_counts_components(self):
         assert len(CostSchedule(0.0, ((0.1, 0.1), (0.2, 0.2)))) == 2
 
@@ -74,6 +78,15 @@ class TestPhiTotal:
     def test_fixed_charge_applies_per_active_component(self):
         s = CostSchedule(1.0, ((1.0, 1.0), (1.0, 1.0), (1.0, 1.0)))
         assert phi_total(s, [2.0, 0.0, -3.0], with_fixed=True) == 7.0
+
+    def test_adds_in_component_order(self):
+        # a compensated sum would give 1e16 + 2; left to right, each + 1 rounds away
+        s = CostSchedule(0.0, ((1.0, 0.0),) * 3)
+        L = [1e16, 1.0, 1.0]
+        total = 0.0
+        for i, L_i in enumerate(L):
+            total = total + phi_component(s, i, L_i)
+        assert phi_total(s, L).hex() == total.hex() == (1e16).hex()
 
     def test_length_mismatch(self):
         s = CostSchedule(0.0, ((1.0, 1.0),))

@@ -84,6 +84,13 @@ class TestGridMaxOnBudget:
         prob = CobbDouglasProblem(1.0, 1.0, 0.5, 2.0, 8.0)
         assert default_clamp_epsilon(prob) == pytest.approx(1e-9 * (8.0 / 0.5), rel=1e-15)
 
+    def test_clamp_wider_than_the_budget_line_is_a_domain_error(self):
+        # eps = 1e-9 is more than half of P_C / p1 = 1e-10: no interior point
+        # is left, and the grid would run backwards past zero
+        prob = CobbDouglasProblem(0.5, 0.5, 1e10, 1.0, 1.0)
+        with pytest.raises(DomainError, match="L_C range"):
+            grid_max_on_budget(prob, GridSpec(points_per_axis=100))
+
 
 class TestGridMaxOnRectangle:
     def test_unconstrained_max_sits_at_far_corner(self):
@@ -94,6 +101,14 @@ class TestGridMaxOnRectangle:
         eps = default_clamp_epsilon(prob)
         assert gm.L_C == pytest.approx(2.0 - eps, rel=1e-12)
         assert gm.R_B == pytest.approx(2.0 - eps, rel=1e-12)
+
+    def test_empty_clamped_axis_is_a_domain_error(self):
+        # the budget line is fine, but the R_B side of the box is narrower than 2 * eps
+        prob = CobbDouglasProblem(0.5, 0.5, 1.0, 1e10, 1.0)
+        spec = GridSpec(points_per_axis=100)
+        assert grid_max_on_budget(prob, spec).R_B > 0.0
+        with pytest.raises(DomainError, match="R_B range"):
+            grid_max_on_rectangle(prob, spec)
 
 
 class TestGridSpecValidation:

@@ -20,6 +20,7 @@ from lexopt import (
     default_config,
     default_sweep_grid,
     default_thresholds,
+    reasonable_bargain,
     run_simulation,
     step,
     sweep_admin_cost,
@@ -357,9 +358,10 @@ class TestSweepAdminCost:
         assert all(r.settlement_rate == 0.0 for r in rows)
 
     def test_records_hold_their_fields_in_their_instance_dict(self):
-        # the CLI prints vars() of each state and row
+        # the CLI prints vars() of each state and row, and of the bargain split
         cfg = small_config()
-        for record in (run_simulation(cfg)[0], sweep_admin_cost(cfg, [0.0])[0]):
+        bargain = reasonable_bargain(cfg.case_template.with_admin_cost(10.0))
+        for record in (run_simulation(cfg)[0], sweep_admin_cost(cfg, [0.0])[0], bargain):
             assert list(vars(record)) == [f.name for f in dataclasses.fields(record)]
 
     def test_default_sweep_grid_shape(self):
