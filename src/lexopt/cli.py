@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import __version__
@@ -42,7 +42,8 @@ if TYPE_CHECKING:
 # serialization: one walk for both formats.  A scalar's text comes from one
 # table keyed by exact type (a subclass such as numpy.float64 takes its base
 # type's entry).  A list of dicts sharing one key order renders through a row
-# template made once per list.  Values render in payload order, so the first
+# template made once per list; a _NumberTable renders each row with a single
+# printf-style format.  Values render in payload order, so the first
 # non-finite float is the one reported.
 
 
@@ -84,6 +85,8 @@ def _json_render(obj: Any, level: int = 0) -> str:
     text = _JSON_TEXT.get(type(obj))
     if text is not None:
         return text(obj)
+    if type(obj) is _NumberTable:
+        return obj.json(level)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -118,10 +121,56 @@ def _csv_lines(columns: Sequence[str], rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
+# the printf directive of a number cell by its exact type; "%.17g" % x is
+# _fmt_float(x) for every finite x
+_NUMBER_SPECS = {int: "%d", float: "%.17g"}
+
+
+class _NumberTable:
+    """Rows of ints and floats, each row typed like the first.
+
+    It renders as a list of dicts with ``columns`` as keys would, to the byte,
+    but each format writes a row with one ``%`` on a row template made once
+    per table, instead of one call per cell.  A plain class, not a dataclass:
+    making a dataclass costs every command process about a millisecond.
+    """
+
+    def __init__(self, columns: tuple[str, ...], rows: Sequence[tuple]) -> None:
+        self.columns = columns
+        self.rows = rows
+
+    def _specs(self) -> tuple[str, ...]:
+        """The cell directives, once every float is known to be finite."""
+        first = self.rows[0]
+        floats = [j for j, v in enumerate(first) if type(v) is float]
+        columns = list(zip(*self.rows))
+        if not all(all(map(math.isfinite, columns[j])) for j in floats):
+            for row in self.rows:  # render order, so the first bad value is reported
+                for j in floats:
+                    _fmt_float(row[j])
+        return tuple(_NUMBER_SPECS[type(v)] for v in first)
+
+    def json(self, level: int) -> str:
+        if not self.rows:
+            return "[]"
+        pad = "  " * level
+        # the JSON template is itself %-formatted with the directives, so a %
+        # in a column name is escaped once for each of the two formattings
+        keys = tuple(c.replace("%", "%%") for c in self.columns)
+        row = pad + "  " + _json_template(keys, level + 1) % self._specs()
+        return "[\n" + ",\n".join(map(row.__mod__, self.rows)) + "\n" + pad + "]"
+
+    def csv(self) -> str:
+        header = _csv_lines(self.columns, [])
+        if not self.rows:
+            return header
+        return header + "".join(map((",".join(self._specs()) + "\n").__mod__, self.rows))
+
+
 @dataclass
 class CommandOutput:
     json_payload: dict
-    csv_rows: list[dict] | None = None  # None: the payload is the one row
+    csv_rows: list[dict] | _NumberTable | None = None  # None: the payload is the one row
     csv_columns: Sequence[str] | None = None  # None: the first row's keys
     csv_comments: list[str] = field(default_factory=list)
 
@@ -132,6 +181,8 @@ def _emit(out: CommandOutput, fmt: str) -> str:
         return header + _json_render(out.json_payload) + "\n"
     comments = "".join(f"# {c}\n" for c in out.csv_comments)
     rows = [out.json_payload] if out.csv_rows is None else out.csv_rows
+    if type(rows) is _NumberTable:
+        return header + comments + rows.csv()
     return header + comments + _csv_lines(out.csv_columns or list(rows[0]), rows)
 
 
@@ -212,7 +263,7 @@ def _coerce(field_spec: Field, value: Any) -> Any:
     types, noun = _KIND_TYPES[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and kind != BOOL):
         raise InvalidParameterError(f"{field_spec.key} must be {noun} (config file), got {value!r}")
-    return float(value) if kind == FLOAT else value
+    return _as_float(field_spec.key, value) if kind == FLOAT else value
 
 
 def _resolve_seed_from_env() -> int:
@@ -256,11 +307,22 @@ def _merge_params(fields: Sequence[Field], args: argparse.Namespace) -> dict:
     return merged
 
 
+def _as_float(key: str, value: int | float) -> float:
+    """float(value); a JSON integer past the float range is an invalid field."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"{key} must be within the float range, got an integer of "
+            f"{len(str(abs(value)))} digits"
+        ) from None
+
+
 def _number(key: str, value: Any) -> float:
     """A JSON number as a float; a boolean is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidParameterError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return _as_float(key, value)
 
 
 def _float_list(key: str, value: Any) -> tuple[float, ...]:
@@ -278,7 +340,7 @@ def _run_bargain(params: dict) -> CommandOutput:
 
     case = CaseParameters(**{f.key: params[f.key] for f in _CASE_FIELDS})
     d = reasonable_bargain(case)
-    # vars() of the record is its fields in order, as for the sim records below
+    # vars() of the record is its fields in order, as for the sweep rows below
     return CommandOutput({**vars(d), "negative_bargain": d.negative_bargain})
 
 
@@ -487,12 +549,11 @@ def _build_sim_config(params: dict, C_a_policy: float) -> SimConfig:
 
 
 def _run_simulate(params: dict) -> CommandOutput:
-    from .sim import run_simulation
+    from .sim import SimState, _run_rows
 
     cfg = _build_sim_config(params, params["C_a"])
-    # vars() of a sim record is its fields in declaration order, as long as the
-    # record has no slots and no attribute set besides its fields
-    rows = [vars(s) for s in run_simulation(cfg)]
+    # each row holds the SimState fields in declaration order
+    rows = _NumberTable(tuple(f.name for f in fields(SimState)), _run_rows(cfg))
     return CommandOutput({"seed": cfg.seed, "ticks": cfg.ticks, "rows": rows}, rows)
 
 
@@ -504,7 +565,9 @@ def _run_sweep(params: dict) -> CommandOutput:
     # the grid is checked first, so that its errors do not name C_a_policy
     cfg = _build_sim_config(params, require_admin_cost_grid(grid)[0])
     sweep = sweep_admin_cost(cfg, grid)
-    rows = [vars(r) for r in sweep]  # the SweepRow fields, as in _run_simulate
+    # vars() of a SweepRow is its fields in declaration order, as long as the
+    # record has no slots and no attribute set besides its fields
+    rows = [vars(r) for r in sweep]
     payload = {
         "seed": cfg.seed,
         "rows": rows,
@@ -613,11 +676,12 @@ def build_parser() -> argparse.ArgumentParser:
         except RecursionError as exc:
             raise ValueError("JSON nested too deeply") from exc
 
-    parser = _Parser(prog="lexopt", description=__doc__.splitlines()[0])
+    # allow_abbrev=False: a flag spelled in part is a usage error, never another flag
+    parser = _Parser(prog="lexopt", description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"lexopt {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, spec in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=spec.help)
+        sub = subparsers.add_parser(name, help=spec.help, allow_abbrev=False)
         sub.add_argument("--config", help="JSON config file; flags override its values")
         sub.add_argument("--format", choices=("json", "csv"), default="json")
         for f in spec.fields:

@@ -286,16 +286,32 @@ def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None
     return _advance(state, plan.tick(_settlement_rate(state), rng))
 
 
-def run_simulation(cfg: SimConfig) -> list[SimState]:
-    """Full horizon from the zero state; returns the state after each tick."""
+def _run_rows(cfg: SimConfig) -> list[tuple]:
+    """Full horizon from the zero state, one tuple of the SimState fields per tick.
+
+    The tuples hold what run_simulation's states hold, in field order, without
+    a record per tick: (tick, injuries, filings, settlements, trials,
+    aggregate_trials, welfare).
+    """
     plan = _RunPlan(cfg, cfg.C_a_policy)
     rng = _generator(cfg)
-    states: list[SimState] = []
-    state = INITIAL_STATE
-    for _ in range(cfg.ticks):
-        state = _advance(state, plan.tick(_settlement_rate(state), rng))
-        states.append(state)
-    return states
+    rows = []
+    # explicit + in tick order, as step accumulates onto the previous state
+    aggregate_trials = welfare = rate = 0.0
+    for tick in range(1, cfg.ticks + 1):
+        t = plan.tick(rate, rng)
+        aggregate_trials += t.trials
+        welfare += t.welfare
+        rows.append(
+            (tick, t.injuries, t.filings, t.settlements, t.trials, aggregate_trials, welfare)
+        )
+        rate = _settlement_rate(t)
+    return rows
+
+
+def run_simulation(cfg: SimConfig) -> list[SimState]:
+    """Full horizon from the zero state; returns the state after each tick."""
+    return [SimState(*row) for row in _run_rows(cfg)]
 
 
 @dataclass(frozen=True)

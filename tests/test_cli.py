@@ -507,6 +507,56 @@ class TestConfigFile:
         assert "p must be a number" in err
 
 
+#: A JSON integer that float() refuses with OverflowError.
+HUGE_INT = "1" + "0" * 400
+
+
+class TestIntegersPastTheFloatRange:
+    """A JSON integer beyond the float range is an invalid field (exit 1), not an overflow."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv,name", [
+        (["comply", "--utilities", f'{{"a": {HUGE_INT}, "b": 1}}', "--allowed", '["b"]'],
+         "utilities['a']"),
+        (["phi", "--rates", f"[[{HUGE_INT}, 1]]", "--L", "[1]"], "rates[0][0]"),
+        (["sweep", "--seed", "0", "--C_a_grid", f"[0, -{HUGE_INT}]"], "C_a_grid[1]"),
+    ], ids=["comply", "phi", "sweep"])
+    def test_json_flag_names_the_field(self, capsys, fmt, argv, name):
+        code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+        assert (code, out) == (1, "")
+        assert err == (f"error: {name} must be within the float range, "
+                       "got an integer of 401 digits\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_config_file_names_the_field(self, capsys, tmp_path, fmt):
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(f'{{"alpha": {HUGE_INT}}}')
+        argv = ["solve", "--config", str(cfg), "--beta", "1", "--p1", "1", "--p2", "1",
+                "--P_C", "6", "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: alpha must be within the float range, got an integer of 401 digits\n"
+
+
+class TestFlagsSpelledInFull:
+    """A flag spelled in part is a usage error, never read as the flag it begins."""
+
+    @pytest.mark.parametrize("argv,token", [
+        # --C_a begins --C_a_grid, and 5 was read as the grid
+        (["sweep", "--seed", "0", "--C_a", "5"], "--C_a 5"),
+        # --alph begins --alpha, and solve ran as if it were
+        (["solve", "--alph", "2", "--beta", "1", "--p1", "1", "--p2", "1", "--P_C", "6"],
+         "--alph 2"),
+        (["simulate", "--seed", "0", "--stoch"], "--stoch"),
+        (["bargain", *BARGAIN_ARGS, "--form", "csv"], "--form csv"),
+        (["--vers", "bargain", *BARGAIN_ARGS], "--vers"),
+    ], ids=["sweep-C_a", "solve-alph", "simulate-stoch", "bargain-form", "version"])
+    def test_prefix_is_a_usage_error(self, capsys, argv, token):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (64, "")
+        assert err.splitlines()[-1] == f"lexopt: error: unrecognized arguments: {token}"
+
+
 class TestErrorPaths:
     def test_no_command_is_a_usage_error(self, capsys):
         assert run_cli(capsys, [])[0] == 64

@@ -50,7 +50,9 @@ floats = st.one_of(
     st.floats().map(repr),
     st.integers(-10**4, 10**4).map(str),
 )
-numbers = st.one_of(st.floats(), st.integers(-10**4, 10**4), st.sampled_from([1e308, -1e308]))
+# 10**400 is a JSON integer that float() refuses
+numbers = st.one_of(st.floats(), st.integers(-10**4, 10**4),
+                    st.sampled_from([1e308, -1e308, 10**400]))
 number_lists = st.lists(numbers, max_size=5)
 names = st.sampled_from(["a", "b", "c", "a,b", 'c"d'])
 json_junk = st.one_of(st.none(), st.booleans(), numbers, names, st.just({}))

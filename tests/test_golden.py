@@ -1,19 +1,25 @@
-"""The README command examples print exactly the bytes recorded in bench/golden.json.
+"""CLI output against the bytes recorded in bench/golden.json.
 
 The digests were taken from the output of the original implementation, so
-any change to a printed digit of these examples fails here.  This test only
-reads the file.
+any change to a printed digit of the README examples, or of the first
+seed-0 ops of the benchmark's ``cli-bulk`` workload, fails here and not only
+in the benchmark.  The ``cli-bulk`` argv are rebuilt by the benchmark's own
+``CliBulk.make_input``.  This test only reads the files under ``bench/``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import runpy
 from pathlib import Path
 
 import pytest
 
 from lexopt.cli import main
 
-GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = BENCH / "golden.json"
 
 #: The README's examples, in the order of the "readme" digests.
 README_EXAMPLES = [
@@ -31,3 +37,25 @@ def test_readme_example_matches_golden_digest(capsys, index):
     assert main(README_EXAMPLES[index]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digests[index]
+
+
+#: The leading seed-0 cli-bulk ops checked here; each runs 2000 ticks in both formats.
+CLI_BULK_OPS = 32
+
+
+def test_cli_bulk_matches_golden_digests():
+    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["cli-bulk"][:CLI_BULK_OPS]
+    assert len(digests) == CLI_BULK_OPS
+    # run_path compiles the file from its text, so no bytecode is written under bench/
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    bulk = workloads["CliBulk"](workloads["GOLDEN_SEED"], workloads["Monitor"](), golden=None)
+    for i, want in enumerate(digests):
+        _, argv = bulk.make_input(i)
+        texts = []
+        for fmt in ("json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([*argv, "--format", fmt]) == 0
+            texts.append(out.getvalue().encode())
+        # the benchmark's digest of an op: both outputs joined by a NUL byte
+        assert hashlib.sha256(b"\0".join(texts)).hexdigest() == want, f"op {i}"

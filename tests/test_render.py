@@ -5,8 +5,12 @@ serialization code of ``lexopt.cli``, kept verbatim as the reference: an
 isinstance chain and a recursive call per value, and one ``writerow`` per
 CSV row.  The renderer in ``lexopt.cli`` must give the same bytes for every
 payload, and the same ``DomainError`` message where a value is not finite.
+That holds for the number tables ``simulate`` prints as well: the reference
+renders them as the list of per-tick dicts the command printed before, built
+from the per-tick reference loop in ``test_sim``.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -19,8 +23,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexopt.cli import _csv_lines, _fmt_float, _json_render, main
-from lexopt.errors import DomainError
+from lexopt import CaseTemplate, ExponentialHarm, SimConfig, __version__
+from lexopt.cli import _csv_lines, _fmt_float, _json_render, _NumberTable, main
+from lexopt.errors import DomainError, InvalidParameterError
+from test_sim import reference_run
 
 # ---------------------------------------------------------------------------
 # the reference
@@ -173,6 +179,18 @@ def tables(draw, non_finite=False):
     return columns, rows
 
 
+@st.composite
+def number_tables(draw, non_finite=False):
+    """A _NumberTable and the same rows as dicts: ints or floats by column, as in a row's first."""
+    columns = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    ints = st.integers(-10, 10) | st.integers(-(2**80), 2**80)
+    floats = st.floats(allow_nan=non_finite, allow_infinity=non_finite) | st.sampled_from(
+        EDGE_FLOATS + (NON_FINITE if non_finite else []))
+    cells = [draw(st.sampled_from([ints, floats])) for _ in columns]
+    rows = [tuple(draw(c) for c in cells) for _ in range(draw(st.integers(0, 6)))]
+    return _NumberTable(tuple(columns), rows), [dict(zip(columns, row)) for row in rows]
+
+
 SIM_LIKE = {
     "seed": 3,
     "ticks": 2,
@@ -214,6 +232,22 @@ class TestAgainstReference:
     def test_csv_outcome_with_non_finite_values(self, table):
         assert outcome(_csv_lines, *table) == outcome(ref_csv_lines, *table)
 
+    @settings(max_examples=150)
+    @given(table=number_tables(), level=st.integers(0, 2))
+    @example(table=(_NumberTable(("a%sb", "%d", "%%"), [(1, 0.5, -0.0)]),
+                    [{"a%sb": 1, "%d": 0.5, "%%": -0.0}]), level=1)
+    def test_number_table_bytes(self, table, level):
+        table, rows = table
+        assert _json_render(table, level) == ref_json_render(rows, level)
+        assert table.csv() == ref_csv_lines(list(table.columns), rows)
+
+    @settings(max_examples=150)
+    @given(table=number_tables(non_finite=True))
+    def test_number_table_outcome_with_non_finite_values(self, table):
+        table, rows = table
+        assert outcome(_json_render, table) == outcome(ref_json_render, rows)
+        assert outcome(table.csv) == outcome(ref_csv_lines, list(table.columns), rows)
+
     def test_unsupported_type_is_the_same_type_error(self):
         for payload in ({"a": np.int64(1)}, {"a": [{"b": object}]}, {"a": np.bool_(True)}):
             assert outcome(_json_render, payload) == outcome(ref_json_render, payload)
@@ -221,7 +255,10 @@ class TestAgainstReference:
 
 
 class TestNonFiniteAtEveryPosition:
-    """Each position of a simulate-like payload, with one non-finite value put there."""
+    """Each position of a simulate-like payload, with one non-finite value put there.
+
+    The rows render as dicts and as the tuple table ``simulate`` prints.
+    """
 
     POSITIONS = [(i, key) for i in range(2) for key in SIM_LIKE["rows"][0] if key != "tick"]
 
@@ -231,23 +268,124 @@ class TestNonFiniteAtEveryPosition:
         rows = [dict(r) for r in SIM_LIKE["rows"]]
         rows[i][key] = bad
         payload = {**SIM_LIKE, "rows": rows}
+        table = _NumberTable(tuple(rows[0]), [tuple(r.values()) for r in rows])
         message = f"result overflowed the representable range: {bad!r}"
-        for render, reference, args in (
-            (_json_render, ref_json_render, (payload,)),
-            (_csv_lines, ref_csv_lines, (list(rows[0]), rows)),
+        for render, reference in (
+            (lambda: _json_render(payload), lambda: ref_json_render(payload)),
+            (lambda: _json_render({**payload, "rows": table}), lambda: ref_json_render(payload)),
+            (lambda: _csv_lines(list(rows[0]), rows), lambda: ref_csv_lines(list(rows[0]), rows)),
+            (table.csv, lambda: ref_csv_lines(list(rows[0]), rows)),
         ):
             with pytest.raises(DomainError) as got:
-                render(*args)
+                render()
             with pytest.raises(DomainError) as want:
-                reference(*args)
+                reference()
             assert str(got.value) == str(want.value) == message
 
     def test_the_first_non_finite_value_is_reported(self):
         rows = [dict(r) for r in SIM_LIKE["rows"]]
         rows[0]["welfare"], rows[1]["injuries"] = -math.inf, math.nan
-        for render, args in ((_json_render, ({"rows": rows},)), (_csv_lines, (list(rows[0]), rows))):
+        table = _NumberTable(tuple(rows[0]), [tuple(r.values()) for r in rows])
+        for render, args in ((_json_render, ({"rows": rows},)), (_csv_lines, (list(rows[0]), rows)),
+                             (_json_render, ({"rows": table},)), (table.csv, ())):
             with pytest.raises(DomainError, match="range: -inf$"):
                 render(*args)
+
+
+# ---------------------------------------------------------------------------
+# simulate against the per-tick loop and the reference renderer
+
+
+@st.composite
+def simulate_params(draw):
+    """simulate's flags, as values; None leaves a flag out."""
+    theta = st.one_of(st.none(), st.floats(0.5, 60.0))
+    return {
+        "n_injurers": draw(st.integers(1, 10**6)),
+        "precaution_grid": draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5)),
+        "harm_p0": draw(st.floats(0.0, 1.0)),
+        "harm_decay": draw(st.floats(0.0, 1.0)),
+        "L_harm": draw(st.floats(0.0, 500.0)),
+        "p": draw(st.floats(0.0, 1.0)),
+        "W_B": draw(st.floats(0.0, 200.0)),
+        "S_B": draw(st.floats(0.0, 120.0)),
+        "C_b": draw(st.floats(0.0, 40.0)),
+        "C_a": draw(st.floats(0.0, 60.0)),
+        "discount": draw(st.floats(0.0, 1.0)),
+        "theta_a": draw(theta),
+        "theta_b": draw(theta),
+        "ticks": draw(st.integers(1, 300)),
+        "seed": draw(st.integers(0, 2**32)),
+        "stochastic": draw(st.booleans()),
+    }
+
+
+def simulate_argv(params):
+    argv = ["simulate"]
+    for key, value in params.items():
+        if isinstance(value, bool):
+            argv.append(f"--{key}" if value else f"--no-{key}")
+        elif value is not None:
+            argv += [f"--{key}", json.dumps(value)]  # repr of a float: the same double back
+    return argv
+
+
+def simulate_config(params):
+    return SimConfig(
+        n_injurers=params["n_injurers"],
+        precaution_cost_grid=tuple(params["precaution_grid"]),
+        harm_probability_fn=ExponentialHarm(p0=params["harm_p0"], decay=params["harm_decay"]),
+        L_harm=params["L_harm"],
+        case_template=CaseTemplate(p=params["p"], W_B=params["W_B"], S_B=params["S_B"],
+                                   C_b=params["C_b"]),
+        C_a_policy=params["C_a"],
+        settlement_liability_discount=params["discount"],
+        ticks=params["ticks"],
+        seed=params["seed"],
+        theta_a=params["theta_a"],
+        theta_b=params["theta_b"],
+        stochastic=params["stochastic"],
+    )
+
+
+#: Defaults but for the run length, the mode and C_a: 10 goes to trial, 55 settles.
+DEFAULT_SIMULATE = {"n_injurers": 10_000, "precaution_grid": [0.0, 5.0, 10.0, 15.0, 20.0],
+                    "harm_p0": 0.1, "harm_decay": 0.1, "L_harm": 200.0, "p": 0.5, "W_B": 100.0,
+                    "S_B": 60.0, "C_b": 4.0, "discount": 0.5, "theta_a": None, "theta_b": None,
+                    "seed": 0}
+
+
+class TestSimulateAgainstTheReference:
+    @settings(max_examples=60)
+    @given(params=simulate_params())
+    @example(params={**DEFAULT_SIMULATE, "C_a": 10.0, "ticks": 300, "stochastic": False})
+    @example(params={**DEFAULT_SIMULATE, "C_a": 55.0, "ticks": 300, "stochastic": True})
+    @example(params={**DEFAULT_SIMULATE, "C_a": 10.0, "ticks": 1, "stochastic": True})
+    @example(params={**DEFAULT_SIMULATE, "C_a": 55.0, "ticks": 1, "stochastic": False})
+    def test_stdout_bytes(self, params):
+        try:
+            rows = [vars(s) for s in reference_run(simulate_config(params))]
+        except InvalidParameterError:  # thresholds that are not > 0
+            want = {"json": (1, ""), "csv": (1, "")}
+        else:
+            header = f"# lexopt {__version__}\n"
+            payload = {"seed": params["seed"], "ticks": params["ticks"], "rows": rows}
+            want = {
+                "json": (0, header + ref_json_render(payload) + "\n"),
+                "csv": (0, header + ref_csv_lines(list(rows[0]), rows)),
+            }
+        for fmt in ("json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*simulate_argv(params), "--format", fmt])
+            assert (code, out.getvalue()) == want[fmt]
+
+    def test_examples_reach_both_decisions(self):
+        for C_a, settles in ((10.0, False), (55.0, True)):
+            states = reference_run(simulate_config({**DEFAULT_SIMULATE, "C_a": C_a, "ticks": 1,
+                                                    "stochastic": False}))
+            assert (states[0].settlements > 0.0) is settles
+            assert (states[0].trials > 0.0) is not settles
 
 
 class TestFloatText:

@@ -358,7 +358,7 @@ class TestSweepAdminCost:
         assert all(r.settlement_rate == 0.0 for r in rows)
 
     def test_records_hold_their_fields_in_their_instance_dict(self):
-        # the CLI prints vars() of each state and row, and of the bargain split
+        # the CLI prints vars() of each sweep row and of the bargain split
         cfg = small_config()
         bargain = reasonable_bargain(cfg.case_template.with_admin_cost(10.0))
         for record in (run_simulation(cfg)[0], sweep_admin_cost(cfg, [0.0])[0], bargain):
