@@ -10,6 +10,17 @@ from typing import Callable, Iterable
 from .errors import InvalidParameterError
 
 
+def as_float(name: str, value: float) -> float:
+    """float(value); an integer past the float range is an invalid field."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"{name} must be within the float range, got an integer of "
+            f"{len(str(abs(value)))} digits"
+        ) from None
+
+
 def require_finite(name: str, value: float) -> float:
     if type(value) is not float:  # the common case, a float, needs no conversion
         try:

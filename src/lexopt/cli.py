@@ -17,18 +17,16 @@ wins.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
+from ._validation import as_float
 from .errors import DomainError, InvalidParameterError
 
 if TYPE_CHECKING:
@@ -40,11 +38,10 @@ if TYPE_CHECKING:
 
 # ---------------------------------------------------------------------------
 # serialization: one walk for both formats.  A scalar's text comes from one
-# table keyed by exact type (a subclass such as numpy.float64 takes its base
-# type's entry).  A list of dicts sharing one key order renders through a row
-# template made once per list; a _NumberTable renders each row with a single
-# printf-style format.  Values render in payload order, so the first
-# non-finite float is the one reported.
+# table keyed by exact type; any other type, a subclass such as
+# numpy.float64 included, is a TypeError.  Every table is a _Table, rendered
+# through one row template per format.  Values render in payload order, so
+# the first non-finite float is the one reported.
 
 
 def _fmt_float(x: float) -> str:
@@ -55,18 +52,16 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x  # the text of format(x, ".17g"), made faster
 
 
+def _unsupported(value: Any) -> str:
+    raise TypeError(f"unsupported payload type {type(value)!r}")
+
+
 _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
     float: _fmt_float, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__
 }
 # the formats differ only in how they write None and strings
 _JSON_TEXT = {**_SCALAR_TEXT, type(None): lambda _: "null", str: json.dumps}
 _CSV_TEXT = {**_SCALAR_TEXT, type(None): lambda _: "", str: str}
-
-
-def _subclass_text(table: dict, value: Any) -> str | None:
-    """A scalar subclass's text by its base type's entry (None if not a scalar)."""
-    base = next((b for b in (str, int, float) if isinstance(value, b)), None)
-    return None if base is None else table[base](value)
 
 
 def _json_template(keys: tuple, level: int) -> str:
@@ -76,49 +71,27 @@ def _json_template(keys: tuple, level: int) -> str:
     return "{\n" + body + "\n" + pad + "}"
 
 
-def _json_values(obj: dict, level: int) -> tuple[str, ...]:
+def _json_values(values: Iterable, level: int) -> tuple[str, ...]:
     get, nested = _JSON_TEXT.get, functools.partial(_json_render, level=level)
-    return tuple([get(type(v), nested)(v) for v in obj.values()])
+    return tuple([get(type(v), nested)(v) for v in values])
 
 
 def _json_render(obj: Any, level: int = 0) -> str:
     text = _JSON_TEXT.get(type(obj))
     if text is not None:
         return text(obj)
-    if type(obj) is _NumberTable:
+    if type(obj) is _Table:
         return obj.json(level)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         pad = "  " * level
-        keys, template, items = None, "", []
-        for item in obj:
-            if type(item) is not dict or not item:
-                items.append(f"{pad}  {_json_render(item, level + 1)}")
-                continue
-            if tuple(item) != keys:  # a row with other keys gets its own template
-                keys = tuple(item)
-                template = pad + "  " + _json_template(keys, level + 1)
-            items.append(template % _json_values(item, level + 2))
+        items = [f"{pad}  {_json_render(item, level + 1)}" for item in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
-        return _json_template(tuple(obj), level) % _json_values(obj, level + 1) if obj else "{}"
-    text = _subclass_text(_JSON_TEXT, obj)
-    if text is None:
-        raise TypeError(f"unsupported payload type {type(obj)!r}")
-    return text
-
-
-def _csv_cell(value: Any) -> str:
-    text = _subclass_text(_CSV_TEXT, value)
-    return str(value) if text is None else text
-
-
-def _csv_lines(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    get, buf = _CSV_TEXT.get, io.StringIO()
-    cells = ([get(type(v), _csv_cell)(v) for v in map(row.__getitem__, columns)] for row in rows)
-    csv.writer(buf, lineterminator="\n").writerows(itertools.chain([columns], cells))
-    return buf.getvalue()
+        values = _json_values(obj.values(), level + 1)
+        return _json_template(tuple(obj), level) % values if obj else "{}"
+    return _unsupported(obj)
 
 
 # the printf directive of a number cell by its exact type; "%.17g" % x is
@@ -126,21 +99,28 @@ def _csv_lines(columns: Sequence[str], rows: Sequence[dict]) -> str:
 _NUMBER_SPECS = {int: "%d", float: "%.17g"}
 
 
-class _NumberTable:
-    """Rows of ints and floats, each row typed like the first.
+class _Table:
+    """Named columns over tuple rows, each column of one exact type.
 
-    It renders as a list of dicts with ``columns`` as keys would, to the byte,
-    but each format writes a row with one ``%`` on a row template made once
-    per table, instead of one call per cell.  A plain class, not a dataclass:
-    making a dataclass costs every command process about a millisecond.
+    It renders as a list of dicts with ``columns`` as keys would, to the
+    byte, through a row template made once per table.  When the first row
+    holds only ints and floats, the template types each cell (``%d``,
+    ``%.17g``) and a row is one ``%``.  Otherwise JSON fills ``%s`` slots
+    with each cell's text, and CSV writes the cells with ``csv.writer``,
+    which quotes text as the csv module does.  A plain class, not a
+    dataclass: making a dataclass costs every command process about a
+    millisecond.
     """
 
     def __init__(self, columns: tuple[str, ...], rows: Sequence[tuple]) -> None:
         self.columns = columns
         self.rows = rows
 
-    def _specs(self) -> tuple[str, ...]:
-        """The cell directives, once every float is known to be finite."""
+    def _specs(self) -> tuple[str, ...] | None:
+        """The typed cell directives, once every float is known to be finite;
+        None when there is no row or the first holds anything but ints and floats."""
+        if not self.rows or not all(type(v) in _NUMBER_SPECS for v in self.rows[0]):
+            return None
         first = self.rows[0]
         floats = [j for j, v in enumerate(first) if type(v) is float]
         columns = list(zip(*self.rows))
@@ -154,36 +134,46 @@ class _NumberTable:
         if not self.rows:
             return "[]"
         pad = "  " * level
+        specs, rows = self._specs(), self.rows
+        if specs is None:  # each cell's text fills a %s slot
+            specs = ("%s",) * len(self.columns)
+            rows = [_json_values(row, level + 2) for row in rows]
         # the JSON template is itself %-formatted with the directives, so a %
         # in a column name is escaped once for each of the two formattings
         keys = tuple(c.replace("%", "%%") for c in self.columns)
-        row = pad + "  " + _json_template(keys, level + 1) % self._specs()
-        return "[\n" + ",\n".join(map(row.__mod__, self.rows)) + "\n" + pad + "]"
+        row = pad + "  " + _json_template(keys, level + 1) % specs
+        return "[\n" + ",\n".join(map(row.__mod__, rows)) + "\n" + pad + "]"
 
     def csv(self) -> str:
-        header = _csv_lines(self.columns, [])
-        if not self.rows:
-            return header
-        return header + "".join(map((",".join(self._specs()) + "\n").__mod__, self.rows))
+        import csv  # only a --format csv process loads the module
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.columns)
+        specs = self._specs()
+        if specs is not None:  # number text never needs quoting
+            return buf.getvalue() + "".join(map((",".join(specs) + "\n").__mod__, self.rows))
+        text = _CSV_TEXT.get
+        writer.writerows([text(type(v), _unsupported)(v) for v in row] for row in self.rows)
+        return buf.getvalue()
 
 
-@dataclass
-class CommandOutput:
+class CommandOutput(NamedTuple):
     json_payload: dict
-    csv_rows: list[dict] | _NumberTable | None = None  # None: the payload is the one row
-    csv_columns: Sequence[str] | None = None  # None: the first row's keys
-    csv_comments: list[str] = field(default_factory=list)
+    csv_rows: _Table | None = None  # None: the payload is the one row
+    csv_comments: tuple[str, ...] = ()  # payload keys, each printed as "# key=value"
 
 
 def _emit(out: CommandOutput, fmt: str) -> str:
     header = f"# lexopt {__version__}\n"
+    payload = out.json_payload
     if fmt == "json":
-        return header + _json_render(out.json_payload) + "\n"
-    comments = "".join(f"# {c}\n" for c in out.csv_comments)
-    rows = [out.json_payload] if out.csv_rows is None else out.csv_rows
-    if type(rows) is _NumberTable:
-        return header + comments + rows.csv()
-    return header + comments + _csv_lines(out.csv_columns or list(rows[0]), rows)
+        return header + _json_render(payload) + "\n"
+    comments = "".join(f"# {k}={_json_render(payload[k])}\n" for k in out.csv_comments)
+    table = out.csv_rows
+    if table is None:
+        table = _Table(tuple(payload), [tuple(payload.values())])
+    return header + comments + table.csv()
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +184,7 @@ FLOAT, INT, BOOL, STR, JSONVAL = "float", "int", "bool", "str", "json"
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     key: str
     kind: str
     default: Any = _REQUIRED
@@ -263,7 +252,7 @@ def _coerce(field_spec: Field, value: Any) -> Any:
     types, noun = _KIND_TYPES[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and kind != BOOL):
         raise InvalidParameterError(f"{field_spec.key} must be {noun} (config file), got {value!r}")
-    return _as_float(field_spec.key, value) if kind == FLOAT else value
+    return as_float(field_spec.key, value) if kind == FLOAT else value
 
 
 def _resolve_seed_from_env() -> int:
@@ -307,22 +296,11 @@ def _merge_params(fields: Sequence[Field], args: argparse.Namespace) -> dict:
     return merged
 
 
-def _as_float(key: str, value: int | float) -> float:
-    """float(value); a JSON integer past the float range is an invalid field."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidParameterError(
-            f"{key} must be within the float range, got an integer of "
-            f"{len(str(abs(value)))} digits"
-        ) from None
-
-
 def _number(key: str, value: Any) -> float:
     """A JSON number as a float; a boolean is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidParameterError(f"{key} must be a number, got {value!r}")
-    return _as_float(key, value)
+    return as_float(key, value)
 
 
 def _float_list(key: str, value: Any) -> tuple[float, ...]:
@@ -340,7 +318,7 @@ def _run_bargain(params: dict) -> CommandOutput:
 
     case = CaseParameters(**{f.key: params[f.key] for f in _CASE_FIELDS})
     d = reasonable_bargain(case)
-    # vars() of the record is its fields in order, as for the sweep rows below
+    # vars() of the record is its fields in order
     return CommandOutput({**vars(d), "negative_bargain": d.negative_bargain})
 
 
@@ -392,6 +370,8 @@ def _run_hessian(params: dict) -> CommandOutput:
         "lambda": sol.lam,
         "include_cross_terms": cross,
     }
+    # a CSV row holds the upper triangle of the symmetric matrix
+    upper = [(i, j) for i in range(3) for j in range(i, 3)]
     rows = []
     for variant in HessianVariant:  # payload keys shadow_form, direct_form
         entries, det, cls = _second_order(
@@ -399,10 +379,9 @@ def _run_hessian(params: dict) -> CommandOutput:
         )
         m = _matrix(*entries)
         payload[variant.name.lower()] = {"matrix": m, "det": det, "classification": cls.value}
-        # the CSV row holds the upper triangle of the symmetric matrix
-        cells = {f"m{i}{j}": m[i][j] for i in range(3) for j in range(i, 3)}
-        rows.append({"variant": variant.value, **cells, "det": det, "classification": cls.value})
-    return CommandOutput(payload, rows)
+        rows.append((variant.value, *(m[i][j] for i, j in upper), det, cls.value))
+    columns = ("variant", *(f"m{i}{j}" for i, j in upper), "det", "classification")
+    return CommandOutput(payload, _Table(columns, rows))
 
 
 def _run_phi(params: dict) -> CommandOutput:
@@ -431,10 +410,10 @@ def _run_phi(params: dict) -> CommandOutput:
             None if R_B is None or P_C is None else within_budget(schedule, L, R_B, P_C, with_fixed)
         ),
     }
-    rows = [{"component": i, "L": L_i, "phi": c} for i, (L_i, c) in enumerate(zip(L, components))]
-    comments = [f"{k}={_json_render(payload[k])}" for k in ("total", "admissible", "within_budget")
-                if payload[k] is not None]
-    return CommandOutput(payload, rows, csv_comments=comments)
+    rows = _Table(("component", "L", "phi"),
+                  [(i, L_i, c) for i, (L_i, c) in enumerate(zip(L, components))])
+    comments = tuple(k for k in ("total", "admissible", "within_budget") if payload[k] is not None)
+    return CommandOutput(payload, rows, comments)
 
 
 def _parse_enum(key: str, enum_cls, raw: str):
@@ -457,17 +436,12 @@ def _run_alpha_search(params: dict) -> CommandOutput:
         include_cross_terms=params["cross_terms"],
     )
     result = search_alpha(cfg)
-    rows = [
-        {
-            "alpha": e.alpha,
-            "L_C_star": e.solution.L_C_star,
-            "R_B_star": e.solution.R_B_star,
-            "lambda": e.solution.lam,
-            "U_star": e.solution.U_star,
-            "det_H": e.det_H,
-        }
-        for e in result.admissible
-    ]
+    # the table keeps its header when no alpha is admissible
+    rows = _Table(
+        ("alpha", "L_C_star", "R_B_star", "lambda", "U_star", "det_H"),
+        [(e.alpha, e.solution.L_C_star, e.solution.R_B_star, e.solution.lam, e.solution.U_star,
+          e.det_H) for e in result.admissible],
+    )
     payload = {
         "objective": cfg.objective.value,
         "hessian_variant": cfg.hessian_variant.value,
@@ -477,10 +451,7 @@ def _run_alpha_search(params: dict) -> CommandOutput:
         "L_C_opt": result.L_C_opt,
         "U_star_final": result.U_star_final,
     }
-    comments = [f"{k}={_json_render(payload[k])}" for k in ("alpha_star", "L_C_opt", "U_star_final")]
-    # a header of its own: the rows may be empty, and the header still prints
-    columns = ["alpha", "L_C_star", "R_B_star", "lambda", "U_star", "det_H"]
-    return CommandOutput(payload, rows, columns, comments)
+    return CommandOutput(payload, rows, ("alpha_star", "L_C_opt", "U_star_final"))
 
 
 def _run_comply(params: dict) -> CommandOutput:
@@ -549,43 +520,43 @@ def _build_sim_config(params: dict, C_a_policy: float) -> SimConfig:
 
 
 def _run_simulate(params: dict) -> CommandOutput:
+    from dataclasses import fields
+
     from .sim import SimState, _run_rows
 
     cfg = _build_sim_config(params, params["C_a"])
     # each row holds the SimState fields in declaration order
-    rows = _NumberTable(tuple(f.name for f in fields(SimState)), _run_rows(cfg))
+    rows = _Table(tuple(f.name for f in fields(SimState)), _run_rows(cfg))
     return CommandOutput({"seed": cfg.seed, "ticks": cfg.ticks, "rows": rows}, rows)
 
 
 def _run_sweep(params: dict) -> CommandOutput:
-    from .sim import default_sweep_grid, require_admin_cost_grid, sweep_admin_cost
+    from dataclasses import astuple, fields
+
+    from .sim import SweepRow, default_sweep_grid, require_admin_cost_grid, sweep_admin_cost
 
     raw_grid = params["C_a_grid"]
     grid = _float_list("C_a_grid", default_sweep_grid() if raw_grid is None else raw_grid)
     # the grid is checked first, so that its errors do not name C_a_policy
     cfg = _build_sim_config(params, require_admin_cost_grid(grid)[0])
     sweep = sweep_admin_cost(cfg, grid)
-    # vars() of a SweepRow is its fields in declaration order, as long as the
-    # record has no slots and no attribute set besides its fields
-    rows = [vars(r) for r in sweep]
+    rows = _Table(tuple(f.name for f in fields(SweepRow)), [astuple(r) for r in sweep])
     payload = {
         "seed": cfg.seed,
         "rows": rows,
         "best_welfare_C_a": next(r.C_a for r in sweep if r.best_welfare),
         "fewest_trials_C_a": next(r.C_a for r in sweep if r.fewest_trials),
     }
-    comments = [f"{k}={_json_render(payload[k])}" for k in ("best_welfare_C_a", "fewest_trials_C_a")]
-    # a header of its own: the CSV leaves out the rows' best_welfare and fewest_trials flags
-    columns = ["C_a", "aggregate_trials", "settlement_rate", "welfare"]
-    return CommandOutput(payload, rows, columns, comments)
+    # the CSV leaves out the rows' best_welfare and fewest_trials flags
+    csv_rows = _Table(rows.columns[:4], [r[:4] for r in rows.rows])
+    return CommandOutput(payload, csv_rows, ("best_welfare_C_a", "fewest_trials_C_a"))
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-@dataclass(frozen=True)
-class CommandSpec:
+class CommandSpec(NamedTuple):
     fields: tuple[Field, ...]
     runner: Callable[[dict], CommandOutput]
     help: str

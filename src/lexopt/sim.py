@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ._validation import (
+    as_float,
     require_count,
     require_increasing,
     require_nonnegative,
@@ -115,6 +116,8 @@ class SimConfig:
             raise InvalidParameterError(
                 f"n_injurers must be <= {_MAX_DRAW_COUNT} in stochastic mode, got {self.n_injurers}"
             )
+        # each tick multiplies the count by floats, so it must convert to one
+        as_float("n_injurers", self.n_injurers)
         if len(self.precaution_cost_grid) == 0:
             raise InvalidParameterError("precaution_cost_grid must be nonempty")
         grid = tuple(

@@ -520,22 +520,27 @@ class TestIntegersPastTheFloatRange:
          "utilities['a']"),
         (["phi", "--rates", f"[[{HUGE_INT}, 1]]", "--L", "[1]"], "rates[0][0]"),
         (["sweep", "--seed", "0", "--C_a_grid", f"[0, -{HUGE_INT}]"], "C_a_grid[1]"),
-    ], ids=["comply", "phi", "sweep"])
-    def test_json_flag_names_the_field(self, capsys, fmt, argv, name):
+        # an int flag: each tick multiplies the count by floats
+        (["simulate", "--seed", "0", "--ticks", "2", "--n_injurers", HUGE_INT], "n_injurers"),
+        (["sweep", "--seed", "0", "--ticks", "2", "--n_injurers", HUGE_INT], "n_injurers"),
+    ], ids=["comply", "phi", "sweep", "simulate-n_injurers", "sweep-n_injurers"])
+    def test_flag_names_the_field(self, capsys, fmt, argv, name):
         code, out, err = run_cli(capsys, [*argv, "--format", fmt])
         assert (code, out) == (1, "")
         assert err == (f"error: {name} must be within the float range, "
                        "got an integer of 401 digits\n")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_config_file_names_the_field(self, capsys, tmp_path, fmt):
-        cfg = tmp_path / "problem.json"
-        cfg.write_text(f'{{"alpha": {HUGE_INT}}}')
-        argv = ["solve", "--config", str(cfg), "--beta", "1", "--p1", "1", "--p2", "1",
-                "--P_C", "6", "--format", fmt]
-        code, out, err = run_cli(capsys, argv)
+    @pytest.mark.parametrize("argv,name", [
+        (["solve", "--beta", "1", "--p1", "1", "--p2", "1", "--P_C", "6"], "alpha"),
+        (["simulate", "--seed", "0", "--ticks", "2"], "n_injurers"),
+    ], ids=["solve", "simulate"])
+    def test_config_file_names_the_field(self, capsys, tmp_path, fmt, argv, name):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(f'{{"{name}": {HUGE_INT}}}')
+        code, out, err = run_cli(capsys, [*argv, "--config", str(cfg), "--format", fmt])
         assert (code, out) == (1, "")
-        assert err == "error: alpha must be within the float range, got an integer of 401 digits\n"
+        assert err == f"error: {name} must be within the float range, got an integer of 401 digits\n"
 
 
 class TestFlagsSpelledInFull:

@@ -6,12 +6,14 @@ file for bytes that do not decode), and may add a malformed token, a JSON
 flag nested too deeply, or a bad config key.  Every run must exit 0, 1, 2 or
 64 without an exception escaping; a failure prints nothing on stdout and
 exactly one ``error:`` line on stderr (after any override notes); a success
-prints the same bytes when run again.  An argv whose every token is a value its flag's
+prints the same bytes when run again, and they parse as the JSON or CSV
+they claim to be.  An argv whose every token is a value its flag's
 parser accepts is never a usage error, so a value argparse mistakes for an
 option (``--R_B -1e3``) fails the test.
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -21,7 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexopt.cli import BOOL, COMMANDS, FLOAT, INT, JSONVAL, STR, main
+from lexopt import __version__, cli
+from lexopt.cli import BOOL, COMMANDS, FLOAT, INT, JSONVAL, STR, _Table, main
+from test_golden import CLI_ONESHOT_OPS, workload
 
 PROBLEM = {"alpha": "2", "beta": "1", "p1": "1", "p2": "1", "P_C": "6"}
 CASE = {"p": "0.5", "W_B": "100", "S_B": "60", "C_a": "10", "C_b": "4"}
@@ -134,14 +138,64 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def base_argv(command: str) -> list[str]:
+    return [command, *(t for k, v in BASES[command].items()
+                       for t in ([f"--{k}"] if v is True else [f"--{k}", v]))]
+
+
 @pytest.mark.parametrize("command", sorted(BASES))
 def test_every_base_invocation_succeeds(command):
     for fmt in ("json", "csv"):
-        argv = [command, *(t for k, v in BASES[command].items()
-                           for t in ([f"--{k}"] if v is True else [f"--{k}", v]))]
-        code, out, err = run([*argv, "--format", fmt])
+        code, out, err = run([*base_argv(command), "--format", fmt])
         assert (code, err) == (0, ""), err
         assert out.startswith("# lexopt ")
+
+
+EXACT = (type(None), bool, int, float, str)
+
+
+def check_exact_types(obj, where="payload"):
+    """Every scalar is of an exact builtin type, and every _Table column holds one type.
+
+    The renderer looks a scalar's text up by its exact type, and a table of
+    ints and floats renders each row through directives typed by its first.
+    """
+    if type(obj) is _Table:
+        assert all(type(c) is str for c in obj.columns), where
+        for name, cells in zip(obj.columns, zip(*obj.rows)):
+            assert {type(v) for v in cells} == {type(cells[0])}, f"{where}.{name}"
+            assert type(cells[0]) in EXACT, f"{where}.{name}"
+    elif type(obj) in (list, tuple):
+        for i, value in enumerate(obj):
+            check_exact_types(value, f"{where}[{i}]")
+    elif type(obj) is dict:
+        for key, value in obj.items():
+            assert type(key) is str, where
+            check_exact_types(value, f"{where}.{key}")
+    else:
+        assert type(obj) in EXACT, (where, type(obj))
+
+
+def test_rendered_outputs_hold_exact_types(monkeypatch):
+    seen = []
+
+    def emit(out, fmt):
+        seen.append(out)
+        return emit_text(out, fmt)
+
+    emit_text = cli._emit
+    monkeypatch.setattr(cli, "_emit", emit)
+    oneshot = workload("CliOneshot")
+    argvs = [[*base_argv(c), "--format", fmt] for c in sorted(BASES) for fmt in ("json", "csv")]
+    argvs += [oneshot.make_input(i)[2] for i in range(CLI_ONESHOT_OPS)]
+    for argv in argvs:
+        assert run(argv)[0] == 0, argv
+    assert len(seen) == len(argvs)
+    for out, argv in zip(seen, argvs):
+        check_exact_types(out.json_payload, argv[0])
+        if out.csv_rows is not None:
+            check_exact_types(out.csv_rows, f"{argv[0]} csv_rows")
+        assert set(out.csv_comments) <= set(out.json_payload), argv
 
 
 @settings(max_examples=400)
@@ -168,3 +222,18 @@ def check_contract(argv: list[str], well_formed: bool) -> None:
         assert last.startswith("error: ") and all(n.startswith("note: ") for n in notes), err
     if code == 0:
         assert run(argv) == (code, out, err)
+        check_parses(out, argv[argv.index("--format") + 1])
+
+
+def check_parses(out: str, fmt: str) -> None:
+    """The version line, then one JSON document, or CSV rows as wide as their header."""
+    header, _, body = out.partition("\n")
+    assert header == f"# lexopt {__version__}"
+    if fmt == "json":
+        json.loads(body)
+        return
+    lines = body.splitlines(keepends=True)
+    while lines and lines[0].startswith("# "):  # the key=value comment lines
+        lines.pop(0)
+    columns, *rows = csv.reader(lines)
+    assert columns and all(len(row) == len(columns) for row in rows), body

@@ -2,9 +2,10 @@
 
 The digests were taken from the output of the original implementation, so
 any change to a printed digit of the README examples, or of the first
-seed-0 ops of the benchmark's ``cli-bulk`` workload, fails here and not only
-in the benchmark.  The ``cli-bulk`` argv are rebuilt by the benchmark's own
-``CliBulk.make_input``.  This test only reads the files under ``bench/``.
+seed-0 ops of the benchmark's ``cli-oneshot`` and ``cli-bulk`` workloads,
+fails here and not only in the benchmark.  The argv are rebuilt by the
+workloads' own ``make_input``.  This test only reads the files under
+``bench/``.
 """
 
 import contextlib
@@ -39,6 +40,33 @@ def test_readme_example_matches_golden_digest(capsys, index):
     assert hashlib.sha256(out.encode()).hexdigest() == digests[index]
 
 
+def workload(name: str):
+    """The benchmark workload class ``name`` at the golden seed, with no digests to check."""
+    # run_path compiles the file from its text, so no bytecode is written under bench/
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    return workloads[name](workloads["GOLDEN_SEED"], workloads["Monitor"](), golden=None)
+
+
+#: The leading seed-0 cli-oneshot ops checked here: ops cycle through the
+#: nine commands and the two formats, so each command and format pair runs 4 times.
+CLI_ONESHOT_OPS = 72
+
+
+def test_cli_oneshot_matches_golden_digests():
+    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["cli-oneshot"][:CLI_ONESHOT_OPS]
+    assert len(digests) == CLI_ONESHOT_OPS
+    oneshot = workload("CliOneshot")
+    pairs = set()
+    for i, want in enumerate(digests):
+        _, _, argv = oneshot.make_input(i)
+        pairs.add((argv[0], argv[-1]))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, f"op {i}"
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want, f"op {i}"
+    assert len(pairs) == 18  # all nine commands in both formats
+
+
 #: The leading seed-0 cli-bulk ops checked here; each runs 2000 ticks in both formats.
 CLI_BULK_OPS = 32
 
@@ -46,9 +74,7 @@ CLI_BULK_OPS = 32
 def test_cli_bulk_matches_golden_digests():
     digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["cli-bulk"][:CLI_BULK_OPS]
     assert len(digests) == CLI_BULK_OPS
-    # run_path compiles the file from its text, so no bytecode is written under bench/
-    workloads = runpy.run_path(str(BENCH / "workloads.py"))
-    bulk = workloads["CliBulk"](workloads["GOLDEN_SEED"], workloads["Monitor"](), golden=None)
+    bulk = workload("CliBulk")
     for i, want in enumerate(digests):
         _, argv = bulk.make_input(i)
         texts = []

@@ -1,5 +1,6 @@
 """Each command loads only the modules it runs; numpy stays off the import
-path of commands that only do float arithmetic.
+path of commands that only do float arithmetic, and the csv module off that
+of JSON output.
 
 Each check that looks at sys.modules runs in a fresh interpreter, because
 this test process has loaded numpy and every lexopt module already.
@@ -21,7 +22,7 @@ import contextlib, io, json, sys
 import lexopt
 
 def loaded():
-    return {"numpy": "numpy" in sys.modules,
+    return {"numpy": "numpy" in sys.modules, "csv": "csv" in sys.modules,
             "lexopt": sorted(m for m in sys.modules if m.startswith("lexopt."))}
 
 seen = [loaded()]
@@ -67,6 +68,11 @@ def probe(commands: list[list[str]]) -> list[dict]:
 
 def test_arithmetic_commands_never_import_numpy():
     assert [seen["numpy"] for seen in probe(NUMPY_FREE)] == [False] * (len(NUMPY_FREE) + 1)
+
+
+def test_csv_module_loads_only_for_csv_output():
+    seen = probe([*NUMPY_FREE, STOCHASTIC, ["bargain", *CASE, "--format", "csv"]])
+    assert [s["csv"] for s in seen] == [False] * (len(NUMPY_FREE) + 2) + [True]
 
 
 def test_probe_sees_numpy_where_it_is_used():

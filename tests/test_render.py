@@ -3,11 +3,17 @@
 ``ref_json_render``, ``ref_csv_cell`` and ``ref_csv_lines`` are the earlier
 serialization code of ``lexopt.cli``, kept verbatim as the reference: an
 isinstance chain and a recursive call per value, and one ``writerow`` per
-CSV row.  The renderer in ``lexopt.cli`` must give the same bytes for every
-payload, and the same ``DomainError`` message where a value is not finite.
-That holds for the number tables ``simulate`` prints as well: the reference
-renders them as the list of per-tick dicts the command printed before, built
+CSV row of dicts.  The renderer in ``lexopt.cli`` must give the same bytes
+for every payload of exact builtin types, and the same ``DomainError``
+message where a value is not finite.  That holds for every ``_Table`` as
+well: the reference renders one as the list of dicts it stands for, and
+``simulate``'s table as the per-tick dicts the command printed before, built
 from the per-tick reference loop in ``test_sim``.
+
+The reference renders a scalar subclass (``numpy.float64``) by its base
+type, and a CSV cell of any other type by ``str()``; the renderer takes
+exact types only and raises ``TypeError`` for the rest, so the payloads here
+are drawn from exact types.
 """
 
 import contextlib
@@ -24,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexopt import CaseTemplate, ExponentialHarm, SimConfig, __version__
-from lexopt.cli import _csv_lines, _fmt_float, _json_render, _NumberTable, main
+from lexopt.cli import _fmt_float, _json_render, _Table, main
 from lexopt.errors import DomainError, InvalidParameterError
 from test_sim import reference_run
 
@@ -99,11 +105,7 @@ def outcome(render, *args):
 
 
 class PlainInt(int):
-    """An int subclass, coerced to int like numpy.float64 is to float."""
-
-
-class PlainStr(str):
-    pass
+    """An int subclass, which the renderer refuses as it does numpy.float64."""
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -113,19 +115,17 @@ NON_FINITE = [math.inf, -math.inf, math.nan]
 TEXT = st.text(alphabet=list('ab ,;"\'\n\r\t\\%/\xe9\u20ac\x00\U0001f600'), max_size=6)
 
 
-def scalars(non_finite=False):
-    floats = st.floats(allow_nan=non_finite, allow_infinity=non_finite) | st.sampled_from(
+INTS = st.integers(-10, 10) | st.integers(-(2**80), 2**80) | st.sampled_from([2**64, -(10**40)])
+
+
+def floats(non_finite=False):
+    return st.floats(allow_nan=non_finite, allow_infinity=non_finite) | st.sampled_from(
         EDGE_FLOATS + (NON_FINITE if non_finite else []))
-    return st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(-10, 10) | st.integers(-(2**80), 2**80) | st.sampled_from([2**64, -(10**40)]),
-        floats,
-        floats.map(np.float64),
-        st.integers(-(2**70), 2**70).map(PlainInt),
-        TEXT,
-        TEXT.map(PlainStr),
-    )
+
+
+def scalars(non_finite=False):
+    """Scalars of the exact builtin types a payload holds."""
+    return st.one_of(st.none(), st.booleans(), INTS, floats(non_finite), TEXT)
 
 
 @st.composite
@@ -164,31 +164,19 @@ def payloads(non_finite=False):
 
 @st.composite
 def tables(draw, non_finite=False):
-    """CSV columns and rows: every row has the columns, in any order, plus extras."""
-    # cells that are not scalars are written as str() writes them
-    others = st.lists(st.integers(0, 9), max_size=2) | st.integers(-5, 5).map(np.int64) | (
-        st.booleans().map(np.bool_))
-    values = scalars(non_finite) | others
-    columns = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        row = {c: draw(values) for c in draw(st.permutations(columns))}
-        if draw(st.booleans()):
-            row[draw(TEXT)] = draw(values)
-        rows.append(row)
-    return columns, rows
+    """A _Table and the same rows as dicts, each column of one exact type.
 
-
-@st.composite
-def number_tables(draw, non_finite=False):
-    """A _NumberTable and the same rows as dicts: ints or floats by column, as in a row's first."""
+    About half the tables hold only ints and floats, and render through the
+    typed row template; in the rest a column may also hold None, booleans or
+    text.
+    """
     columns = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
-    ints = st.integers(-10, 10) | st.integers(-(2**80), 2**80)
-    floats = st.floats(allow_nan=non_finite, allow_infinity=non_finite) | st.sampled_from(
-        EDGE_FLOATS + (NON_FINITE if non_finite else []))
-    cells = [draw(st.sampled_from([ints, floats])) for _ in columns]
+    kinds = [INTS, floats(non_finite)]
+    if draw(st.booleans()):
+        kinds += [st.none(), st.booleans(), TEXT]
+    cells = [draw(st.sampled_from(kinds)) for _ in columns]
     rows = [tuple(draw(c) for c in cells) for _ in range(draw(st.integers(0, 6)))]
-    return _NumberTable(tuple(columns), rows), [dict(zip(columns, row)) for row in rows]
+    return _Table(tuple(columns), rows), [dict(zip(columns, row)) for row in rows]
 
 
 SIM_LIKE = {
@@ -215,35 +203,30 @@ class TestAgainstReference:
     def test_json_bytes(self, payload):
         assert _json_render(payload) == ref_json_render(payload)
 
-    @settings(max_examples=150)
-    @given(table=tables())
-    @example(table=(list(SIM_LIKE["rows"][0]), SIM_LIKE["rows"]))
-    def test_csv_bytes(self, table):
-        columns, rows = table
-        assert _csv_lines(columns, rows) == ref_csv_lines(columns, rows)
-
     @settings(max_examples=120)
     @given(payload=payloads(non_finite=True))
     def test_json_outcome_with_non_finite_values(self, payload):
         assert outcome(_json_render, payload) == outcome(ref_json_render, payload)
 
-    @settings(max_examples=150)
-    @given(table=tables(non_finite=True))
-    def test_csv_outcome_with_non_finite_values(self, table):
-        assert outcome(_csv_lines, *table) == outcome(ref_csv_lines, *table)
-
-    @settings(max_examples=150)
-    @given(table=number_tables(), level=st.integers(0, 2))
-    @example(table=(_NumberTable(("a%sb", "%d", "%%"), [(1, 0.5, -0.0)]),
+    @settings(max_examples=300)
+    @given(table=tables(), level=st.integers(0, 2))
+    @example(table=(_Table(("a%sb", "%d", "%%"), [(1, 0.5, -0.0)]),
                     [{"a%sb": 1, "%d": 0.5, "%%": -0.0}]), level=1)
-    def test_number_table_bytes(self, table, level):
+    @example(table=(_Table(("a%sb", "%d", "%%"), [("%s", 0.5, None)]),
+                    [{"a%sb": "%s", "%d": 0.5, "%%": None}]), level=1)
+    @example(table=(_Table(("a,b", 'c"d'), [("", True), ("x\ny", False)]),
+                    [{"a,b": "", 'c"d': True}, {"a,b": "x\ny", 'c"d': False}]), level=0)
+    @example(table=(_Table(tuple(SIM_LIKE["rows"][0]),
+                           [tuple(r.values()) for r in SIM_LIKE["rows"]]),
+                    SIM_LIKE["rows"]), level=1)
+    def test_table_bytes(self, table, level):
         table, rows = table
         assert _json_render(table, level) == ref_json_render(rows, level)
         assert table.csv() == ref_csv_lines(list(table.columns), rows)
 
-    @settings(max_examples=150)
-    @given(table=number_tables(non_finite=True))
-    def test_number_table_outcome_with_non_finite_values(self, table):
+    @settings(max_examples=300)
+    @given(table=tables(non_finite=True))
+    def test_table_outcome_with_non_finite_values(self, table):
         table, rows = table
         assert outcome(_json_render, table) == outcome(ref_json_render, rows)
         assert outcome(table.csv) == outcome(ref_csv_lines, list(table.columns), rows)
@@ -254,26 +237,60 @@ class TestAgainstReference:
             assert outcome(_json_render, payload)[0] is TypeError
 
 
+class TestExactTypesOnly:
+    """A scalar of any type but an exact builtin one is a TypeError in both formats.
+
+    The reference rendered a subclass (numpy.float64, numpy.str_) by its
+    base type.
+    """
+
+    SCALARS = [np.float64(1.5), PlainInt(3), np.str_("x"), np.int64(2), np.bool_(True)]
+
+    @pytest.mark.parametrize("value", SCALARS, ids=lambda v: type(v).__name__)
+    def test_subclass_scalar_raises_type_error(self, value):
+        message = f"unsupported payload type {type(value)!r}"
+        for render in (
+            lambda: _json_render({"a": value}),
+            lambda: _json_render(_Table(("a", "b"), [("x", value)])),
+            _Table(("a", "b"), [("x", value)]).csv,
+        ):
+            with pytest.raises(TypeError) as got:
+                render()
+            assert str(got.value) == message
+        # nor does a typed template take it: its row is not all int and float
+        assert outcome(_Table(("a",), [(value,)]).csv)[0] is TypeError
+
+    def test_a_list_is_no_csv_cell(self):
+        # the reference wrote it as str() writes it
+        assert outcome(_Table(("a",), [([1],)]).csv) == (
+            TypeError, "unsupported payload type <class 'list'>")
+
+
 class TestNonFiniteAtEveryPosition:
     """Each position of a simulate-like payload, with one non-finite value put there.
 
-    The rows render as dicts and as the tuple table ``simulate`` prints.
+    The rows render as dicts, as the typed table ``simulate`` prints, and as
+    a table with a leading text column, which renders cell by cell.
     """
 
     POSITIONS = [(i, key) for i in range(2) for key in SIM_LIKE["rows"][0] if key != "tick"]
 
+    @staticmethod
+    def table_of(rows):
+        return _Table(tuple(rows[0]), [tuple(r.values()) for r in rows])
+
     @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
     @pytest.mark.parametrize("i,key", POSITIONS)
-    def test_same_domain_error(self, i, key, bad):
-        rows = [dict(r) for r in SIM_LIKE["rows"]]
+    @pytest.mark.parametrize("lead", [{}, {"label": "x"}], ids=["typed", "text"])
+    def test_same_domain_error(self, i, key, bad, lead):
+        rows = [{**lead, **r} for r in SIM_LIKE["rows"]]
         rows[i][key] = bad
         payload = {**SIM_LIKE, "rows": rows}
-        table = _NumberTable(tuple(rows[0]), [tuple(r.values()) for r in rows])
+        table = self.table_of(rows)
         message = f"result overflowed the representable range: {bad!r}"
         for render, reference in (
             (lambda: _json_render(payload), lambda: ref_json_render(payload)),
             (lambda: _json_render({**payload, "rows": table}), lambda: ref_json_render(payload)),
-            (lambda: _csv_lines(list(rows[0]), rows), lambda: ref_csv_lines(list(rows[0]), rows)),
             (table.csv, lambda: ref_csv_lines(list(rows[0]), rows)),
         ):
             with pytest.raises(DomainError) as got:
@@ -282,12 +299,13 @@ class TestNonFiniteAtEveryPosition:
                 reference()
             assert str(got.value) == str(want.value) == message
 
-    def test_the_first_non_finite_value_is_reported(self):
-        rows = [dict(r) for r in SIM_LIKE["rows"]]
+    @pytest.mark.parametrize("lead", [{}, {"label": "x"}], ids=["typed", "text"])
+    def test_the_first_non_finite_value_is_reported(self, lead):
+        rows = [{**lead, **r} for r in SIM_LIKE["rows"]]
         rows[0]["welfare"], rows[1]["injuries"] = -math.inf, math.nan
-        table = _NumberTable(tuple(rows[0]), [tuple(r.values()) for r in rows])
-        for render, args in ((_json_render, ({"rows": rows},)), (_csv_lines, (list(rows[0]), rows)),
-                             (_json_render, ({"rows": table},)), (table.csv, ())):
+        table = self.table_of(rows)
+        for render, args in ((_json_render, ({"rows": rows},)), (_json_render, ({"rows": table},)),
+                             (table.csv, ())):
             with pytest.raises(DomainError, match="range: -inf$"):
                 render(*args)
 

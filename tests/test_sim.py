@@ -99,6 +99,15 @@ class TestSimConfigValidation:
         assert len(run_simulation(small_config(n_injurers=2**63 - 1, stochastic=True))) == 10
         assert run_simulation(small_config(n_injurers=10**20))[0].injuries > 0
 
+    def test_injurer_count_must_convert_to_a_float(self):
+        # each tick multiplies the count by floats; past the float range that
+        # was an OverflowError from inside the run, not a named field
+        with pytest.raises(InvalidParameterError) as err:
+            small_config(n_injurers=10**400)
+        assert str(err.value) == (
+            "n_injurers must be within the float range, got an integer of 401 digits")
+        assert run_simulation(small_config(n_injurers=2**1023))[0].injuries > 0
+
     def test_grid_must_be_nonempty_and_nonnegative(self):
         with pytest.raises(InvalidParameterError, match="nonempty"):
             small_config(precaution_cost_grid=())
