@@ -5,28 +5,37 @@ field name in the message and returns the value coerced to ``float``.
 """
 
 import math
+import sys
 from typing import Callable, Iterable
 
 from .errors import InvalidParameterError
 
 
 def as_float(name: str, value: float) -> float:
-    """float(value); an integer past the float range is an invalid field."""
+    """float(value) of a number; an integer past the float range is an invalid field.
+
+    Text is a TypeError, though float() reads it.
+    """
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
+        try:
+            size = f"{len(str(abs(value)))} digits"
+        except ValueError:  # str() refuses an integer past the interpreter's digit limit
+            size = f"more than {sys.get_int_max_str_digits()} digits"
         raise InvalidParameterError(
-            f"{name} must be within the float range, got an integer of "
-            f"{len(str(abs(value)))} digits"
+            f"{name} must be within the float range, got an integer of {size}"
         ) from None
 
 
 def require_finite(name: str, value: float) -> float:
     if type(value) is not float:  # the common case, a float, needs no conversion
         try:
-            if isinstance(value, (str, bytes, bytearray)):
-                raise TypeError("text is not a number, though float() reads it")
-            value = float(value)
+            value = as_float(name, value)
+        except InvalidParameterError:  # a ValueError, but its message already names the field
+            raise
         except (TypeError, ValueError):
             raise InvalidParameterError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):

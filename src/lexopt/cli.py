@@ -310,24 +310,46 @@ def _float_list(key: str, value: Any) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# command runners
+# command runners: each is registered with the flags it reads, and main calls
+# it with every flag as a keyword argument
 
 
-def _run_bargain(params: dict) -> CommandOutput:
+class CommandSpec(NamedTuple):
+    fields: tuple[Field, ...]
+    runner: Callable[..., CommandOutput]
+    help: str
+
+
+COMMANDS: dict[str, CommandSpec] = {}  # in registration order, which is --help's
+
+
+def _command(name: str, help: str, *fields: Field) -> Callable:
+    """Register the decorated runner as command ``name`` with these flags."""
+
+    def register(runner: Callable[..., CommandOutput]) -> Callable[..., CommandOutput]:
+        COMMANDS[name] = CommandSpec(fields, runner, help)
+        return runner
+
+    return register
+
+
+@_command("bargain", "decompose the reasonable bargain", *_CASE_FIELDS)
+def _run_bargain(**case: float) -> CommandOutput:
     from .core_model import CaseParameters, reasonable_bargain
 
-    case = CaseParameters(**{f.key: params[f.key] for f in _CASE_FIELDS})
-    d = reasonable_bargain(case)
+    d = reasonable_bargain(CaseParameters(**case))
     # vars() of the record is its fields in order
     return CommandOutput({**vars(d), "negative_bargain": d.negative_bargain})
 
 
-def _run_classify(params: dict) -> CommandOutput:
+@_command("classify", "cost-quadrant label and settle/trial decision",
+          *_CASE_FIELDS, Field("theta_a", FLOAT, None), Field("theta_b", FLOAT, None))
+def _run_classify(theta_a: float | None, theta_b: float | None, **case: float) -> CommandOutput:
     from .core_model import CaseParameters, classify_scenario, resolve_thresholds
 
-    case = CaseParameters(**{f.key: params[f.key] for f in _CASE_FIELDS})
-    theta_a, theta_b = resolve_thresholds(case, params["theta_a"], params["theta_b"])
-    scenario = classify_scenario(case, theta_a, theta_b)
+    case_params = CaseParameters(**case)
+    theta_a, theta_b = resolve_thresholds(case_params, theta_a, theta_b)
+    scenario = classify_scenario(case_params, theta_a, theta_b)
     return CommandOutput({
         "label": scenario.label.value,
         "decision": scenario.decision.value,
@@ -336,10 +358,11 @@ def _run_classify(params: dict) -> CommandOutput:
     })
 
 
-def _run_solve(params: dict) -> CommandOutput:
+@_command("solve", "closed-form constrained optimum with diagnostics", *_PROBLEM_FIELDS)
+def _run_solve(**problem: float) -> CommandOutput:
     from .cobb_douglas import CobbDouglasProblem, first_order_residuals, mrs, solve_closed_form
 
-    prob = CobbDouglasProblem(**{f.key: params[f.key] for f in _PROBLEM_FIELDS})
+    prob = CobbDouglasProblem(**problem)
     sol = solve_closed_form(prob)
     r_L, r_R, r_budget = first_order_residuals(prob, sol)
     return CommandOutput({
@@ -357,25 +380,26 @@ def _run_solve(params: dict) -> CommandOutput:
     })
 
 
-def _run_hessian(params: dict) -> CommandOutput:
+@_command("hessian", "bordered-Hessian matrices, determinants, classifications",
+          *_PROBLEM_FIELDS, Field("cross_terms", BOOL, False))
+def _run_hessian(cross_terms: bool, **problem: float) -> CommandOutput:
     from .cobb_douglas import CobbDouglasProblem, solve_closed_form
     from .hessian import HessianVariant, _matrix, _second_order
 
-    prob = CobbDouglasProblem(**{f.key: params[f.key] for f in _PROBLEM_FIELDS})
+    prob = CobbDouglasProblem(**problem)
     sol = solve_closed_form(prob)
-    cross = params["cross_terms"]
     payload: dict[str, Any] = {
         "L_C_star": sol.L_C_star,
         "R_B_star": sol.R_B_star,
         "lambda": sol.lam,
-        "include_cross_terms": cross,
+        "include_cross_terms": cross_terms,
     }
     # a CSV row holds the upper triangle of the symmetric matrix
     upper = [(i, j) for i in range(3) for j in range(i, 3)]
     rows = []
     for variant in HessianVariant:  # payload keys shadow_form, direct_form
         entries, det, cls = _second_order(
-            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, sol, variant, cross
+            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, sol, variant, cross_terms
         )
         m = _matrix(*entries)
         payload[variant.name.lower()] = {"matrix": m, "det": det, "classification": cls.value}
@@ -384,24 +408,31 @@ def _run_hessian(params: dict) -> CommandOutput:
     return CommandOutput(payload, _Table(columns, rows))
 
 
-def _run_phi(params: dict) -> CommandOutput:
+@_command(
+    "phi", "piecewise transaction costs and admissibility",
+    Field("rates", JSONVAL),
+    Field("L", JSONVAL),
+    Field("C_b_fixed", FLOAT, 0.0),
+    Field("with_fixed", BOOL, False),
+    Field("R_B", FLOAT, None),
+    Field("P_C", FLOAT, None),
+)
+def _run_phi(rates: Any, L: Any, C_b_fixed: float, with_fixed: bool,
+             R_B: float | None, P_C: float | None) -> CommandOutput:
     from .cost_schedule import CostSchedule, admissible, phi_component, phi_total, within_budget
 
-    raw_rates = params["rates"]
-    if not isinstance(raw_rates, (list, tuple)) or not raw_rates:
+    if not isinstance(rates, (list, tuple)) or not rates:
         raise InvalidParameterError("rates must be a nonempty JSON array of [plus, minus] pairs")
-    rates = []
-    for i, pair in enumerate(raw_rates):
+    pairs = []
+    for i, pair in enumerate(rates):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidParameterError(f"rates[{i}] must be a [plus, minus] pair, got {pair!r}")
-        rates.append(_float_list(f"rates[{i}]", pair))
-    schedule = CostSchedule(C_b_fixed=params["C_b_fixed"], rates=tuple(rates))
-    L = _float_list("L", params["L"])
-    with_fixed = params["with_fixed"]
+        pairs.append(_float_list(f"rates[{i}]", pair))
+    schedule = CostSchedule(C_b_fixed=C_b_fixed, rates=tuple(pairs))
+    L = _float_list("L", L)
 
     total = phi_total(schedule, L, with_fixed)
     components = [phi_component(schedule, i, L_i, with_fixed) for i, L_i in enumerate(L)]
-    R_B, P_C = params["R_B"], params["P_C"]
     payload = {
         "components": components,
         "total": total,
@@ -424,16 +455,29 @@ def _parse_enum(key: str, enum_cls, raw: str):
         raise InvalidParameterError(f"{key} must be one of: {allowed}; got {raw!r}") from None
 
 
-def _run_alpha_search(params: dict) -> CommandOutput:
+# beta, p1, p2 and P_C without help text: _PROBLEM_FIELDS would add help lines
+@_command(
+    "alpha-search", "admissible exponents and the objective-maximizing alpha*",
+    Field("alpha_grid", JSONVAL),
+    Field("beta", FLOAT),
+    Field("p1", FLOAT),
+    Field("p2", FLOAT),
+    Field("P_C", FLOAT),
+    Field("objective", STR, "MaxUtility"),
+    Field("hessian_variant", STR, "ShadowForm"),
+    Field("cross_terms", BOOL, False),
+)
+def _run_alpha_search(alpha_grid: Any, objective: str, hessian_variant: str, cross_terms: bool,
+                      **problem: float) -> CommandOutput:
     from .alpha_search import AlphaSearchConfig, Objective, search_alpha
     from .hessian import HessianVariant
 
     cfg = AlphaSearchConfig(
-        alpha_grid=_float_list("alpha_grid", params["alpha_grid"]),
-        **{k: params[k] for k in ("beta", "p1", "p2", "P_C")},
-        objective=_parse_enum("objective", Objective, params["objective"]),
-        hessian_variant=_parse_enum("hessian_variant", HessianVariant, params["hessian_variant"]),
-        include_cross_terms=params["cross_terms"],
+        alpha_grid=_float_list("alpha_grid", alpha_grid),
+        **problem,
+        objective=_parse_enum("objective", Objective, objective),
+        hessian_variant=_parse_enum("hessian_variant", HessianVariant, hessian_variant),
+        include_cross_terms=cross_terms,
     )
     result = search_alpha(cfg)
     # the table keeps its header when no alpha is admissible
@@ -454,20 +498,19 @@ def _run_alpha_search(params: dict) -> CommandOutput:
     return CommandOutput(payload, rows, ("alpha_star", "L_C_opt", "U_star_final"))
 
 
-def _run_comply(params: dict) -> CommandOutput:
+@_command("comply", "minimal penalty that makes the allowed strategies dominant",
+          Field("utilities", JSONVAL), Field("allowed", JSONVAL), Field("margin", FLOAT, None))
+def _run_comply(utilities: Any, allowed: Any, margin: float | None) -> CommandOutput:
     from .compliance import (StrategyGame, apply_penalty, best_allowed, best_overall,
                              compliance_dominant, default_margin, min_compliance_penalty)
 
-    raw_utilities = params["utilities"]
-    if not isinstance(raw_utilities, dict) or not raw_utilities:
+    if not isinstance(utilities, dict) or not utilities:
         raise InvalidParameterError("utilities must be a nonempty JSON object of strategy: utility")
-    utilities = {str(name): _number(f"utilities[{name!r}]", u) for name, u in raw_utilities.items()}
-    raw_allowed = params["allowed"]
-    if not isinstance(raw_allowed, (list, tuple)):
+    utilities = {str(name): _number(f"utilities[{name!r}]", u) for name, u in utilities.items()}
+    if not isinstance(allowed, (list, tuple)):
         raise InvalidParameterError("allowed must be a JSON array of strategy names")
-    game = StrategyGame(utilities=utilities, allowed=frozenset(str(s) for s in raw_allowed))
+    game = StrategyGame(utilities=utilities, allowed=frozenset(str(s) for s in allowed))
 
-    margin = params["margin"]
     if margin is None:
         margin = default_margin(game)
     tau = min_compliance_penalty(game, margin)
@@ -519,26 +562,30 @@ def _build_sim_config(params: dict, C_a_policy: float) -> SimConfig:
         raise InvalidParameterError(_SIM_FLAG_NAMES[name] + str(exc)[len(name):]) from exc
 
 
-def _run_simulate(params: dict) -> CommandOutput:
+@_command("simulate", "run the litigation market over the configured horizon",
+          *_SIM_COMMON_FIELDS, Field("C_a", FLOAT, 10.0))
+def _run_simulate(C_a: float, **sim: Any) -> CommandOutput:
     from dataclasses import fields
 
     from .sim import SimState, _run_rows
 
-    cfg = _build_sim_config(params, params["C_a"])
+    cfg = _build_sim_config(sim, C_a)
     # each row holds the SimState fields in declaration order
     rows = _Table(tuple(f.name for f in fields(SimState)), _run_rows(cfg))
     return CommandOutput({"seed": cfg.seed, "ticks": cfg.ticks, "rows": rows}, rows)
 
 
-def _run_sweep(params: dict) -> CommandOutput:
+# C_a_grid None: _run_sweep takes default_sweep_grid(), so building the parser needs no sim
+@_command("sweep", "rerun the horizon across an administration-cost grid",
+          *_SIM_COMMON_FIELDS, Field("C_a_grid", JSONVAL, None))
+def _run_sweep(C_a_grid: Any, **sim: Any) -> CommandOutput:
     from dataclasses import astuple, fields
 
     from .sim import SweepRow, default_sweep_grid, require_admin_cost_grid, sweep_admin_cost
 
-    raw_grid = params["C_a_grid"]
-    grid = _float_list("C_a_grid", default_sweep_grid() if raw_grid is None else raw_grid)
+    grid = _float_list("C_a_grid", default_sweep_grid() if C_a_grid is None else C_a_grid)
     # the grid is checked first, so that its errors do not name C_a_policy
-    cfg = _build_sim_config(params, require_admin_cost_grid(grid)[0])
+    cfg = _build_sim_config(sim, require_admin_cost_grid(grid)[0])
     sweep = sweep_admin_cost(cfg, grid)
     rows = _Table(tuple(f.name for f in fields(SweepRow)), [astuple(r) for r in sweep])
     payload = {
@@ -554,72 +601,6 @@ def _run_sweep(params: dict) -> CommandOutput:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-class CommandSpec(NamedTuple):
-    fields: tuple[Field, ...]
-    runner: Callable[[dict], CommandOutput]
-    help: str
-
-
-COMMANDS: dict[str, CommandSpec] = {
-    "bargain": CommandSpec(tuple(_CASE_FIELDS), _run_bargain,
-                           "decompose the reasonable bargain"),
-    "classify": CommandSpec(
-        tuple(_CASE_FIELDS) + (Field("theta_a", FLOAT, None), Field("theta_b", FLOAT, None)),
-        _run_classify,
-        "cost-quadrant label and settle/trial decision",
-    ),
-    "solve": CommandSpec(tuple(_PROBLEM_FIELDS), _run_solve,
-                         "closed-form constrained optimum with diagnostics"),
-    "hessian": CommandSpec(
-        tuple(_PROBLEM_FIELDS) + (Field("cross_terms", BOOL, False),),
-        _run_hessian,
-        "bordered-Hessian matrices, determinants, classifications",
-    ),
-    "phi": CommandSpec(
-        (
-            Field("rates", JSONVAL),
-            Field("L", JSONVAL),
-            Field("C_b_fixed", FLOAT, 0.0),
-            Field("with_fixed", BOOL, False),
-            Field("R_B", FLOAT, None),
-            Field("P_C", FLOAT, None),
-        ),
-        _run_phi,
-        "piecewise transaction costs and admissibility",
-    ),
-    "alpha-search": CommandSpec(
-        (
-            Field("alpha_grid", JSONVAL),
-            Field("beta", FLOAT),
-            Field("p1", FLOAT),
-            Field("p2", FLOAT),
-            Field("P_C", FLOAT),
-            Field("objective", STR, "MaxUtility"),
-            Field("hessian_variant", STR, "ShadowForm"),
-            Field("cross_terms", BOOL, False),
-        ),
-        _run_alpha_search,
-        "admissible exponents and the objective-maximizing alpha*",
-    ),
-    "comply": CommandSpec(
-        (Field("utilities", JSONVAL), Field("allowed", JSONVAL), Field("margin", FLOAT, None)),
-        _run_comply,
-        "minimal penalty that makes the allowed strategies dominant",
-    ),
-    "simulate": CommandSpec(
-        tuple(_SIM_COMMON_FIELDS) + (Field("C_a", FLOAT, 10.0),),
-        _run_simulate,
-        "run the litigation market over the configured horizon",
-    ),
-    "sweep": CommandSpec(
-        # None: _run_sweep takes default_sweep_grid(), so building the parser needs no sim
-        tuple(_SIM_COMMON_FIELDS) + (Field("C_a_grid", JSONVAL, None),),
-        _run_sweep,
-        "rerun the horizon across an administration-cost grid",
-    ),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -676,7 +657,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     spec = COMMANDS[args.command]
     try:
         params = _merge_params(spec.fields, args)
-        out = spec.runner(params)
+        out = spec.runner(**params)
         text = _emit(out, args.format)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

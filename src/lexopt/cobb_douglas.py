@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._validation import require_positive
+from ._validation import as_float, require_positive
 from .errors import DomainError, InvalidParameterError
 
 
@@ -68,7 +68,7 @@ class OptimumSolution:
 
 def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
     """U = L_C**alpha * R_B**beta; zero whenever either argument is zero."""
-    L_C, R_B = float(L_C), float(R_B)
+    L_C, R_B = as_float("L_C", L_C), as_float("R_B", R_B)
     if math.isnan(L_C) or L_C < 0.0:
         raise InvalidParameterError(f"L_C must be >= 0, got {L_C!r}")
     if math.isnan(R_B) or R_B < 0.0:

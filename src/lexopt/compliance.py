@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ._validation import require_finite
+from ._validation import as_float, require_finite
 from .errors import DomainError, InvalidParameterError
 
 #: Default margin is this fraction of the utility scale (see default_margin).
@@ -84,8 +84,7 @@ def min_compliance_penalty(g: StrategyGame, margin: float | None = None) -> floa
         raise InvalidParameterError(
             "no disallowed strategy: every strategy is already allowed"
         )
-    if margin is None:
-        margin = default_margin(g)
+    margin = default_margin(g) if margin is None else as_float("margin", margin)
     if not math.isfinite(margin) or margin <= 0.0:
         raise InvalidParameterError(f"margin must be > 0, got {margin!r}")
     _, best_in = best_allowed(g)
@@ -101,6 +100,7 @@ def min_compliance_penalty(g: StrategyGame, margin: float | None = None) -> floa
 
 def apply_penalty(g: StrategyGame, tau: float) -> StrategyGame:
     """Game with tau subtracted from every disallowed strategy's utility."""
+    tau = as_float("tau", tau)
     if not math.isfinite(tau):
         raise InvalidParameterError(f"tau must be finite, got {tau!r}")
     penalized = {
@@ -119,6 +119,7 @@ def compliance_dominant(g: StrategyGame, margin: float) -> bool:
     """True when the best allowed strategy beats every disallowed one by >= margin."""
     if not g.disallowed:
         return True
+    margin = as_float("margin", margin)
     _, best_in = best_allowed(g)
     _, best_out = _argmax(g.utilities, g.disallowed)
     return best_in >= best_out + margin

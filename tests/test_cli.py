@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -560,6 +562,66 @@ class TestFlagsSpelledInFull:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (64, "")
         assert err.splitlines()[-1] == f"lexopt: error: unrecognized arguments: {token}"
+
+
+#: argv -> (exit code, SHA-256 of the JSON list [exit code, stdout, stderr]) at
+#: COLUMNS=80 with LEXOPT_SEED unset: the top-level help, version and usage
+#: errors, and each command's help, its run with no flags and with an unknown flag
+HELP_AND_USAGE_DIGESTS = {
+    '--help': (0, 'd15f24609bdc378243f93b22e8c723c3a1e78b9ae3221ad7262241f3abbc31fa'),
+    '--version': (0, '7e7ceae0c43b53dc94a094059f3f9427854251a88d8e59ef1da9c33286952e99'),
+    '': (64, 'da989bb10e1f77a621c8ba766c3a6d4d09a8e350b4ebd0f0af71c50423160230'),
+    'nope': (64, '2e18bafdb3312f0c4e8f182de6600c6e815679c765a10ea1850ed42e27a08c55'),
+    'bargain --help': (0, '4c8cabf30b56c8e4fdd0c6b4593e7f42cb2640c5b93e1b30c17ef2b24a6ceeb9'),
+    'bargain': (1, 'b060c2e0fb682cd86c10eab2fe7c3232607ee1ee6d826b2fee1542c1aa837d73'),
+    'bargain --bogus 1': (64, 'b10c45167e71592f01d703604a9bd5c94799bc1cf985b84cd81cd2943f208a9e'),
+    'classify --help': (0, '7b0a60c449497d7dd6d41e389effe9b350e2c1b0f2fb913327dd01000b28ef47'),
+    'classify': (1, 'b060c2e0fb682cd86c10eab2fe7c3232607ee1ee6d826b2fee1542c1aa837d73'),
+    'classify --bogus 1': (64, 'b10c45167e71592f01d703604a9bd5c94799bc1cf985b84cd81cd2943f208a9e'),
+    'solve --help': (0, 'd12db84a19b850e52574f46082fd406e95891510734967eeeafdfdf190a23658'),
+    'solve': (1, 'fac5c4b20158170364fac46bd2ce56dd719433c67446403b3c3482674b5e2b57'),
+    'solve --bogus 1': (64, 'b10c45167e71592f01d703604a9bd5c94799bc1cf985b84cd81cd2943f208a9e'),
+    'hessian --help': (0, '0a038a87bcdd283288de91413d3f099698eecd47449fc5d8de90067b8108861c'),
+    'hessian': (1, 'fac5c4b20158170364fac46bd2ce56dd719433c67446403b3c3482674b5e2b57'),
+    'hessian --bogus 1': (64, 'b10c45167e71592f01d703604a9bd5c94799bc1cf985b84cd81cd2943f208a9e'),
+    'phi --help': (0, '940cf8c3ffa531fc98f03a6fa096df2fefa303325c4a4b868ff4867f999268f1'),
+    'phi': (1, '11dd98ec48e40e15f251ec46396958355b36bda82af209dd51fb814023631bed'),
+    'phi --bogus 1': (64, 'b10c45167e71592f01d703604a9bd5c94799bc1cf985b84cd81cd2943f208a9e'),
+    'alpha-search --help': (0, 'f2305434dc3aafa08008f54868a03c7343280c914213aaf576a5c37de8684f75'),
+    'alpha-search': (1, 'f6cb208b6a0f2f7542c1d3920c2c59d560caad9519d13965f09a1449e283b5c7'),
+    'alpha-search --bogus 1': (64, 'b10c45167e71592f01d703604a9bd5c94799bc1cf985b84cd81cd2943f208a9e'),
+    'comply --help': (0, '60d24d8930337b77f35ca039cce16cd7fdcd1c4baf9818d9ed3f4f2d6f79ff06'),
+    'comply': (1, '7fa3b0a3226862e69a02299f8c87489a5e955e577063ad2b1d7d113ccf3632a1'),
+    'comply --bogus 1': (64, 'b10c45167e71592f01d703604a9bd5c94799bc1cf985b84cd81cd2943f208a9e'),
+    'simulate --help': (0, 'c0ef0d7c618a8c59a4910879832d4e8f555149fa1a2bfaf5817da9c836a84025'),
+    'simulate': (1, '4d514d3da7858c35b56ce745061e38b76fa579c3db511a36987817abde6fb037'),
+    'simulate --bogus 1': (64, 'b10c45167e71592f01d703604a9bd5c94799bc1cf985b84cd81cd2943f208a9e'),
+    'sweep --help': (0, '56b307295ed867a70e894b2d937bf02b0e00cdc9e9c266e5688c817e34cef719'),
+    'sweep': (1, '4d514d3da7858c35b56ce745061e38b76fa579c3db511a36987817abde6fb037'),
+    'sweep --bogus 1': (64, 'b10c45167e71592f01d703604a9bd5c94799bc1cf985b84cd81cd2943f208a9e'),
+}
+
+
+class TestCommandRegistry:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_runner_takes_exactly_its_command_flags(self, command):
+        spec = COMMANDS[command]
+        keys = [f.key for f in spec.fields]
+        signature = inspect.signature(spec.runner)
+        signature.bind(**dict.fromkeys(keys))  # a flag the runner does not take fails here
+        named = [p.name for p in signature.parameters.values() if p.kind is not p.VAR_KEYWORD]
+        assert set(named) <= set(keys)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse words and wraps help differently across Python "
+                               "versions; the digests were taken on Python 3.11")
+    @pytest.mark.parametrize("argv", HELP_AND_USAGE_DIGESTS)
+    def test_help_and_usage_text_is_pinned(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("LEXOPT_SEED", raising=False)
+        code, out, err = run_cli(capsys, argv.split())
+        digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+        assert (code, digest) == HELP_AND_USAGE_DIGESTS[argv]
 
 
 class TestErrorPaths:
