@@ -21,13 +21,16 @@ def as_float(name: str, value: float) -> float:
     try:
         return float(value)
     except OverflowError:
-        try:
-            size = f"{len(str(abs(value)))} digits"
-        except ValueError:  # str() refuses an integer past the interpreter's digit limit
-            size = f"more than {sys.get_int_max_str_digits()} digits"
-        raise InvalidParameterError(
-            f"{name} must be within the float range, got an integer of {size}"
-        ) from None
+        size = shown(value, lambda v: f"an integer of {len(str(abs(v)))} digits")
+        raise InvalidParameterError(f"{name} must be within the float range, got {size}") from None
+
+
+def shown(value: object, text: Callable[[object], str] = repr) -> str:
+    """text(value) for an error message; an integer past str()'s digit limit by its size."""
+    try:
+        return text(value)
+    except ValueError:  # str() refuses an integer past the interpreter's digit limit
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 def require_finite(name: str, value: float) -> float:
@@ -68,7 +71,7 @@ def require_count(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if value <= 0:
-        raise InvalidParameterError(f"{name} must be >= 1, got {value!r}")
+        raise InvalidParameterError(f"{name} must be >= 1, got {shown(value)}")
     return value
 
 

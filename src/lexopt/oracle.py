@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from ._validation import require_positive
+from ._validation import require_positive, shown
 from .cobb_douglas import CobbDouglasProblem
 from .errors import DomainError, InvalidParameterError
 
@@ -45,7 +45,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.points_per_axis, int) or self.points_per_axis < 100:
             raise InvalidParameterError(
-                f"points_per_axis must be an integer >= 100, got {self.points_per_axis!r}"
+                f"points_per_axis must be an integer >= 100, got {shown(self.points_per_axis)}"
             )
         if self.clamp_epsilon is not None:
             object.__setattr__(

@@ -33,16 +33,21 @@ A run is compiled once before its first tick: the dispute primitives, the
 thresholds and the settle/trial decision do not change over a run, and the
 precaution choice depends only on the lagged settlement rate, which is 0.0
 on the first tick and exactly 0.0 or 1.0 after it.  harm_probability_fn is
-therefore treated as a pure function: it is evaluated once per distinct rate
-in a run, not once per tick.  Totals are still added tick by tick, in tick
-order, so every result keeps the bits of the plain per-tick loop.  ``step``
-in stochastic mode needs the caller's ``rng``, passed on every call.
+therefore treated as a pure function, evaluated once per distinct rate in a
+run, and a deterministic run's outcomes are a prefix and a repeating cycle:
+the sweep adds its totals in C over them, in tick order from +0.0, with the
+bits of the per-tick loop, and takes settlements and trials from filings, as
+a run settles or tries every filing as a block.  ``step`` in stochastic mode
+needs the caller's ``rng``, passed on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, cycle, islice
+from operator import add
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ._validation import (
@@ -51,6 +56,7 @@ from ._validation import (
     require_increasing,
     require_nonnegative,
     require_unit_interval,
+    shown,
 )
 from .core_model import CaseParameters, Decision, classify_scenario, resolve_thresholds
 from .errors import InvalidParameterError
@@ -109,12 +115,13 @@ class SimConfig:
         require_count("ticks", self.ticks)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
-        if self.stochastic and self.seed < 0:
-            # numpy's default_rng refuses negative seeds
-            raise InvalidParameterError(f"seed must be >= 0 in stochastic mode, got {self.seed}")
+        if self.stochastic and self.seed < 0:  # numpy's default_rng refuses negative seeds
+            raise InvalidParameterError(
+                f"seed must be >= 0 in stochastic mode, got {shown(self.seed, str)}")
         if self.stochastic and self.n_injurers > _MAX_DRAW_COUNT:
             raise InvalidParameterError(
-                f"n_injurers must be <= {_MAX_DRAW_COUNT} in stochastic mode, got {self.n_injurers}"
+                f"n_injurers must be <= {_MAX_DRAW_COUNT} in stochastic mode, "
+                f"got {shown(self.n_injurers, str)}"
             )
         # each tick multiplies the count by floats, so it must convert to one
         as_float("n_injurers", self.n_injurers)
@@ -127,6 +134,8 @@ class SimConfig:
         object.__setattr__(self, "precaution_cost_grid", tuple(sorted(grid)))
         object.__setattr__(self, "L_harm", require_nonnegative("L_harm", self.L_harm))
         object.__setattr__(self, "C_a_policy", require_nonnegative("C_a_policy", self.C_a_policy))
+        if not isinstance(self.case_template, CaseTemplate):
+            raise TypeError(f"case_template must be a CaseTemplate, got {type(self.case_template)}")
         self.case_template.with_admin_cost(self.C_a_policy)  # validates the template fields
         object.__setattr__(
             self,
@@ -345,17 +354,23 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
     for C_a in grid:
         plan = _RunPlan(cfg, C_a)
         rng = _generator(cfg)
-        # explicit + in tick order, as run_simulation accumulates: sum() of
-        # floats is compensated on Python >= 3.12 and would move last digits
-        filings = settlements = trials = welfare = 0.0
-        rate = 0.0
-        for _ in range(cfg.ticks):
-            t = plan.tick(rate, rng)
-            filings += t.filings
-            settlements += t.settlements
-            trials += t.trials
-            welfare += t.welfare
-            rate = _settlement_rate(t)
+        filings = welfare = rate = 0.0
+        if cfg.stochastic:
+            for _ in range(cfg.ticks):  # one draw per tick, added with + in tick order
+                t = plan.tick(rate, rng)
+                filings += t.filings
+                welfare += t.welfare
+                rate = _settlement_rate(t)
+        else:  # walk to the first repeated rate, then add the prefix and cycle in C
+            seen: dict[float, _Tick] = {}  # each lagged rate's outcome, in the order reached
+            while rate not in seen and len(seen) < cfg.ticks:
+                seen[rate] = t = plan.tick(rate, None)
+                rate = _settlement_rate(t)
+            start = list(seen).index(rate) if rate in seen else cfg.ticks
+            filings, welfare = (  # from +0.0, left to right as += adds (sum() compensates)
+                reduce(add, islice(chain(c[:start], cycle(c[start:])), cfg.ticks), 0.0)
+                for c in zip(*((t.filings, t.welfare) for t in seen.values())))
+        settlements, trials = (filings, 0.0) if plan.settles else (0.0, filings)  # block decision
         results.append((C_a, trials, settlements / filings if filings > 0.0 else 0.0, welfare))
 
     best_welfare_at = max(range(len(results)), key=lambda i: (results[i][3], -i))

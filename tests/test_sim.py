@@ -134,6 +134,12 @@ class TestSimConfigValidation:
         with pytest.raises(InvalidParameterError, match="W_B"):
             small_config(case_template=CaseTemplate(p=0.5, W_B=-1.0, S_B=60.0, C_b=4.0))
 
+    @pytest.mark.parametrize("template", [None, {"p": 0.5, "W_B": 100.0, "S_B": 60.0, "C_b": 4.0}])
+    def test_template_of_another_type_is_a_type_error(self, template):
+        # calling with_admin_cost on it would be an AttributeError
+        with pytest.raises(TypeError, match="^case_template must be a CaseTemplate, got"):
+            small_config(case_template=template)
+
 
 class TestThresholds:
     def test_defaults_split_the_benefit_pool(self):
@@ -300,14 +306,19 @@ class TestRunSimulation:
             return 0.1 * math.exp(-0.1 * B)
 
         cfg = replace(default_config(), harm_probability_fn=harm, C_a_policy=C_a)
-        counts = []
-        for run in (replace(cfg, ticks=2), replace(cfg, ticks=500)):
-            calls.clear()  # SimConfig validation calls it once per grid level
-            run_simulation(run)
-            counts.append(len(calls))
+        counts = {}
+        for ticks in (1, 2, 500):
+            run = replace(cfg, ticks=ticks)
+            for call in (run_simulation, lambda run: sweep_admin_cost(run, [C_a])):
+                calls.clear()  # SimConfig validation calls it once per grid level
+                call(run)
+                counts.setdefault(ticks, []).append(len(calls))
         # one precaution choice per distinct lagged settlement rate, and the
-        # rate is 0.0 or 1.0 from the second tick on
-        assert counts[0] == counts[1] <= 2 * (len(cfg.precaution_cost_grid) + 1)
+        # rate is 0.0 or 1.0 from the second tick on; the sweep chooses for
+        # the rates its ticks reach, as the run does, and no others
+        assert all(run == sweep for run, sweep in counts.values())
+        assert counts[2] == counts[500]
+        assert counts[2][0] <= 2 * (len(cfg.precaution_cost_grid) + 1)
 
     def test_settlement_rate_helper(self):
         assert _settlement_rate(INITIAL_STATE) == 0.0
@@ -520,6 +531,14 @@ class TestAgainstReferenceLoop:
              grid=BOTH_DECISIONS)
     @example(cfg=small_config(settlement_liability_discount=0.0), grid=BOTH_DECISIONS)
     @example(cfg=small_config(settlement_liability_discount=1.0, stochastic=True),
+             grid=BOTH_DECISIONS)
+    # the drawn runs stop at 40 ticks; the deterministic sweep adds a cycle
+    # past its prefix, which ends on tick 1 or 2
+    @example(cfg=small_config(ticks=2000), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(ticks=1), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(ticks=2), grid=BOTH_DECISIONS)
+    # every filing is -0.0, and the totals must still be +0.0
+    @example(cfg=small_config(harm_probability_fn=ExponentialHarm(p0=-0.0, decay=0.1)),
              grid=BOTH_DECISIONS)
     def test_field_by_field(self, cfg, grid):
         assert _outcome(run_simulation, cfg) == _outcome(reference_run, cfg)

@@ -18,6 +18,7 @@ from lexopt.core_model import (CaseParameters, HandRuleInputs, classify_scenario
                                cooperation_possible)
 from lexopt.cost_schedule import CostSchedule
 from lexopt.errors import InvalidParameterError
+from lexopt.oracle import GridSpec
 from lexopt.sim import ExponentialHarm, default_config
 
 HUGE = 10**400  # 401 digits
@@ -59,10 +60,31 @@ def test_integer_past_float_range_is_a_named_invalid_field(case):
         call()
 
 
-def test_integer_past_str_digit_limit_is_a_named_invalid_field():
+# case -> (a call that passes an integer n to the field, its message up to the value)
+PAST_DIGIT_LIMIT = {
+    "n_injurers": (lambda n: dataclasses.replace(default_config(), n_injurers=n),
+                   "n_injurers must be within the float range, got"),
+    "negative n_injurers": (lambda n: dataclasses.replace(default_config(), n_injurers=-n),
+                            "n_injurers must be >= 1, got"),
+    "negative ticks": (lambda n: dataclasses.replace(default_config(), ticks=-n),
+                       "ticks must be >= 1, got"),
+    "negative stochastic seed": (
+        lambda n: dataclasses.replace(default_config(), seed=-n, stochastic=True),
+        "seed must be >= 0 in stochastic mode, got"),
+    "stochastic n_injurers": (
+        lambda n: dataclasses.replace(default_config(), n_injurers=n, stochastic=True),
+        "n_injurers must be <= 9223372036854775807 in stochastic mode, got"),
+    "GridSpec.points_per_axis": (lambda n: GridSpec(points_per_axis=-n),
+                                 "points_per_axis must be an integer >= 100, got"),
+}
+
+
+@pytest.mark.parametrize("case", PAST_DIGIT_LIMIT)
+def test_integer_past_str_digit_limit_is_a_named_invalid_field(case):
     limit = sys.get_int_max_str_digits()
     if limit == 0:
         pytest.skip("this interpreter has no integer digit limit")
-    with pytest.raises(InvalidParameterError, match=(
-            f"^n_injurers must be within the float range, got an integer of more than {limit} digits$")):
-        dataclasses.replace(default_config(), n_injurers=10 ** (limit + 700))
+    call, check = PAST_DIGIT_LIMIT[case]
+    with pytest.raises(InvalidParameterError,
+                       match=f"^{check} an integer of more than {limit} digits$"):
+        call(10 ** (limit + 700))
