@@ -37,8 +37,12 @@ therefore treated as a pure function, evaluated once per distinct rate in a
 run, and a deterministic run's outcomes are a prefix and a repeating cycle:
 the sweep adds its totals in C over them, in tick order from +0.0, with the
 bits of the per-tick loop, and takes settlements and trials from filings, as
-a run settles or tries every filing as a block.  ``step`` in stochastic mode
-needs the caller's ``rng``, passed on every call.
+a run settles or tries every filing as a block.  A stochastic run draws each
+stretch of ticks at one precaution level in one numpy call, with the values
+of one draw per tick; a settling run's rate flips with a zero draw, so it
+redraws from the state saved before the chunk up to that draw.  ``step`` in
+stochastic mode needs the caller's ``rng``, passed on every call, and makes
+one scalar draw from it.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, cycle, islice
+from itertools import chain, cycle, islice, repeat, starmap
 from operator import add
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._validation import (
     as_float,
@@ -65,6 +69,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MAX_DRAW_COUNT = 2**63 - 1  # the largest count numpy's Generator.binomial takes (int64)
+_CHUNK_MIN, _CHUNK_MAX = 32, 1 << 10  # ticks per batched binomial call (_stretches)
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,8 @@ class SimConfig:
         require_count("ticks", self.ticks)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.stochastic, bool):  # 'false' or 1 would select the draws
+            raise TypeError(f"stochastic must be a bool, got {shown(self.stochastic)}")
         if self.stochastic and self.seed < 0:  # numpy's default_rng refuses negative seeds
             raise InvalidParameterError(
                 f"seed must be >= 0 in stochastic mode, got {shown(self.seed, str)}")
@@ -191,18 +198,8 @@ def choose_precaution(cfg: SimConfig, settlement_rate: float = 0.0) -> float:
     )
 
 
-def _settlement_rate(state: SimState | _Tick) -> float:
+def _settlement_rate(state: SimState) -> float:
     return state.settlements / state.filings if state.filings > 0.0 else 0.0
-
-
-class _Tick(NamedTuple):
-    """What one tick adds; the running totals belong to the caller."""
-
-    injuries: float
-    filings: float
-    settlements: float
-    trials: float
-    welfare: float
 
 
 class _RunPlan:
@@ -223,7 +220,7 @@ class _RunPlan:
         scenario = classify_scenario(self.case, *self.thresholds)
         self.settles = scenario.decision is Decision.SETTLE
         self._precautions: dict[float, tuple[float, float]] = {}
-        self._outcomes: dict[float, _Tick] = {}
+        self._outcomes: dict[float, tuple] = {}
 
     def precaution(self, settlement_rate: float) -> tuple[float, float]:
         """(B, P_harm(B)) chosen against the given lagged settlement rate."""
@@ -234,32 +231,28 @@ class _RunPlan:
             self._precautions[settlement_rate] = found
         return found
 
-    def tick(self, settlement_rate: float, rng: np.random.Generator | None) -> _Tick:
-        """One tick's outcome; stochastic mode makes one binomial draw from rng."""
-        cfg = self.cfg
-        if cfg.stochastic:
-            B, p_harm = self.precaution(settlement_rate)
-            return self._outcome(B, float(rng.binomial(cfg.n_injurers, p_harm)))
+    def rate_after(self, filings: float) -> float:
+        """The next tick's lagged settlement rate: every filing settled, or none did."""
+        return 1.0 if self.settles and filings > 0.0 else 0.0
+
+    def tick(self, settlement_rate: float) -> tuple:
+        """A deterministic tick's outcome, as one tuple of ``ticks``."""
         found = self._outcomes.get(settlement_rate)
         if found is None:
             B, p_harm = self.precaution(settlement_rate)
-            found = self._outcome(B, cfg.n_injurers * p_harm)
+            found = self.ticks(B, [self.cfg.n_injurers * p_harm])[0]
             self._outcomes[settlement_rate] = found
         return found
 
-    def _outcome(self, B: float, injuries: float) -> _Tick:
-        case = self.case
-        filings = injuries
-        if self.settles:
-            settlements, trials = filings, 0.0
-        else:
-            settlements, trials = 0.0, filings
-        payoffs = settlements * case.S_B + trials * case.p * case.W_B
-        transaction_costs = settlements * case.C_b + trials * case.C_a
-        welfare = (
-            payoffs - transaction_costs - self.cfg.n_injurers * B - injuries * self.cfg.L_harm
-        )
-        return _Tick(injuries, filings, settlements, trials, welfare)
+    def ticks(self, B: float, injuries: list[float]) -> list[tuple]:
+        """(injuries, filings, settlements, trials, tick welfare) per injury count at B."""
+        case, L_harm, spend = self.case, self.cfg.L_harm, self.cfg.n_injurers * B
+        S_B, p, W_B, C_b, C_a = case.S_B, case.p, case.W_B, case.C_b, case.C_a
+        settled, tried = (injuries, repeat(0.0)) if self.settles else (repeat(0.0), injuries)
+        return [  # every filing settles or every filing goes to trial
+            (x, x, s, t, s * S_B + t * p * W_B - (s * C_b + t * C_a) - spend - x * L_harm)
+            for x, s, t in zip(injuries, settled, tried)
+        ]
 
 
 def _generator(cfg: SimConfig) -> np.random.Generator | None:
@@ -271,23 +264,63 @@ def _generator(cfg: SimConfig) -> np.random.Generator | None:
     return np.random.default_rng(cfg.seed)
 
 
-def _advance(state: SimState, t: _Tick) -> SimState:
-    return SimState(
-        tick=state.tick + 1,
-        injuries=t.injuries,
-        filings=t.filings,
-        settlements=t.settlements,
-        trials=t.trials,
-        aggregate_trials=state.aggregate_trials + t.trials,
-        welfare=state.welfare + t.welfare,
-    )
+def _stretches(
+    plan: _RunPlan, rng: np.random.Generator | None, rate: float, left: int
+) -> Iterator[tuple[float, list[float]]]:
+    """``left`` ticks' injuries from the lagged rate ``rate`` on, as (B, injuries) stretches.
+
+    A stretch runs at one precaution level B up to a flip of the rate.  A
+    trial run's rate stays 0.0; a settling run's flips when the injuries turn
+    zero or nonzero.  A drawn chunk of about the ticks a stretch is expected
+    to last, from P(draw == 0) = (1 - p) ** n, is one binomial call with
+    ``size=k``, whose values are those of k scalar calls; if the rate flips
+    inside it, the generator's saved state is restored and only the ticks up
+    to the flip are redrawn.  While a flip is likely soon, or few ticks are
+    left, each tick is one scalar call.  With no rng the ticks are the
+    deterministic expectation n * p, a stretch to the horizon once the rate
+    stops flipping.
+    """
+    n, sizes = plan.cfg.n_injurers, {}
+    while left:
+        B, p_harm = plan.precaution(rate)
+        if rng is not None and left >= _CHUNK_MIN and rate not in sizes:
+            flip = 0.0  # the chance that a drawn tick flips the rate
+            if plan.settles:
+                log_zero = n * math.log1p(-p_harm) if p_harm < 1.0 else -math.inf
+                flip = math.exp(log_zero) if rate else -math.expm1(log_zero)
+            sizes[rate] = int(1.0 / max(flip, 1.0 / _CHUNK_MAX))
+        size = min(left, sizes.get(rate, 1))
+        if rng is None:  # a deterministic tick depends on the rate alone
+            injuries = [n * p_harm] * (left if plan.rate_after(n * p_harm) == rate else 1)
+        elif size < _CHUNK_MIN:
+            injuries = [float(rng.binomial(n, p_harm))]
+            while len(injuries) < left and plan.rate_after(injuries[-1]) == rate:
+                injuries.append(float(rng.binomial(n, p_harm)))
+        else:
+            saved = rng.bit_generator.state
+            drawn = rng.binomial(n, p_harm, size=size)
+            flips = ((drawn > 0) != (rate > 0.0)).nonzero()[0] if plan.settles else ()
+            if len(flips) and flips[0] + 1 < size:
+                rng.bit_generator.state = saved
+                drawn = rng.binomial(n, p_harm, size=flips[0] + 1)
+            injuries = drawn.astype(float).tolist()
+        yield B, injuries
+        left -= len(injuries)
+        rate = plan.rate_after(injuries[-1])
+
+
+def _ticks(plan: _RunPlan, rng: np.random.Generator | None) -> Iterator[tuple]:
+    """A run's tick outcomes in tick order."""
+    return chain.from_iterable(starmap(plan.ticks, _stretches(plan, rng, 0.0, plan.cfg.ticks)))
 
 
 def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None) -> SimState:
     """Advance one tick; the settlement rate feeding precaution lags by one tick.
 
     In stochastic mode the injuries are drawn from rng, which is required:
-    pass one generator and keep passing it, as run_simulation does.
+    pass one generator and keep passing it, as run_simulation does.  Each
+    call makes one scalar ``rng.binomial(n, p)`` call, so any object with
+    that method will do.
     """
     if cfg.stochastic and rng is None:
         raise InvalidParameterError(
@@ -295,7 +328,10 @@ def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None
             "reuse it on every tick"
         )
     plan = _RunPlan(cfg, cfg.C_a_policy)
-    return _advance(state, plan.tick(_settlement_rate(state), rng))
+    stretch = next(_stretches(plan, rng if cfg.stochastic else None, _settlement_rate(state), 1))
+    injuries, filings, settlements, trials, welfare = plan.ticks(*stretch)[0]
+    return SimState(state.tick + 1, injuries, filings, settlements, trials,
+                    state.aggregate_trials + trials, state.welfare + welfare)
 
 
 def _run_rows(cfg: SimConfig) -> list[tuple]:
@@ -306,18 +342,15 @@ def _run_rows(cfg: SimConfig) -> list[tuple]:
     aggregate_trials, welfare).
     """
     plan = _RunPlan(cfg, cfg.C_a_policy)
-    rng = _generator(cfg)
     rows = []
     # explicit + in tick order, as step accumulates onto the previous state
-    aggregate_trials = welfare = rate = 0.0
-    for tick in range(1, cfg.ticks + 1):
-        t = plan.tick(rate, rng)
-        aggregate_trials += t.trials
-        welfare += t.welfare
-        rows.append(
-            (tick, t.injuries, t.filings, t.settlements, t.trials, aggregate_trials, welfare)
-        )
-        rate = _settlement_rate(t)
+    aggregate_trials = welfare = 0.0
+    for tick, (injuries, filings, settlements, trials, w) in enumerate(
+        _ticks(plan, _generator(cfg)), 1
+    ):
+        aggregate_trials += trials
+        welfare += w
+        rows.append((tick, injuries, filings, settlements, trials, aggregate_trials, welfare))
     return rows
 
 
@@ -353,23 +386,20 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
     results = []
     for C_a in grid:
         plan = _RunPlan(cfg, C_a)
-        rng = _generator(cfg)
         filings = welfare = rate = 0.0
         if cfg.stochastic:
-            for _ in range(cfg.ticks):  # one draw per tick, added with + in tick order
-                t = plan.tick(rate, rng)
-                filings += t.filings
-                welfare += t.welfare
-                rate = _settlement_rate(t)
+            for t in _ticks(plan, _generator(cfg)):  # added with + in tick order
+                filings += t[1]
+                welfare += t[4]
         else:  # walk to the first repeated rate, then add the prefix and cycle in C
-            seen: dict[float, _Tick] = {}  # each lagged rate's outcome, in the order reached
+            seen: dict[float, tuple] = {}  # each lagged rate's outcome, in the order reached
             while rate not in seen and len(seen) < cfg.ticks:
-                seen[rate] = t = plan.tick(rate, None)
-                rate = _settlement_rate(t)
+                seen[rate] = t = plan.tick(rate)
+                rate = plan.rate_after(t[1])
             start = list(seen).index(rate) if rate in seen else cfg.ticks
             filings, welfare = (  # from +0.0, left to right as += adds (sum() compensates)
                 reduce(add, islice(chain(c[:start], cycle(c[start:])), cfg.ticks), 0.0)
-                for c in zip(*((t.filings, t.welfare) for t in seen.values())))
+                for c in zip(*((t[1], t[4]) for t in seen.values())))
         settlements, trials = (filings, 0.0) if plan.settles else (0.0, filings)  # block decision
         results.append((C_a, trials, settlements / filings if filings > 0.0 else 0.0, welfare))
 

@@ -26,7 +26,13 @@ from lexopt import (
     sweep_admin_cost,
 )
 from lexopt._validation import require_unit_interval
-from lexopt.sim import INITIAL_STATE, _settlement_rate, require_admin_cost_grid
+from lexopt.sim import (
+    INITIAL_STATE,
+    _RunPlan,
+    _settlement_rate,
+    _stretches,
+    require_admin_cost_grid,
+)
 
 
 def small_config(**overrides) -> SimConfig:
@@ -84,6 +90,12 @@ class TestSimConfigValidation:
             small_config(seed=1.5)
         with pytest.raises(InvalidParameterError, match="seed"):
             small_config(seed=True)
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_stochastic_must_be_a_bool(self, flag):
+        # any truthy value used to select the binomial draws, 'false' included
+        with pytest.raises(TypeError, match=f"^stochastic must be a bool, got {flag!r}$"):
+            small_config(stochastic=flag)
 
     def test_stochastic_seed_must_be_nonnegative(self):
         # numpy's default_rng refuses a negative seed with a bare ValueError
@@ -266,6 +278,30 @@ class TestStep:
         cfg = replace(default_config(), stochastic=True, n_injurers=1000)
         with pytest.raises(InvalidParameterError, match="rng"):
             step(INITIAL_STATE, cfg)
+
+    def test_stochastic_step_makes_one_scalar_draw_from_any_rng(self):
+        # step promises one rng.binomial(n, p) call per call, so a generator
+        # of the caller's own with only that method works
+        class ScalarRng:
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), 0
+
+            def binomial(self, n, p):
+                self.calls += 1
+                return self.rng.binomial(n, p)
+
+        cfg = small_config(ticks=60, n_injurers=2, settlement_liability_discount=1.0,
+                           C_a_policy=30.0, stochastic=True)
+        rng, reference_rng = ScalarRng(3), ScalarRng(3)
+        state = reference = INITIAL_STATE
+        injuries = set()
+        for tick in range(1, cfg.ticks + 1):
+            state = step(state, cfg, rng)
+            reference = reference_step(reference, cfg, reference_rng)
+            assert _hex_fields([state]) == _hex_fields([reference])
+            assert rng.calls == tick
+            injuries.add(state.injuries)
+        assert 0.0 in injuries and len(injuries) > 1  # both lagged rates were reached
 
     def test_welfare_accumulates(self):
         cfg = default_config()
@@ -491,7 +527,7 @@ def _outcome(fn, *args):
 def sim_configs(draw):
     theta = st.one_of(st.none(), st.floats(0.5, 60.0))
     return SimConfig(
-        n_injurers=draw(st.integers(1, 10**6)),
+        n_injurers=draw(st.one_of(st.integers(1, 3), st.integers(1, 10**6))),
         precaution_cost_grid=tuple(draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5))),
         harm_probability_fn=ExponentialHarm(
             p0=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
@@ -518,6 +554,15 @@ def sim_configs(draw):
 #: Cells below the default admin threshold (27.5) go to trial, cells above settle.
 BOTH_DECISIONS = [0.0, 10.0, 27.5, 30.0, 55.0]
 
+#: A settling run whose lagged rate keeps flipping: one injurer, most draws
+#: zero, and a precaution that drops from B = 10 to B = 0 once claims settle.
+#: The rate-0.0 ticks (the first, and each after a zero draw) are drawn in
+#: chunks that a nonzero draw ends midway, so the generator's state is
+#: restored and the chunk redrawn up to that draw.
+ZERO_DRAWS = small_config(n_injurers=1, harm_probability_fn=ExponentialHarm(p0=0.05, decay=0.1),
+                          L_harm=1000.0, settlement_liability_discount=1.0, ticks=400,
+                          stochastic=True, seed=2)
+
 
 class TestAgainstReferenceLoop:
     @settings(max_examples=200)
@@ -540,6 +585,11 @@ class TestAgainstReferenceLoop:
     # every filing is -0.0, and the totals must still be +0.0
     @example(cfg=small_config(harm_probability_fn=ExponentialHarm(p0=-0.0, decay=0.1)),
              grid=BOTH_DECISIONS)
+    # the batched draws: a rate that flips mid-chunk, runs longer than a chunk,
+    # and the largest count a draw takes
+    @example(cfg=ZERO_DRAWS, grid=BOTH_DECISIONS)
+    @example(cfg=small_config(ticks=2000, stochastic=True, seed=11), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(n_injurers=2**63 - 1, stochastic=True), grid=BOTH_DECISIONS)
     def test_field_by_field(self, cfg, grid):
         assert _outcome(run_simulation, cfg) == _outcome(reference_run, cfg)
         assert _outcome(sweep_admin_cost, cfg, grid) == _outcome(reference_sweep, cfg, grid)
@@ -561,6 +611,40 @@ class TestAgainstReferenceLoop:
             for C_a in BOTH_DECISIONS
         }
         assert decisions == {Decision.SETTLE, Decision.TRIAL}
+
+    def test_zero_draw_example_flips_the_rate_mid_run(self):
+        # without a zero draw followed by a nonzero one in a settling cell, and
+        # a chunk that ends early, the restore path would go untested
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng, self.restores = np.random.default_rng(seed), 0
+                self.bit_generator = self
+
+            def binomial(self, n, p, size=None):
+                return self.rng.binomial(n, p, size=size)
+
+            @property
+            def state(self):
+                return self.rng.bit_generator.state
+
+            @state.setter
+            def state(self, value):
+                self.restores += 1
+                self.rng.bit_generator.state = value
+
+        settling = [C_a for C_a in BOTH_DECISIONS
+                    if classify_scenario(ZERO_DRAWS.case_template.with_admin_cost(C_a)).decision
+                    is Decision.SETTLE]
+        assert settling
+        for C_a in settling:
+            cfg = replace(ZERO_DRAWS, C_a_policy=C_a)
+            injuries = [s.injuries for s in run_simulation(cfg)]
+            assert any(a == 0.0 < b for a, b in zip(injuries[1:], injuries[2:]))
+            rng = CountingRng(cfg.seed)
+            plan = _RunPlan(cfg, C_a)
+            drawn = [x for _, stretch in _stretches(plan, rng, 0.0, cfg.ticks) for x in stretch]
+            assert drawn == injuries
+            assert rng.restores > 0
 
     def test_default_sweep_at_benchmark_length(self):
         cfg = replace(default_config(), ticks=500)
