@@ -75,13 +75,32 @@ def require_count(name: str, value: int) -> int:
     return value
 
 
+def require_each(
+    name: str, values: Iterable[float], check: Callable[[str, float], float]
+) -> list[float]:
+    """Each value through ``check``; nonempty.
+
+    Values are checked under the plain name, and only when a check fails are
+    they checked again as ``name[i]``, so the failing value's message names
+    its index while a valid grid formats no index names.
+    """
+    values = list(values)  # read a generator once: a failure reads the values again
+    try:
+        grid = [check(name, v) for v in values]
+    except InvalidParameterError:
+        for i, v in enumerate(values):
+            check(f"{name}[{i}]", v)
+        raise
+    if not grid:
+        raise InvalidParameterError(f"{name} must be nonempty")
+    return grid
+
+
 def require_increasing(
     name: str, values: Iterable[float], check: Callable[[str, float], float]
 ) -> list[float]:
-    """Each value through ``check`` as ``name[i]``; nonempty and strictly increasing."""
-    grid = [check(f"{name}[{i}]", v) for i, v in enumerate(values)]
-    if not grid:
-        raise InvalidParameterError(f"{name} must be nonempty")
+    """``require_each``, and strictly increasing."""
+    grid = require_each(name, values, check)
     if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
         raise InvalidParameterError(f"{name} must be strictly increasing")
     return grid

@@ -18,18 +18,27 @@ which coincides with U* when evaluated at phi_sum = L_C* under unit prices.
 
 Candidate evaluations are independent of one another; results are reported
 in grid order regardless of evaluation order.
+
+Each candidate is one pass on plain floats: the closed-form solver returns
+(L_C*, R_B*, lambda, U*, identity residual) and the second-order kernel
+certifies that point.  Only a candidate that passes all three predicates is
+wrapped in an ``OptimumSolution`` and an ``AdmissibleAlpha``, so rejected
+candidates build no records.  The first candidate, in grid order, that
+leaves the float range raises the DomainError that ``classify_second_order``
+raises for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from ._validation import require_increasing, require_positive
-from .cobb_douglas import OptimumSolution, _solve
+from ._validation import require_finite, require_increasing, require_positive
+from .cobb_douglas import OptimumSolution, _solution, _solve
 from .errors import DomainError
-from .hessian import HessianVariant, SecondOrderClass, _second_order
+from .hessian import _LOCAL_MAX, HessianVariant, _second_order
 
 
 class Objective(Enum):
@@ -79,10 +88,21 @@ class AlphaSearchResult:
 def final_utility(
     sol: OptimumSolution, alpha_star: float, beta: float, phi_sum: float, R_B: float
 ) -> float:
-    """U = (lambda / (alpha* + beta)) * (phi_sum + R_B); requires lambda > 0."""
-    if sol.lam <= 0.0:
+    """U = (lambda / (alpha* + beta)) * (phi_sum + R_B); requires lambda > 0.
+
+    phi_sum and R_B must be finite, and a U that overflows is a DomainError.
+    """
+    phi_sum = require_finite("phi_sum", phi_sum)
+    R_B = require_finite("R_B", R_B)
+    if not sol.lam > 0.0:
         raise DomainError(f"final utility needs lambda > 0, got {sol.lam!r}")
-    return (sol.lam / (alpha_star + beta)) * (phi_sum + R_B)
+    u = (sol.lam / (alpha_star + beta)) * (phi_sum + R_B)
+    if not math.isfinite(u):
+        raise DomainError(
+            f"final utility overflows at lambda={sol.lam!r}, alpha*={alpha_star!r}, "
+            f"beta={beta!r}, phi_sum={phi_sum!r}, R_B={R_B!r}"
+        )
+    return u
 
 
 def _select_best(
@@ -101,11 +121,10 @@ def search_alpha(cfg: AlphaSearchConfig) -> AlphaSearchResult:
     variant, cross = cfg.hessian_variant, cfg.include_cross_terms
     admissible: list[AdmissibleAlpha] = []
     for alpha in cfg.alpha_grid:
-        sol = _solve(alpha, beta, p1, p2, P_C)
-        _, det, cls = _second_order(alpha, beta, p1, p2, P_C, sol, variant, cross)
-        is_max = cls is SecondOrderClass.LOCAL_MAX
-        if sol.lam > 0.0 and sol.lam / (alpha + beta) > 0.0 and is_max:
-            admissible.append(AdmissibleAlpha(alpha=alpha, solution=sol, det_H=det))
+        optimum = L, R, lam, _, _ = _solve(alpha, beta, p1, p2, P_C)
+        _, det, cls = _second_order(alpha, beta, p1, p2, P_C, L, R, lam, variant, cross)
+        if lam > 0.0 and lam / (alpha + beta) > 0.0 and cls is _LOCAL_MAX:
+            admissible.append(AdmissibleAlpha(alpha, _solution(*optimum), det))
 
     entries = tuple(admissible)
     by_utility = cfg.objective is Objective.MAX_UTILITY

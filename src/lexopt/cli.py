@@ -384,7 +384,7 @@ def _run_solve(**problem: float) -> CommandOutput:
           *_PROBLEM_FIELDS, Field("cross_terms", BOOL, False))
 def _run_hessian(cross_terms: bool, **problem: float) -> CommandOutput:
     from .cobb_douglas import CobbDouglasProblem, solve_closed_form
-    from .hessian import HessianVariant, _matrix, _second_order
+    from .hessian import HessianVariant, _matrix, _point, _second_order
 
     prob = CobbDouglasProblem(**problem)
     sol = solve_closed_form(prob)
@@ -397,9 +397,10 @@ def _run_hessian(cross_terms: bool, **problem: float) -> CommandOutput:
     # a CSV row holds the upper triangle of the symmetric matrix
     upper = [(i, j) for i in range(3) for j in range(i, 3)]
     rows = []
+    point = _point(sol)
     for variant in HessianVariant:  # payload keys shadow_form, direct_form
         entries, det, cls = _second_order(
-            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, sol, variant, cross_terms
+            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, *point, variant, cross_terms
         )
         m = _matrix(*entries)
         payload[variant.name.lower()] = {"matrix": m, "det": det, "classification": cls.value}

@@ -105,15 +105,26 @@ def solve_closed_form(prob: CobbDouglasProblem) -> OptimumSolution:
     The budget binds, demands split P_C in proportion alpha : beta, and the
     multiplier comes from the L_C first-order condition.
     """
-    return _solve(prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C)
+    return _solution(*_solve(prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C))
 
 
-def _solve(a: float, b: float, p1: float, p2: float, P_C: float) -> OptimumSolution:
+def _solution(
+    L_C_star: float, R_B_star: float, lam: float, U_star: float, identity_residual: float
+) -> OptimumSolution:
+    """The OptimumSolution record of the floats ``_solve`` returns."""
+    return OptimumSolution(L_C_star, R_B_star, lam, U_star, lam > 0.0, identity_residual)
+
+
+def _solve(
+    a: float, b: float, p1: float, p2: float, P_C: float
+) -> tuple[float, float, float, float, float]:
     """solve_closed_form on fields a CobbDouglasProblem has already validated.
 
-    A quotient or power that leaves the float range, U* underflowing to zero
-    (which leaves the identity residual undefined), and a demand, multiplier
-    or U* that is not finite are each a DomainError.  The demands are computed
+    Returns the plain floats (L_C*, R_B*, lambda, U*, identity residual), so
+    a caller that discards most optima builds no record for them.  A quotient
+    or power that leaves the float range, U* underflowing to zero (which
+    leaves the identity residual undefined), and a demand, multiplier or U*
+    that is not finite are each a DomainError.  The demands are computed
     here, not passed in, so U* is the plain power product, without
     ``utility``'s argument checks.
     """
@@ -144,14 +155,7 @@ def _solve(a: float, b: float, p1: float, p2: float, P_C: float) -> OptimumSolut
             f"optimum is not finite: L_C*={L_C_star!r}, R_B*={R_B_star!r}, "
             f"lambda={lam!r}, U*={U_star!r}"
         )
-    return OptimumSolution(
-        L_C_star=L_C_star,
-        R_B_star=R_B_star,
-        lam=lam,
-        U_star=U_star,
-        kkt_ok=lam > 0.0,
-        identity_residual=identity_residual,
-    )
+    return L_C_star, R_B_star, lam, U_star, identity_residual
 
 
 def first_order_residuals(

@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from ._validation import (
     as_float,
     require_count,
+    require_each,
     require_increasing,
     require_nonnegative,
     require_unit_interval,
@@ -132,12 +133,7 @@ class SimConfig:
             )
         # each tick multiplies the count by floats, so it must convert to one
         as_float("n_injurers", self.n_injurers)
-        if len(self.precaution_cost_grid) == 0:
-            raise InvalidParameterError("precaution_cost_grid must be nonempty")
-        grid = tuple(
-            require_nonnegative(f"precaution_cost_grid[{i}]", b)
-            for i, b in enumerate(self.precaution_cost_grid)
-        )
+        grid = require_each("precaution_cost_grid", self.precaution_cost_grid, require_nonnegative)
         object.__setattr__(self, "precaution_cost_grid", tuple(sorted(grid)))
         object.__setattr__(self, "L_harm", require_nonnegative("L_harm", self.L_harm))
         object.__setattr__(self, "C_a_policy", require_nonnegative("C_a_policy", self.C_a_policy))

@@ -19,6 +19,7 @@ from lexopt import (
     SecondOrderClass,
     build_bordered_hessian,
     classify_from_determinant,
+    classify_second_order,
     final_utility,
     hessian_determinant,
     search_alpha,
@@ -56,6 +57,9 @@ class TestConfigValidation:
         ((0.5, -1), "alpha_grid[1] must be > 0, got -1.0"),
         ((math.inf,), "alpha_grid[0] must be finite, got inf"),
         ((0.5, 0.25), "alpha_grid must be strictly increasing"),
+        (("a",), "alpha_grid[0] must be a number, got 'a'"),
+        ((0.5, 1.0, math.nan), "alpha_grid[2] must be finite, got nan"),
+        ((a for a in (0.5, -1)), "alpha_grid[1] must be > 0, got -1.0"),
     ])
     def test_grid_messages(self, grid, message):
         with pytest.raises(InvalidParameterError) as info:
@@ -66,6 +70,7 @@ class TestConfigValidation:
         cfg = base_config(alpha_grid=[1, 2.5])
         assert cfg.alpha_grid == (1.0, 2.5)
         assert all(type(a) is float for a in cfg.alpha_grid)
+        assert base_config(alpha_grid=(a for a in [1, 2.5])).alpha_grid == (1.0, 2.5)
 
     @pytest.mark.parametrize("field", ["beta", "p1", "p2", "P_C"])
     def test_scalar_fields_must_be_positive(self, field):
@@ -162,10 +167,81 @@ class TestFinalUtility:
         sol = solve_closed_form(CobbDouglasProblem(2, 1, 1, 1, 6))
         assert final_utility(sol, 2.0, 1.0, phi_sum=4.0, R_B=2.0) == 32.0
 
-    def test_nonpositive_multiplier_is_a_domain_error(self):
-        sol = OptimumSolution(1.0, 1.0, 0.0, 1.0, False, 0.0)
-        with pytest.raises(DomainError, match="lambda"):
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_nonpositive_multiplier_is_a_domain_error(self, lam):
+        sol = OptimumSolution(1.0, 1.0, lam, 1.0, False, 0.0)
+        with pytest.raises(DomainError) as info:
             final_utility(sol, 0.5, 0.5, phi_sum=1.0, R_B=1.0)
+        assert str(info.value) == f"final utility needs lambda > 0, got {lam!r}"
+
+    @pytest.mark.parametrize("field", ["phi_sum", "R_B"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_are_refused(self, field, value):
+        sol = solve_closed_form(CobbDouglasProblem(2, 1, 1, 1, 6))
+        with pytest.raises(InvalidParameterError) as info:
+            final_utility(sol, 2.0, 1.0, **{"phi_sum": 4.0, "R_B": 2.0, field: value})
+        assert str(info.value) == f"{field} must be finite, got {value!r}"
+
+    def test_overflowing_product_is_a_domain_error(self):
+        sol = solve_closed_form(CobbDouglasProblem(2, 1, 1, 1, 6))
+        with pytest.raises(DomainError) as info:
+            final_utility(sol, 2.0, 1.0, phi_sum=1e308, R_B=1e308)  # the sum overflows
+        assert str(info.value) == (
+            "final utility overflows at lambda=16.0, alpha*=2.0, beta=1.0, "
+            "phi_sum=1e+308, R_B=1e+308")
+
+    def test_search_refuses_an_overflowing_final_utility(self):
+        # lambda = R_B* = 1e300 is finite, but lambda / (alpha* + beta) * (L_C* + R_B*) is not
+        cfg = base_config(alpha_grid=(1e-300,), beta=1.0, p1=1e-300, p2=1e-300, P_C=1.0,
+                          hessian_variant=HessianVariant.DIRECT_FORM)
+        with pytest.raises(DomainError, match="^final utility overflows at lambda=9.99"):
+            search_alpha(cfg)
+
+
+class TestFloatRangeParity:
+    """A candidate that leaves the float range fails the search as it fails the check.
+
+    Each grid holds two failing candidates; the search must raise the error
+    that ``classify_second_order`` raises for the first of them.  L_C* grows
+    with alpha, so when the L_C* side fails (the alphas of the hessian
+    tests) every smaller alpha fails too and the failing candidate comes
+    first.  The mirrored problems put the tiny exponent on beta: R_B* falls
+    as alpha grows, so a candidate that passes comes before the failing ones.
+    """
+
+    SHADOW, DIRECT = HessianVariant.SHADOW_FORM, HessianVariant.DIRECT_FORM
+
+    @pytest.mark.parametrize("variant,beta,p1,p2,P_C,grid,bad", [
+        # L_C**2 (R_B**2 mirrored) underflows to 0 in the ShadowForm diagonal
+        (SHADOW, 1.0, 1.0, 1.0, 6.0, (1e-300, 1e-299, 1.0), 0),
+        (SHADOW, 1e-300, 1.0, 1.0, 6.0, (1e-300, 1.0, 6.0), 1),
+        # L_C**(alpha - 2) (R_B**(beta - 2) mirrored) overflows in the DirectForm
+        # diagonal, while the ShadowForm check that classify runs first passes
+        (DIRECT, 1.0, 1e-100, 1.0, 1.0, (1e-258, 1e-257, 1.0), 0),
+        (DIRECT, 1e-258, 1.0, 1e-100, 1.0, (1e-200, 1.0, 2.0), 1),
+        # the ShadowForm entries are ~1e160, so the noise floor scale**3 overflows
+        (SHADOW, 1.0, 1.0, 1.0, 6.0, (1.7e-161, 1e-160, 1.0), 0),
+        (SHADOW, 1.7e-161, 1.0, 1.0, 6.0, (1e-161, 1.0, 2.0), 1),
+    ])
+    def test_first_failing_candidate_raises_its_classify_error(
+        self, variant, beta, p1, p2, P_C, grid, bad
+    ):
+        def classify_error(alpha):
+            prob = CobbDouglasProblem(alpha, beta, p1, p2, P_C)
+            with pytest.raises(DomainError) as info:
+                classify_second_order(prob, solve_closed_form(prob))
+            return str(info.value)
+
+        for alpha in grid[:bad]:
+            prob = CobbDouglasProblem(alpha, beta, p1, p2, P_C)
+            classify_second_order(prob, solve_closed_form(prob))  # passes
+        want = classify_error(grid[bad])
+        assert classify_error(grid[bad + 1]) != want
+        cfg = AlphaSearchConfig(alpha_grid=grid, beta=beta, p1=p1, p2=p2, P_C=P_C,
+                                hessian_variant=variant)
+        with pytest.raises(DomainError) as info:
+            search_alpha(cfg)
+        assert str(info.value) == want
 
 
 class TestSelectBest:

@@ -733,6 +733,16 @@ class TestFloatRangeFailures:
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: result overflowed the representable range: -inf"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_final_utility_is_a_domain_failure(self, capsys, fmt):
+        argv = ["alpha-search", "--alpha_grid", "[1e-300]", "--beta", "1", "--p1", "1e-300",
+                "--p2", "1e-300", "--P_C", "1", "--hessian_variant", "DirectForm"]
+        code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: final utility overflows at lambda=9.999999999999999e+299, alpha*=1e-300, "
+            "beta=1.0, phi_sum=1.0, R_B=9.999999999999999e+299"]
+
     @pytest.mark.parametrize("command", ["solve", "hessian"])
     def test_infinite_demand_is_not_blamed_on_a_computed_field(self, capsys, command):
         code, _, err = run_cli(capsys, [command, *self.OVERFLOW_ARGS])

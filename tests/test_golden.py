@@ -3,9 +3,11 @@
 The digests were taken from the output of the original implementation, so
 any change to a printed digit of the README examples, or of the first
 seed-0 ops of the benchmark's ``cli-oneshot`` and ``cli-bulk`` workloads,
-fails here and not only in the benchmark.  The argv are rebuilt by the
-workloads' own ``make_input``.  This test only reads the files under
-``bench/``.
+fails here and not only in the benchmark.  So does a last-bit change in any
+field of the results of the first seed-0 ``alpha-dense`` and ``sim-long``
+ops.  The argv and inputs are rebuilt by the workloads' own ``make_input``,
+and the library results digested by their own ``run`` and ``digest``.  This
+test only reads the files under ``bench/``.
 """
 
 import contextlib
@@ -85,3 +87,39 @@ def test_cli_bulk_matches_golden_digests():
             texts.append(out.getvalue().encode())
         # the benchmark's digest of an op: both outputs joined by a NUL byte
         assert hashlib.sha256(b"\0".join(texts)).hexdigest() == want, f"op {i}"
+
+
+def _plain_call(_name, fn, *args, **kwargs):
+    """A workload's ``call`` hook with no tracing: the benchmark's untimed call."""
+    return fn(*args, **kwargs)
+
+
+def check_library_digests(name: str, ops: int):
+    """Run the first ``ops`` seed-0 ops of library workload ``name`` against their digests."""
+    lib = workload(name)
+    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))[lib.name][:ops]
+    assert len(digests) == ops
+    for i, want in enumerate(digests):
+        out = lib.run(lib.make_input(i), _plain_call)
+        assert lib.digest(out) == want, f"op {i}"
+    return lib
+
+
+#: The leading seed-0 alpha-dense ops checked here: ops cycle through the two
+#: Hessian variants with and without cross terms, so each setting runs 16 times.
+ALPHA_DENSE_OPS = 64
+
+
+def test_alpha_dense_matches_golden_digests():
+    dense = check_library_digests("AlphaDense", ALPHA_DENSE_OPS)
+    settings = {(inp["hessian_variant"], inp["include_cross_terms"])
+                for inp in map(dense.make_input, range(ALPHA_DENSE_OPS))}
+    assert len(settings) == 4
+
+
+#: The leading seed-0 sim-long ops checked here; each is a 20-cell sweep of 500 ticks.
+SIM_LONG_OPS = 64
+
+
+def test_sim_long_matches_golden_digests():
+    check_library_digests("SimLong", SIM_LONG_OPS)

@@ -20,7 +20,7 @@ from lexopt import (
     scale_border,
     solve_closed_form,
 )
-from lexopt.hessian import _determinant, _scale, _second_order
+from lexopt.hessian import _determinant, _second_order
 
 SQRT_PROB = CobbDouglasProblem(0.5, 0.5, 1, 1, 2)
 
@@ -265,8 +265,16 @@ class TestNonFiniteEntries:
         entries[position] = math.nan
         det = _determinant(*entries)
         assert math.isnan(det)
-        for scale in (_scale(*entries), 0.0, 1.0, math.inf, math.nan):
+        for scale in (0.0, 1.0, math.inf, math.nan):
             assert classify_from_determinant(det, scale) is SecondOrderClass.LOCAL_MIN
+
+    @pytest.mark.parametrize("variant", list(HessianVariant))
+    def test_nan_multiplier_classifies_as_local_min(self, variant):
+        # a NaN lambda makes both border entries NaN; the kernel's scale skips
+        # them, and the NaN determinant decides the class
+        _, det, cls = _second_order(0.5, 0.5, 1.0, 1.0, 2.0, 1.0, 1.0, math.nan, variant, True)
+        assert math.isnan(det)
+        assert cls is SecondOrderClass.LOCAL_MIN
 
     @pytest.mark.parametrize("position", [2, 3, 4])
     def test_infinite_block_entry_gives_nan_determinant(self, position):
@@ -304,7 +312,8 @@ class TestFloatKernel:
     def test_matches_numpy_path(self, prob, variant, cross):
         sol = solve_closed_form(prob)
         entries, det, cls = _second_order(
-            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, sol, variant, cross
+            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C,
+            sol.L_C_star, sol.R_B_star, sol.lam, variant, cross,
         )
         h = build_bordered_hessian(prob, sol, variant, cross)
         m = h.entries
@@ -323,5 +332,5 @@ class TestFloatKernel:
         # 2*alpha*beta = alpha + beta) both routines return rounding noise of
         # order eps * scale**3, so that much absolute slack is allowed too.
         ref = float(np.linalg.det(m))
-        scale = _scale(*entries)
+        scale = float(np.max(np.abs(m)))
         assert abs(det - ref) <= 1e-9 * abs(ref) + 1e-12 * scale**3

@@ -126,8 +126,20 @@ class TestSimConfigValidation:
         with pytest.raises(InvalidParameterError, match=r"precaution_cost_grid\[1\]"):
             small_config(precaution_cost_grid=(0.0, -5.0))
 
+    @pytest.mark.parametrize("grid,message", [
+        (("a",), "precaution_cost_grid[0] must be a number, got 'a'"),
+        ((0.0, 5.0, math.nan), "precaution_cost_grid[2] must be finite, got nan"),
+        ((b for b in (0.0, -5.0)), "precaution_cost_grid[1] must be >= 0, got -5.0"),
+    ])
+    def test_grid_messages(self, grid, message):
+        with pytest.raises(InvalidParameterError) as info:
+            small_config(precaution_cost_grid=grid)
+        assert str(info.value) == message
+
     def test_grid_is_sorted_on_construction(self):
         cfg = small_config(precaution_cost_grid=(5.0, 0.0, 10.0))
+        assert cfg.precaution_cost_grid == (0.0, 5.0, 10.0)
+        cfg = small_config(precaution_cost_grid=(b for b in (5.0, 0.0, 10.0)))
         assert cfg.precaution_cost_grid == (0.0, 5.0, 10.0)
 
     def test_discount_must_be_in_unit_interval(self):
@@ -374,6 +386,17 @@ class TestSweepAdminCost:
         with pytest.raises(InvalidParameterError, match=r"C_a_grid\[1\] must be finite"):
             sweep_admin_cost(cfg, [1.0, math.nan])
         assert require_admin_cost_grid((0, 2.5)) == [0.0, 2.5]
+        assert require_admin_cost_grid(c for c in (0, 2.5)) == [0.0, 2.5]
+
+    @pytest.mark.parametrize("grid,message", [
+        (("a",), "C_a_grid[0] must be a number, got 'a'"),
+        ((0.0, 5.0, math.nan), "C_a_grid[2] must be finite, got nan"),
+        ((c for c in (0.0, -5.0)), "C_a_grid[1] must be >= 0, got -5.0"),
+    ])
+    def test_grid_messages(self, grid, message):
+        with pytest.raises(InvalidParameterError) as info:
+            sweep_admin_cost(small_config(), grid)
+        assert str(info.value) == message
 
     def test_rate_steps_at_the_admin_threshold(self):
         rows = sweep_admin_cost(default_config(), default_sweep_grid())
