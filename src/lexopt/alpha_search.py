@@ -90,8 +90,11 @@ def final_utility(
 ) -> float:
     """U = (lambda / (alpha* + beta)) * (phi_sum + R_B); requires lambda > 0.
 
-    phi_sum and R_B must be finite, and a U that overflows is a DomainError.
+    alpha* and beta must be finite and > 0, phi_sum and R_B finite, and a U
+    that overflows is a DomainError.
     """
+    alpha_star = require_positive("alpha_star", alpha_star)
+    beta = require_positive("beta", beta)
     phi_sum = require_finite("phi_sum", phi_sum)
     R_B = require_finite("R_B", R_B)
     if not sol.lam > 0.0:

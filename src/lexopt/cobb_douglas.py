@@ -67,7 +67,10 @@ class OptimumSolution:
 
 
 def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
-    """U = L_C**alpha * R_B**beta; zero whenever either argument is zero."""
+    """U = L_C**alpha * R_B**beta; zero whenever either argument is zero.
+
+    A power that leaves the float range is a DomainError.
+    """
     L_C, R_B = as_float("L_C", L_C), as_float("R_B", R_B)
     if math.isnan(L_C) or L_C < 0.0:
         raise InvalidParameterError(f"L_C must be >= 0, got {L_C!r}")
@@ -75,18 +78,37 @@ def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
         raise InvalidParameterError(f"R_B must be >= 0, got {R_B!r}")
     if L_C == 0.0 or R_B == 0.0:
         return 0.0
-    return L_C**prob.alpha * R_B**prob.beta
+    try:
+        return L_C**prob.alpha * R_B**prob.beta
+    except OverflowError as exc:
+        raise DomainError(
+            f"utility leaves the float range at L_C={L_C!r}, R_B={R_B!r}: {exc}"
+        ) from None
 
 
 def utility_gradient(prob: CobbDouglasProblem, L_C: float, R_B: float) -> tuple[float, float]:
-    """Analytic partials (dU/dL_C, dU/dR_B) at a strictly interior point."""
-    if L_C <= 0.0 or R_B <= 0.0:
-        raise DomainError("utility gradient needs strictly positive L_C and R_B")
+    """Analytic partials (dU/dL_C, dU/dR_B) at a strictly interior point.
+
+    A point off (0, inf) and a power that leaves the float range are each a
+    DomainError.
+    """
+    # plain floats, so that a power past the float range raises, as a numpy one does not
+    L_C, R_B = as_float("L_C", L_C), as_float("R_B", R_B)
+    if not (0.0 < L_C < math.inf and 0.0 < R_B < math.inf):
+        raise DomainError(
+            f"utility gradient needs finite, strictly positive L_C and R_B, "
+            f"got L_C={L_C!r}, R_B={R_B!r}"
+        )
     a, b = prob.alpha, prob.beta
-    return (
-        a * L_C ** (a - 1.0) * R_B**b,
-        b * L_C**a * R_B ** (b - 1.0),
-    )
+    try:
+        return (
+            a * L_C ** (a - 1.0) * R_B**b,
+            b * L_C**a * R_B ** (b - 1.0),
+        )
+    except OverflowError as exc:
+        raise DomainError(
+            f"utility gradient leaves the float range at L_C={L_C!r}, R_B={R_B!r}: {exc}"
+        ) from None
 
 
 def mrs(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:

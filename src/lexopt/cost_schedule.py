@@ -57,7 +57,9 @@ class CostSchedule:
 
 def phi_component(s: CostSchedule, i: int, L_i: float, with_fixed: bool = False) -> float:
     """Cost of component i at activity L_i under the selected form."""
-    alpha_plus, alpha_minus = s.rates[i]  # IndexError for out-of-range i is intended
+    if not 0 <= i < len(s.rates):  # a negative i would wrap to a component from the end
+        raise IndexError(f"component {i} is out of range for {len(s.rates)} rate pairs")
+    alpha_plus, alpha_minus = s.rates[i]
     L_i = require_finite(f"L[{i}]", L_i)
     if L_i == 0.0:
         return 0.0

@@ -34,13 +34,15 @@ thresholds and the settle/trial decision do not change over a run, and the
 precaution choice depends only on the lagged settlement rate, which is 0.0
 on the first tick and exactly 0.0 or 1.0 after it.  harm_probability_fn is
 therefore treated as a pure function, evaluated once per distinct rate in a
-run, and a deterministic run's outcomes are a prefix and a repeating cycle:
-the sweep adds its totals in C over them, in tick order from +0.0, with the
-bits of the per-tick loop, and takes settlements and trials from filings, as
-a run settles or tries every filing as a block.  A stochastic run draws each
-stretch of ticks at one precaution level in one numpy call, with the values
-of one draw per tick; a settling run's rate flips with a zero draw, so it
-redraws from the state saved before the chunk up to that draw.  ``step`` in
+run.  One walk yields a run's ticks as stretches at one precaution level:
+a deterministic run is at most two stretches, the first tick and the rest,
+whose ticks share one outcome.  The sweep adds each stretch's filings and
+welfare in C, in tick order from +0.0, with the bits of the per-tick loop,
+and takes settlements and trials from filings, as a run settles or tries
+every filing as a block.  A stochastic run draws each stretch of ticks at
+one precaution level in one numpy call, with the values of one draw per
+tick; a settling run's rate flips with a zero draw, so it redraws from the
+state saved before the chunk up to that draw.  ``step`` in
 stochastic mode needs the caller's ``rng``, passed on every call, and makes
 one scalar draw from it.
 """
@@ -50,8 +52,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, cycle, islice, repeat, starmap
-from operator import add
+from itertools import chain, repeat, starmap
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._validation import (
@@ -201,22 +203,19 @@ def _settlement_rate(state: SimState) -> float:
 class _RunPlan:
     """The part of a run that no tick changes, built once per run.
 
-    It holds the dispute primitives at the run's administration cost, the
-    resolved thresholds and the settle/trial decision, and caches the
-    precaution choice (B, P_harm(B)) by lagged settlement rate.  The decision
-    is fixed for the run, so from the second tick on the rate is exactly 0.0
-    or 1.0 and a run makes at most two precaution choices.  In deterministic
-    mode a tick depends on the rate alone, so its whole outcome is cached.
+    It holds the dispute primitives at the run's administration cost and the
+    settle/trial decision, and caches the precaution choice (B, P_harm(B)) by
+    lagged settlement rate.  The decision is fixed for the run, so from the
+    second tick on the rate is exactly 0.0 or 1.0 and a run makes at most two
+    precaution choices.
     """
 
     def __init__(self, cfg: SimConfig, C_a: float) -> None:
         self.cfg = cfg
         self.case = cfg.case_template.with_admin_cost(C_a)
-        self.thresholds = resolve_thresholds(self.case, cfg.theta_a, cfg.theta_b)
-        scenario = classify_scenario(self.case, *self.thresholds)
+        scenario = classify_scenario(self.case, cfg.theta_a, cfg.theta_b)
         self.settles = scenario.decision is Decision.SETTLE
         self._precautions: dict[float, tuple[float, float]] = {}
-        self._outcomes: dict[float, tuple] = {}
 
     def precaution(self, settlement_rate: float) -> tuple[float, float]:
         """(B, P_harm(B)) chosen against the given lagged settlement rate."""
@@ -231,24 +230,22 @@ class _RunPlan:
         """The next tick's lagged settlement rate: every filing settled, or none did."""
         return 1.0 if self.settles and filings > 0.0 else 0.0
 
-    def tick(self, settlement_rate: float) -> tuple:
-        """A deterministic tick's outcome, as one tuple of ``ticks``."""
-        found = self._outcomes.get(settlement_rate)
-        if found is None:
-            B, p_harm = self.precaution(settlement_rate)
-            found = self.ticks(B, [self.cfg.n_injurers * p_harm])[0]
-            self._outcomes[settlement_rate] = found
-        return found
-
     def ticks(self, B: float, injuries: list[float]) -> list[tuple]:
-        """(injuries, filings, settlements, trials, tick welfare) per injury count at B."""
+        """(injuries, filings, settlements, trials, tick welfare) per injury count at B.
+
+        A deterministic stretch's injury counts are equal, so its one outcome
+        is computed once and repeated.
+        """
+        repeats = 1
+        if not self.cfg.stochastic:
+            injuries, repeats = injuries[:1], len(injuries)
         case, L_harm, spend = self.case, self.cfg.L_harm, self.cfg.n_injurers * B
         S_B, p, W_B, C_b, C_a = case.S_B, case.p, case.W_B, case.C_b, case.C_a
         settled, tried = (injuries, repeat(0.0)) if self.settles else (repeat(0.0), injuries)
         return [  # every filing settles or every filing goes to trial
             (x, x, s, t, s * S_B + t * p * W_B - (s * C_b + t * C_a) - spend - x * L_harm)
             for x, s, t in zip(injuries, settled, tried)
-        ]
+        ] * repeats
 
 
 def _generator(cfg: SimConfig) -> np.random.Generator | None:
@@ -305,11 +302,6 @@ def _stretches(
         rate = plan.rate_after(injuries[-1])
 
 
-def _ticks(plan: _RunPlan, rng: np.random.Generator | None) -> Iterator[tuple]:
-    """A run's tick outcomes in tick order."""
-    return chain.from_iterable(starmap(plan.ticks, _stretches(plan, rng, 0.0, plan.cfg.ticks)))
-
-
 def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None) -> SimState:
     """Advance one tick; the settlement rate feeding precaution lags by one tick.
 
@@ -338,11 +330,12 @@ def _run_rows(cfg: SimConfig) -> list[tuple]:
     aggregate_trials, welfare).
     """
     plan = _RunPlan(cfg, cfg.C_a_policy)
+    stretches = _stretches(plan, _generator(cfg), 0.0, cfg.ticks)
     rows = []
     # explicit + in tick order, as step accumulates onto the previous state
     aggregate_trials = welfare = 0.0
     for tick, (injuries, filings, settlements, trials, w) in enumerate(
-        _ticks(plan, _generator(cfg)), 1
+        chain.from_iterable(starmap(plan.ticks, stretches)), 1
     ):
         aggregate_trials += trials
         welfare += w
@@ -382,20 +375,11 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
     results = []
     for C_a in grid:
         plan = _RunPlan(cfg, C_a)
-        filings = welfare = rate = 0.0
-        if cfg.stochastic:
-            for t in _ticks(plan, _generator(cfg)):  # added with + in tick order
-                filings += t[1]
-                welfare += t[4]
-        else:  # walk to the first repeated rate, then add the prefix and cycle in C
-            seen: dict[float, tuple] = {}  # each lagged rate's outcome, in the order reached
-            while rate not in seen and len(seen) < cfg.ticks:
-                seen[rate] = t = plan.tick(rate)
-                rate = plan.rate_after(t[1])
-            start = list(seen).index(rate) if rate in seen else cfg.ticks
-            filings, welfare = (  # from +0.0, left to right as += adds (sum() compensates)
-                reduce(add, islice(chain(c[:start], cycle(c[start:])), cfg.ticks), 0.0)
-                for c in zip(*((t[1], t[4]) for t in seen.values())))
+        filings = welfare = 0.0
+        # from +0.0, left to right as += adds (sum() compensates); every injury is a filing
+        for B, injuries in _stretches(plan, _generator(cfg), 0.0, cfg.ticks):
+            filings = reduce(add, injuries, filings)
+            welfare = reduce(add, map(itemgetter(4), plan.ticks(B, injuries)), welfare)
         settlements, trials = (filings, 0.0) if plan.settles else (0.0, filings)  # block decision
         results.append((C_a, trials, settlements / filings if filings > 0.0 else 0.0, welfare))
 

@@ -174,13 +174,20 @@ class TestFinalUtility:
             final_utility(sol, 0.5, 0.5, phi_sum=1.0, R_B=1.0)
         assert str(info.value) == f"final utility needs lambda > 0, got {lam!r}"
 
-    @pytest.mark.parametrize("field", ["phi_sum", "R_B"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_inputs_are_refused(self, field, value):
+    @pytest.mark.parametrize(
+        "field, value",
+        [(field, value) for field in ("alpha_star", "beta", "phi_sum", "R_B")
+         for value in (math.nan, math.inf, -math.inf)]
+        # alpha* = -1.5 once gave -192.0, and alpha* = -1.0 divided by zero
+        + [(field, value) for field in ("alpha_star", "beta") for value in (-1.5, -1.0, 0.0)],
+    )
+    def test_bad_inputs_are_refused(self, field, value):
         sol = solve_closed_form(CobbDouglasProblem(2, 1, 1, 1, 6))
+        kw = {"alpha_star": 2.0, "beta": 1.0, "phi_sum": 4.0, "R_B": 2.0, field: value}
         with pytest.raises(InvalidParameterError) as info:
-            final_utility(sol, 2.0, 1.0, **{"phi_sum": 4.0, "R_B": 2.0, field: value})
-        assert str(info.value) == f"{field} must be finite, got {value!r}"
+            final_utility(sol, **kw)
+        rule = "must be finite" if not math.isfinite(value) else "must be > 0"
+        assert str(info.value) == f"{field} {rule}, got {value!r}"
 
     def test_overflowing_product_is_a_domain_error(self):
         sol = solve_closed_form(CobbDouglasProblem(2, 1, 1, 1, 6))

@@ -40,6 +40,12 @@ class TestUtility:
         assert utility(prob, 0.0, 5.0) == 0.0
         assert utility(prob, 5.0, 0.0) == 0.0
 
+    def test_overflowing_power_is_a_domain_error(self):
+        with pytest.raises(DomainError) as info:
+            utility(CobbDouglasProblem(300, 1, 1, 1, 6), 1e300, 1.0)
+        assert str(info.value).startswith(
+            "utility leaves the float range at L_C=1e+300, R_B=1.0: ")
+
     def test_negative_argument_rejected(self):
         prob = CobbDouglasProblem(0.5, 0.5, 1, 1, 2)
         with pytest.raises(InvalidParameterError, match="L_C"):
@@ -229,6 +235,27 @@ class TestUtilityGradient:
             assert numeric[0] == pytest.approx(analytic[0], rel=1e-5)
             assert numeric[1] == pytest.approx(analytic[1], rel=1e-5)
 
-    def test_boundary_is_a_domain_error(self):
-        with pytest.raises(DomainError):
-            utility_gradient(CobbDouglasProblem(0.5, 0.5, 1, 1, 2), 0.0, 1.0)
+    @pytest.mark.parametrize("point", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0),
+                                       (1.0, math.nan), (math.inf, 1.0)])
+    def test_boundary_is_a_domain_error(self, point):
+        with pytest.raises(DomainError) as info:
+            utility_gradient(CobbDouglasProblem(0.5, 0.5, 1, 1, 2), *point)
+        assert str(info.value) == (
+            "utility gradient needs finite, strictly positive L_C and R_B, "
+            f"got L_C={point[0]!r}, R_B={point[1]!r}")
+
+    @pytest.mark.parametrize(
+        "exponents, point",
+        [
+            ((300, 300), (1e300, 1.0)),  # L_C**alpha
+            ((300, 300), (1.0, 1e300)),  # R_B**beta
+            ((300, 300), (np.float64(1e300), 1.0)),  # a numpy float overflows to inf instead
+            ((0.01, 1), (5e-324, 1.0)),  # L_C**(alpha - 1) at a subnormal L_C
+        ],
+    )
+    def test_overflowing_power_is_a_domain_error(self, exponents, point):
+        with pytest.raises(DomainError) as info:
+            utility_gradient(CobbDouglasProblem(*exponents, 1, 1, 6), *point)
+        L_C, R_B = map(float, point)
+        assert str(info.value).startswith(
+            f"utility gradient leaves the float range at L_C={L_C!r}, R_B={R_B!r}: ")

@@ -59,10 +59,11 @@ class TestPhiComponent:
         s = CostSchedule(5.0, ((2.0, 3.0),))
         assert phi_component(s, 0, 0.0, with_fixed=True) == 0.0
 
-    def test_out_of_range_component(self):
+    @pytest.mark.parametrize("i", [1, -1])
+    def test_out_of_range_component(self, i):
         s = CostSchedule(0.0, ((1.0, 1.0),))
-        with pytest.raises(IndexError):
-            phi_component(s, 1, 1.0)
+        with pytest.raises(IndexError, match=f"component {i} is out of range for 1 rate pairs"):
+            phi_component(s, i, 1.0)
 
     def test_nonfinite_activity_rejected(self):
         s = CostSchedule(0.0, ((1.0, 1.0),))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexopt import (
@@ -600,8 +600,8 @@ class TestAgainstReferenceLoop:
     @example(cfg=small_config(settlement_liability_discount=0.0), grid=BOTH_DECISIONS)
     @example(cfg=small_config(settlement_liability_discount=1.0, stochastic=True),
              grid=BOTH_DECISIONS)
-    # the drawn runs stop at 40 ticks; the deterministic sweep adds a cycle
-    # past its prefix, which ends on tick 1 or 2
+    # the drawn runs stop at 40 ticks; a deterministic run's last stretch
+    # starts on tick 1 or 2 and repeats one outcome to the horizon
     @example(cfg=small_config(ticks=2000), grid=BOTH_DECISIONS)
     @example(cfg=small_config(ticks=1), grid=BOTH_DECISIONS)
     @example(cfg=small_config(ticks=2), grid=BOTH_DECISIONS)
@@ -673,3 +673,24 @@ class TestAgainstReferenceLoop:
         cfg = replace(default_config(), ticks=500)
         grid = default_sweep_grid()
         assert _hex_fields(sweep_admin_cost(cfg, grid)) == _hex_fields(reference_sweep(cfg, grid))
+
+
+class TestStretches:
+    @settings(max_examples=200)
+    @given(cfg=sim_configs().map(lambda cfg: replace(cfg, stochastic=False)))
+    # P_harm is 0 from B = 10 on: the run picks B = 10 at rate 0.0 and files nothing
+    @example(cfg=small_config(harm_probability_fn=lambda B: 0.1 if B < 10 else 0.0,
+                              C_a_policy=30.0, ticks=40))
+    # ... or B = 0 at both rates, once L_harm is low enough
+    @example(cfg=small_config(harm_probability_fn=lambda B: 0.1 if B < 10 else 0.0,
+                              L_harm=60.0, C_a_policy=30.0, ticks=40))
+    def test_deterministic_run_is_at_most_two_stretches(self, cfg):
+        # the lagged rate is fixed from tick 2 on, which keeps the sweep's
+        # per-tick adds in C, a constant number of Python steps per cell
+        try:
+            plan = _RunPlan(cfg, cfg.C_a_policy)
+        except InvalidParameterError:  # thresholds that classify_scenario refuses
+            assume(False)
+        stretches = list(_stretches(plan, None, 0.0, cfg.ticks))
+        assert len(stretches) <= 2
+        assert sum(len(injuries) for _, injuries in stretches) == cfg.ticks
