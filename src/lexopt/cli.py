@@ -621,7 +621,23 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _AllCommandsNeeded(Exception):
+    """A usage error at the top of a parser built for one command."""
+
+
+class _OneCommandParser(_Parser):
+    """The top level of a parser holding one command's subparser.
+
+    Its usage line would list that command alone, so a top-level usage
+    error prints nothing here; ``main`` parses again with every command.
+    """
+
+    def error(self, message: str):
+        raise _AllCommandsNeeded
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it is given."""
     def loads(text: str) -> Any:
         # argparse makes a ValueError a usage error naming this function
         try:
@@ -630,10 +646,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise ValueError("JSON nested too deeply") from exc
 
     # allow_abbrev=False: a flag spelled in part is a usage error, never another flag
-    parser = _Parser(prog="lexopt", description=__doc__.splitlines()[0], allow_abbrev=False)
+    parser = (_Parser if command is None else _OneCommandParser)(
+        prog="lexopt", description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"lexopt {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, spec in COMMANDS.items():
+    for name in COMMANDS if command is None else (command,):
+        spec = COMMANDS[name]
         sub = subparsers.add_parser(name, help=spec.help, allow_abbrev=False)
         sub.add_argument("--config", help="JSON config file; flags override its values")
         sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -649,9 +667,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command word needs only its own subparser; the help, version and
+    # usage text that lists every command comes from the full parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = build_parser(command).parse_args(argv)
+        except _AllCommandsNeeded:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits with an int: 0 for --help, 64 for usage
         return exc.code
 

@@ -66,6 +66,27 @@ class OptimumSolution:
     identity_residual: float
 
 
+def _range_error(exc: ArithmeticError) -> str:
+    """Why a float operation failed, in words that do not vary by platform.
+
+    An overflowing power's own text is an errno tuple such as
+    ``(34, 'Numerical result out of range')``.
+    """
+    return "a power overflows" if isinstance(exc, OverflowError) else str(exc)
+
+
+def _interior(what: str, L_C: float, R_B: float) -> tuple[float, float]:
+    """(L_C, R_B) as plain floats; a point off (0, inf) is a DomainError."""
+    # plain floats, so that a power past the float range raises, as a numpy one does not
+    L_C, R_B = as_float("L_C", L_C), as_float("R_B", R_B)
+    if not (0.0 < L_C < math.inf and 0.0 < R_B < math.inf):
+        raise DomainError(
+            f"{what} needs finite, strictly positive L_C and R_B, "
+            f"got L_C={L_C!r}, R_B={R_B!r}"
+        )
+    return L_C, R_B
+
+
 def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
     """U = L_C**alpha * R_B**beta; zero whenever either argument is zero.
 
@@ -82,7 +103,7 @@ def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
         return L_C**prob.alpha * R_B**prob.beta
     except OverflowError as exc:
         raise DomainError(
-            f"utility leaves the float range at L_C={L_C!r}, R_B={R_B!r}: {exc}"
+            f"utility leaves the float range at L_C={L_C!r}, R_B={R_B!r}: {_range_error(exc)}"
         ) from None
 
 
@@ -92,13 +113,7 @@ def utility_gradient(prob: CobbDouglasProblem, L_C: float, R_B: float) -> tuple[
     A point off (0, inf) and a power that leaves the float range are each a
     DomainError.
     """
-    # plain floats, so that a power past the float range raises, as a numpy one does not
-    L_C, R_B = as_float("L_C", L_C), as_float("R_B", R_B)
-    if not (0.0 < L_C < math.inf and 0.0 < R_B < math.inf):
-        raise DomainError(
-            f"utility gradient needs finite, strictly positive L_C and R_B, "
-            f"got L_C={L_C!r}, R_B={R_B!r}"
-        )
+    L_C, R_B = _interior("utility gradient", L_C, R_B)
     a, b = prob.alpha, prob.beta
     try:
         return (
@@ -107,18 +122,25 @@ def utility_gradient(prob: CobbDouglasProblem, L_C: float, R_B: float) -> tuple[
         )
     except OverflowError as exc:
         raise DomainError(
-            f"utility gradient leaves the float range at L_C={L_C!r}, R_B={R_B!r}: {exc}"
+            f"utility gradient leaves the float range at L_C={L_C!r}, R_B={R_B!r}: "
+            f"{_range_error(exc)}"
         ) from None
 
 
 def mrs(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
     """Marginal rate of substitution alpha * R_B / (beta * L_C).
 
-    Equals the price ratio p1 / p2 at the optimum.
+    Equals the price ratio p1 / p2 at the optimum.  A point off (0, inf)
+    and a quotient that leaves the float range are each a DomainError.
     """
-    if L_C == 0.0:
-        raise DomainError("mrs is undefined at L_C = 0 (division by zero)")
-    return prob.alpha * R_B / (prob.beta * L_C)
+    L_C, R_B = _interior("mrs", L_C, R_B)
+    try:
+        value = prob.alpha * R_B / (prob.beta * L_C)
+    except ZeroDivisionError:  # beta * L_C underflows to 0
+        value = math.inf
+    if not math.isfinite(value):  # float division overflows to inf without raising
+        raise DomainError(f"mrs leaves the float range at L_C={L_C!r}, R_B={R_B!r}")
+    return value
 
 
 def solve_closed_form(prob: CobbDouglasProblem) -> OptimumSolution:
@@ -163,7 +185,8 @@ def _solve(
         U_star = L_C_star**a * R_B_star**b
     except (ZeroDivisionError, OverflowError) as exc:
         raise DomainError(
-            f"optimum leaves the float range at L_C*={L_C_star!r}, R_B*={R_B_star!r}: {exc}"
+            f"optimum leaves the float range at L_C*={L_C_star!r}, R_B*={R_B_star!r}: "
+            f"{_range_error(exc)}"
         ) from None
     if U_star == 0.0:
         raise DomainError(

@@ -43,7 +43,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from ._validation import require_positive
-from .cobb_douglas import CobbDouglasProblem, OptimumSolution
+from .cobb_douglas import CobbDouglasProblem, OptimumSolution, _range_error
 from .errors import DomainError, InvalidParameterError
 
 if TYPE_CHECKING:
@@ -106,7 +106,7 @@ def _entries(
     except (ZeroDivisionError, OverflowError) as exc:
         raise DomainError(
             f"{variant.value} bordered Hessian leaves the float range at "
-            f"L_C*={L!r}, R_B*={R!r}: {exc}"
+            f"L_C*={L!r}, R_B*={R!r}: {_range_error(exc)}"
         ) from None
     return -lam * p1, -lam * p2, h11, h12, h22
 

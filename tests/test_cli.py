@@ -1,13 +1,16 @@
+import argparse
 import hashlib
 import inspect
 import json
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from lexopt import __version__, default_config, solve_closed_form
-from lexopt.cli import COMMANDS, _build_sim_config, _merge_params, build_parser, main
+from lexopt.cli import COMMANDS, _build_sim_config, _emit, _merge_params, build_parser, main
+from lexopt.errors import DomainError, InvalidParameterError
 
 BARGAIN_ARGS = ["--p", "0.5", "--W_B", "100", "--S_B", "60", "--C_a", "10", "--C_b", "4"]
 SQRT_ARGS = ["--alpha", "0.5", "--beta", "0.5", "--p1", "1", "--p2", "1", "--P_C", "2"]
@@ -624,6 +627,137 @@ class TestCommandRegistry:
         assert (code, digest) == HELP_AND_USAGE_DIGESTS[argv]
 
 
+def full_parser_main(argv=None) -> int:
+    """``main`` as it was before it dispatched on the command word: every argv
+    is parsed with the parser of all nine commands.  The reference for the
+    one-subparser ``main``."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits with an int: 0 for --help, 64 for usage
+        return exc.code
+
+    spec = COMMANDS[args.command]
+    try:
+        params = _merge_params(spec.fields, args)
+        out = spec.runner(**params)
+        text = _emit(out, args.format)
+    except InvalidParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (DomainError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
+    return 0
+
+
+#: one successful run of each command; each also runs with --format csv
+SUCCESSFUL_RUNS = [
+    "bargain " + shlex.join(BARGAIN_ARGS),
+    "classify " + shlex.join(BARGAIN_ARGS) + " --theta_a 5",
+    "solve " + shlex.join(SQRT_ARGS),
+    "hessian --alpha 2 --beta 2 --p1 1 --p2 1 --P_C 4 --cross_terms",
+    "phi --rates '[[0.2, 0.3], [0.1, 0.4]]' --L '[5, -2]' --R_B 44 --P_C 55 --with_fixed"
+    " --C_b_fixed 1",
+    "alpha-search --alpha_grid '[0.5, 1, 2]' --beta 1 --p1 1 --p2 1 --P_C 6",
+    "comply --utilities '{\"a\": 1, \"b\": 3}' --allowed '[\"a\"]'",
+    "simulate --seed 0 --ticks 5 --stochastic",
+    "sweep --seed 0 --ticks 5 --C_a_grid '[0, 10]'",
+]
+
+#: argv the full-parser reference and main must answer alike, beside the
+#: help and usage argv and the successful runs
+PARSE_CASES = [
+    # type and choice errors inside a subparser
+    "bargain --p half", "bargain --format xml", "simulate --seed 0 --ticks 1.5",
+    "phi --rates [[ --L [1]", "hessian --cross_terms=yes", "solve --alpha",
+    # extra positionals, unknown flags and partly spelled words
+    "bargain extra", "solve --alpha 2 x y", "sweep 0 1", "alpha-search --cross_terms 1",
+    "bargain --bogus=1", "simulate --stoch", "barg", "Bargain", "nope --help", "--bogus bargain",
+    # --version and -h after the command word, and top-level flags before it
+    "bargain --version", "solve -h", "simulate --seed 0 --version", "sweep -h --seed 0",
+    "comply -h extra", "--version bargain", "-h solve", "--format json solve",
+    # -- and --flag=value spellings
+    "bargain " + " ".join(f"{k}={v}" for k, v in zip(BARGAIN_ARGS[::2], BARGAIN_ARGS[1::2])),
+    "bargain -- " + shlex.join(BARGAIN_ARGS), "bargain " + shlex.join(BARGAIN_ARGS) + " --",
+    "-- bargain", "solve --alpha=-1e3 --beta 1 --p1 1 --p2 1 --P_C 6",
+]
+
+
+class TestOneSubparserPerCommand:
+    """``main`` builds only the named command's subparser, and all nine only
+    where the output lists them; its bytes are the full parser's."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_environment(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("LEXOPT_SEED", raising=False)
+
+    @staticmethod
+    def both(capsys, argv):
+        """(exit code, stdout, stderr) of main, then of the full-parser reference."""
+        answers = []
+        for run in (main, full_parser_main):
+            code = run(argv)
+            captured = capsys.readouterr()
+            answers.append((code, captured.out, captured.err))
+        return answers
+
+    @pytest.mark.parametrize("argv", [
+        *HELP_AND_USAGE_DIGESTS, *PARSE_CASES,
+        *SUCCESSFUL_RUNS, *(f"{argv} --format csv" for argv in SUCCESSFUL_RUNS),
+    ])
+    def test_same_bytes_as_the_full_parser(self, capsys, argv):
+        got, want = self.both(capsys, shlex.split(argv))
+        assert got == want
+
+    def test_config_file_override_note(self, capsys, tmp_path):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({"p": 0.5, "W_B": 100, "S_B": 60, "C_a": 10, "C_b": 4}))
+        got, want = self.both(capsys, ["bargain", "--config", str(cfg), "--C_a", "100"])
+        assert got == want
+        assert got[0] == 0 and "overrides config file" in got[2]
+
+    @pytest.mark.parametrize("argv", ["bargain --bogus 1", "solve " + shlex.join(SQRT_ARGS), ""])
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["lexopt", *shlex.split(argv)])
+        got, want = self.both(capsys, None)
+        assert got == want
+
+    @pytest.fixture
+    def added(self, monkeypatch):
+        """The names of the subparsers added while the test runs, in order."""
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        return names
+
+    @pytest.mark.parametrize("argv", SUCCESSFUL_RUNS)
+    def test_a_successful_run_adds_one_subparser(self, capsys, added, argv):
+        assert main(shlex.split(argv)) == 0
+        assert added == [argv.split()[0]]
+
+    @pytest.mark.parametrize("argv, first", [
+        ("--help", []), ("", []), ("nope", []),
+        # a top-level usage error: the usage line lists every command
+        ("bargain --bogus 1", ["bargain"]),
+    ])
+    def test_output_listing_the_commands_adds_all_nine(self, capsys, added, argv, first):
+        main(shlex.split(argv))
+        assert added == [*first, *COMMANDS]
+        assert "{" + ",".join(COMMANDS) + "}" in "".join(capsys.readouterr())
+
+    def test_build_parser_still_has_every_command(self, added):
+        build_parser()
+        assert added == list(COMMANDS)
+
+
 class TestErrorPaths:
     def test_no_command_is_a_usage_error(self, capsys):
         assert run_cli(capsys, [])[0] == 64
@@ -742,6 +876,21 @@ class TestFloatRangeFailures:
         assert err.splitlines() == [
             "error: final utility overflows at lambda=9.999999999999999e+299, alpha*=1e-300, "
             "beta=1.0, phi_sum=1.0, R_B=9.999999999999999e+299"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--alpha", "1e-320", *UNDERFLOW_ARGS[:-1], "6"],
+         "optimum leaves the float range at L_C*=6e-320, R_B*=6.0: a power overflows"),
+        (["solve", "--alpha", "1e-320", *UNDERFLOW_ARGS[:-1], "1e-10"],
+         "optimum leaves the float range at L_C*=0.0, R_B*=1e-10: "
+         "0.0 cannot be raised to a negative power"),
+        (["hessian", "--alpha", "1e-300", *UNDERFLOW_ARGS[:-1], "6"],
+         "ShadowForm bordered Hessian leaves the float range at L_C*=6e-300, R_B*=6.0: "
+         "float division by zero"),
+    ])
+    def test_float_range_message_is_worded_alike_on_every_platform(self, capsys, argv, message):
+        # an overflowing power is named in words, not by the errno tuple of its OverflowError
+        for fmt in ("json", "csv"):
+            assert run_cli(capsys, [*argv, "--format", fmt]) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["solve", "hessian"])
     def test_infinite_demand_is_not_blamed_on_a_computed_field(self, capsys, command):

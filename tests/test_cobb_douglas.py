@@ -43,8 +43,8 @@ class TestUtility:
     def test_overflowing_power_is_a_domain_error(self):
         with pytest.raises(DomainError) as info:
             utility(CobbDouglasProblem(300, 1, 1, 1, 6), 1e300, 1.0)
-        assert str(info.value).startswith(
-            "utility leaves the float range at L_C=1e+300, R_B=1.0: ")
+        assert str(info.value) == (
+            "utility leaves the float range at L_C=1e+300, R_B=1.0: a power overflows")
 
     def test_negative_argument_rejected(self):
         prob = CobbDouglasProblem(0.5, 0.5, 1, 1, 2)
@@ -62,6 +62,24 @@ class TestMrs:
     def test_zero_L_C_is_a_domain_error(self):
         with pytest.raises(DomainError, match="L_C"):
             mrs(CobbDouglasProblem(1, 1, 1, 1, 2), 0.0, 1.0)
+
+    @pytest.mark.parametrize("point", [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)])
+    def test_point_off_the_interior_is_a_domain_error(self, point):
+        with pytest.raises(DomainError) as info:
+            mrs(CobbDouglasProblem(0.5, 0.5, 1, 1, 2), *point)
+        assert str(info.value) == (
+            "mrs needs finite, strictly positive L_C and R_B, "
+            f"got L_C={point[0]!r}, R_B={point[1]!r}")
+
+    @pytest.mark.parametrize("exponents, point", [
+        ((0.5, 0.5), (1e-320, 1e300)),  # the quotient overflows to inf
+        ((1.0, 1e-300), (1e-300, 1.0)),  # beta * L_C underflows to 0
+    ])
+    def test_quotient_past_the_float_range_is_a_domain_error(self, exponents, point):
+        with pytest.raises(DomainError) as info:
+            mrs(CobbDouglasProblem(*exponents, 1, 1, 2), *point)
+        assert str(info.value) == (
+            f"mrs leaves the float range at L_C={point[0]!r}, R_B={point[1]!r}")
 
     def test_equals_price_ratio_at_optimum(self):
         rng = np.random.default_rng(21)
@@ -157,12 +175,20 @@ class TestSolveClosedForm:
 
     def test_underflowing_demand_is_a_domain_error(self):
         # L_C* underflows to 0, which cannot be raised to alpha - 1 < 0
-        with pytest.raises(DomainError, match="float range"):
+        with pytest.raises(DomainError) as info:
             solve_closed_form(CobbDouglasProblem(1e-320, 1.0, 1.0, 1.0, 1e-10))
+        assert str(info.value) == ("optimum leaves the float range at L_C*=0.0, R_B*=1e-10: "
+                                   "0.0 cannot be raised to a negative power")
 
-    def test_overflowing_power_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="float range"):
-            solve_closed_form(CobbDouglasProblem(3.0, 3.0, 1.0, 1.0, 1e200))
+    @pytest.mark.parametrize("prob, point", [
+        ((3.0, 3.0, 1.0, 1.0, 1e200), "L_C*=5e+199, R_B*=5e+199"),  # L_C* ** 3
+        ((1e-320, 1.0, 1.0, 1.0, 6.0), "L_C*=6e-320, R_B*=6.0"),  # L_C* ** (alpha - 1)
+    ])
+    def test_overflowing_power_is_a_domain_error(self, prob, point):
+        with pytest.raises(DomainError) as info:
+            solve_closed_form(CobbDouglasProblem(*prob))
+        # worded alike on every platform, not as the errno tuple of the OverflowError
+        assert str(info.value) == f"optimum leaves the float range at {point}: a power overflows"
 
     @pytest.mark.parametrize(
         "prob",
@@ -257,5 +283,6 @@ class TestUtilityGradient:
         with pytest.raises(DomainError) as info:
             utility_gradient(CobbDouglasProblem(*exponents, 1, 1, 6), *point)
         L_C, R_B = map(float, point)
-        assert str(info.value).startswith(
-            f"utility gradient leaves the float range at L_C={L_C!r}, R_B={R_B!r}: ")
+        assert str(info.value) == (
+            f"utility gradient leaves the float range at L_C={L_C!r}, R_B={R_B!r}: "
+            "a power overflows")
