@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from ._validation import as_float
@@ -39,9 +39,9 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # serialization: one walk for both formats.  A scalar's text comes from one
 # table keyed by exact type; any other type, a subclass such as
-# numpy.float64 included, is a TypeError.  Every table is a _Table, rendered
-# through one row template per format.  Values render in payload order, so
-# the first non-finite float is the one reported.
+# numpy.float64 included, is a TypeError.  Every table is a _Table; a table
+# of numbers renders through one row template per format.  Values render in
+# payload order, so the first non-finite float is the one reported.
 
 
 def _fmt_float(x: float) -> str:
@@ -71,11 +71,6 @@ def _json_template(keys: tuple, level: int) -> str:
     return "{\n" + body + "\n" + pad + "}"
 
 
-def _json_values(values: Iterable, level: int) -> tuple[str, ...]:
-    get, nested = _JSON_TEXT.get, functools.partial(_json_render, level=level)
-    return tuple([get(type(v), nested)(v) for v in values])
-
-
 def _json_render(obj: Any, level: int = 0) -> str:
     text = _JSON_TEXT.get(type(obj))
     if text is not None:
@@ -89,7 +84,8 @@ def _json_render(obj: Any, level: int = 0) -> str:
         items = [f"{pad}  {_json_render(item, level + 1)}" for item in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
-        values = _json_values(obj.values(), level + 1)
+        get, nested = _JSON_TEXT.get, functools.partial(_json_render, level=level + 1)
+        values = tuple([get(type(v), nested)(v) for v in obj.values()])
         return _json_template(tuple(obj), level) % values if obj else "{}"
     return _unsupported(obj)
 
@@ -103,13 +99,12 @@ class _Table:
     """Named columns over tuple rows, each column of one exact type.
 
     It renders as a list of dicts with ``columns`` as keys would, to the
-    byte, through a row template made once per table.  When the first row
-    holds only ints and floats, the template types each cell (``%d``,
-    ``%.17g``) and a row is one ``%``.  Otherwise JSON fills ``%s`` slots
-    with each cell's text, and CSV writes the cells with ``csv.writer``,
-    which quotes text as the csv module does.  A plain class, not a
-    dataclass: making a dataclass costs every command process about a
-    millisecond.
+    byte.  When the first row holds only ints and floats, a row template
+    made once per table types each cell (``%d``, ``%.17g``) and a row is one
+    ``%``.  Otherwise JSON renders the rows as those dicts, and CSV writes
+    the cells with ``csv.writer``, which quotes text as the csv module does.
+    A plain class, not a dataclass: making a dataclass costs every command
+    process about a millisecond.
     """
 
     def __init__(self, columns: tuple[str, ...], rows: Sequence[tuple]) -> None:
@@ -131,18 +126,15 @@ class _Table:
         return tuple(_NUMBER_SPECS[type(v)] for v in first)
 
     def json(self, level: int) -> str:
-        if not self.rows:
-            return "[]"
-        pad = "  " * level
-        specs, rows = self._specs(), self.rows
-        if specs is None:  # each cell's text fills a %s slot
-            specs = ("%s",) * len(self.columns)
-            rows = [_json_values(row, level + 2) for row in rows]
+        specs = self._specs()
+        if specs is None:  # no row, or not all numbers: render the dicts it stands for
+            return _json_render([dict(zip(self.columns, row)) for row in self.rows], level)
         # the JSON template is itself %-formatted with the directives, so a %
         # in a column name is escaped once for each of the two formattings
         keys = tuple(c.replace("%", "%%") for c in self.columns)
+        pad = "  " * level
         row = pad + "  " + _json_template(keys, level + 1) % specs
-        return "[\n" + ",\n".join(map(row.__mod__, rows)) + "\n" + pad + "]"
+        return "[\n" + ",\n".join(map(row.__mod__, self.rows)) + "\n" + pad + "]"
 
     def csv(self) -> str:
         import csv  # only a --format csv process loads the module
@@ -621,21 +613,6 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-class _AllCommandsNeeded(Exception):
-    """A usage error at the top of a parser built for one command."""
-
-
-class _OneCommandParser(_Parser):
-    """The top level of a parser holding one command's subparser.
-
-    Its usage line would list that command alone, so a top-level usage
-    error prints nothing here; ``main`` parses again with every command.
-    """
-
-    def error(self, message: str):
-        raise _AllCommandsNeeded
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of ``command`` alone when it is given."""
     def loads(text: str) -> Any:
@@ -646,10 +623,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             raise ValueError("JSON nested too deeply") from exc
 
     # allow_abbrev=False: a flag spelled in part is a usage error, never another flag
-    parser = (_Parser if command is None else _OneCommandParser)(
-        prog="lexopt", description=__doc__.splitlines()[0], allow_abbrev=False)
+    parser = _Parser(prog="lexopt", description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"lexopt {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # one command's usage line lists every command, in the text argparse's
+    # default metavar gives the full parser; the full parser keeps the
+    # default, so its missing-command error still names "command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                       metavar=metavar)
     for name in COMMANDS if command is None else (command,):
         spec = COMMANDS[name]
         sub = subparsers.add_parser(name, help=spec.help, allow_abbrev=False)
@@ -668,14 +649,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command word needs only its own subparser; the help, version and
-    # usage text that lists every command comes from the full parser
+    # a command word needs only its own subparser; any other first word
+    # (top-level --help, no or an unknown command) builds all nine
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        try:
-            args = build_parser(command).parse_args(argv)
-        except _AllCommandsNeeded:
-            args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse exits with an int: 0 for --help, 64 for usage
         return exc.code
 

@@ -39,6 +39,8 @@ class StrategyGame:
             raise InvalidParameterError("utilities must contain at least one strategy")
         for name, u in utilities.items():
             require_finite(f"utilities[{name!r}]", u)
+        if isinstance(self.allowed, (str, bytes, bytearray)):  # would be read as its characters
+            raise TypeError(f"allowed must be a set of strategy names, got {self.allowed!r}")
         allowed = frozenset(self.allowed)
         if not allowed:
             raise InvalidParameterError("allowed must be nonempty")
@@ -117,9 +119,11 @@ def apply_penalty(g: StrategyGame, tau: float) -> StrategyGame:
 
 def compliance_dominant(g: StrategyGame, margin: float) -> bool:
     """True when the best allowed strategy beats every disallowed one by >= margin."""
+    margin = as_float("margin", margin)
+    if not math.isfinite(margin):
+        raise InvalidParameterError(f"margin must be finite, got {margin!r}")
     if not g.disallowed:
         return True
-    margin = as_float("margin", margin)
     _, best_in = best_allowed(g)
     _, best_out = _argmax(g.utilities, g.disallowed)
     return best_in >= best_out + margin

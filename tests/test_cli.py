@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from lexopt import __version__, default_config, solve_closed_form
-from lexopt.cli import COMMANDS, _build_sim_config, _emit, _merge_params, build_parser, main
+from lexopt.cli import (COMMANDS, _build_sim_config, _emit, _merge_params, build_parser, entry,
+                        main)
 from lexopt.errors import DomainError, InvalidParameterError
 
 BARGAIN_ARGS = ["--p", "0.5", "--W_B", "100", "--S_B", "60", "--C_a", "10", "--C_b", "4"]
@@ -687,7 +688,8 @@ PARSE_CASES = [
 
 class TestOneSubparserPerCommand:
     """``main`` builds only the named command's subparser, and all nine only
-    where the output lists them; its bytes are the full parser's."""
+    for top-level --help and no or an unknown command; its bytes are the
+    full parser's."""
 
     @pytest.fixture(autouse=True)
     def _fixed_environment(self, monkeypatch):
@@ -743,15 +745,16 @@ class TestOneSubparserPerCommand:
         assert main(shlex.split(argv)) == 0
         assert added == [argv.split()[0]]
 
-    @pytest.mark.parametrize("argv, first", [
-        ("--help", []), ("", []), ("nope", []),
-        # a top-level usage error: the usage line lists every command
-        ("bargain --bogus 1", ["bargain"]),
-    ])
-    def test_output_listing_the_commands_adds_all_nine(self, capsys, added, argv, first):
+    @pytest.mark.parametrize("argv", ["--help", "", "nope"])
+    def test_output_listing_the_commands_adds_all_nine(self, capsys, added, argv):
         main(shlex.split(argv))
-        assert added == [*first, *COMMANDS]
+        assert added == list(COMMANDS)
         assert "{" + ",".join(COMMANDS) + "}" in "".join(capsys.readouterr())
+
+    def test_top_level_usage_error_lists_every_command_from_one_subparser(self, capsys, added):
+        assert main(["bargain", "--bogus", "1"]) == 64
+        assert added == ["bargain"]
+        assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().err
 
     def test_build_parser_still_has_every_command(self, added):
         build_parser()
@@ -761,6 +764,12 @@ class TestOneSubparserPerCommand:
 class TestErrorPaths:
     def test_no_command_is_a_usage_error(self, capsys):
         assert run_cli(capsys, [])[0] == 64
+
+    def test_no_command_error_names_the_command_argument(self, capsys):
+        # the full parser keeps argparse's default metavar, on every Python version
+        code, out, err = run_cli(capsys, [])
+        assert (code, out) == (64, "")
+        assert err.endswith("error: the following arguments are required: command\n")
 
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert run_cli(capsys, ["transmogrify"])[0] == 64
@@ -907,6 +916,23 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"lexopt {__version__}"
+
+    def test_entry_exits_with_the_code_of_main(self, capsys, monkeypatch):
+        argv = ["bargain", *BARGAIN_ARGS]
+        want = run_cli(capsys, argv)
+        monkeypatch.setattr(sys, "argv", ["lexopt", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == want
+        assert want[0] == 0 and parse_json(want[1])["L_C"] == 11
+
+    def test_entry_exits_64_on_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["lexopt", "bargain", "--bogus", "1"])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
 
     def test_usage_exit_code_through_the_real_process(self):
         proc = subprocess.run(

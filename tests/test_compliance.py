@@ -54,6 +54,13 @@ class TestStrategyGameValidation:
         with pytest.raises(InvalidParameterError, match=r"utilities\['a'\] must be a number"):
             StrategyGame(utilities={"a": u, "b": 2}, allowed=frozenset({"a"}))
 
+    @pytest.mark.parametrize("allowed", ["ab", b"ab", bytearray(b"ab")],
+                             ids=["str", "bytes", "bytearray"])
+    def test_text_allowed_is_a_type_error(self, allowed):
+        # a string would be read as a set of its characters, here {"a", "b"}
+        with pytest.raises(TypeError, match="allowed must be a set of strategy names"):
+            StrategyGame(utilities={"ab": 1.0, "a": 5.0, "b": 0.0}, allowed=allowed)
+
     def test_disallowed_is_the_complement(self):
         assert GAME.disallowed == frozenset({"evade"})
 
@@ -219,3 +226,13 @@ class TestComplianceDominant:
         )
         assert compliance_dominant(g, margin=0.5)
         assert not compliance_dominant(g, margin=0.6)
+
+    @pytest.mark.parametrize("margin", [float("nan"), -math.inf, math.inf])
+    def test_non_finite_margin_is_invalid(self, margin):
+        with pytest.raises(InvalidParameterError) as exc:
+            compliance_dominant(GAME, margin)
+        assert str(exc.value) == f"margin must be finite, got {margin!r}"
+
+    @pytest.mark.parametrize("margin, dominant", [(0.0, False), (-2.0, True), (-1.9, False)])
+    def test_zero_and_negative_margins_are_kept(self, margin, dominant):
+        assert compliance_dominant(GAME, margin) is dominant
