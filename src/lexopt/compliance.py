@@ -16,8 +16,8 @@ identifier, which keeps every selection deterministic.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from ._validation import as_float, require_finite
 from .errors import DomainError, InvalidParameterError
@@ -34,6 +34,11 @@ class StrategyGame:
     allowed: frozenset[str]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.utilities, Mapping):  # dict() would read pairs from a sequence
+            raise TypeError(
+                f"utilities must be a mapping of strategy names to utilities, "
+                f"got {type(self.utilities).__name__}"
+            )
         utilities = dict(self.utilities)
         if not utilities:
             raise InvalidParameterError("utilities must contain at least one strategy")

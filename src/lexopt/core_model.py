@@ -134,6 +134,21 @@ def resolve_thresholds(
     return theta_a, theta_b
 
 
+def require_thresholds(
+    theta_a: float | None, theta_b: float | None
+) -> tuple[float | None, float | None]:
+    """The cutoffs given, as floats: both finite first, then both > 0; None stays None."""
+    if theta_a is not None:
+        theta_a = require_finite("theta_a", theta_a)
+    if theta_b is not None:
+        theta_b = require_finite("theta_b", theta_b)
+    if theta_a is not None and theta_a <= 0.0:
+        raise InvalidParameterError(f"theta_a must be > 0, got {theta_a!r}")
+    if theta_b is not None and theta_b <= 0.0:
+        raise InvalidParameterError(f"theta_b must be > 0, got {theta_b!r}")
+    return theta_a, theta_b
+
+
 def classify_scenario(
     c: CaseParameters,
     theta_a: float | None = None,
@@ -151,13 +166,7 @@ def classify_scenario(
     payoff.  Every other quadrant goes to trial.  Thresholds default to
     P_C / 2 and must be strictly positive.
     """
-    theta_a, theta_b = resolve_thresholds(c, theta_a, theta_b)
-    theta_a = require_finite("theta_a", theta_a)
-    theta_b = require_finite("theta_b", theta_b)
-    if theta_a <= 0.0:
-        raise InvalidParameterError(f"theta_a must be > 0, got {theta_a!r}")
-    if theta_b <= 0.0:
-        raise InvalidParameterError(f"theta_b must be > 0, got {theta_b!r}")
+    theta_a, theta_b = require_thresholds(*resolve_thresholds(c, theta_a, theta_b))
 
     high_b = c.C_b >= theta_b
     high_a = c.C_a >= theta_a

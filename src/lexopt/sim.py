@@ -22,29 +22,32 @@ Each tick runs one cohort of potential injurers through the model:
     - injuries * L_harm                       (harm).
     The welfare carried on the state is the running total.
 
-The administration-cost sweep reruns the full horizon for each C_a on a
-grid under the identical configuration and seed, reporting aggregate trials,
-the run-level settlement rate, and final welfare per grid point, with the
-best-welfare and fewest-trials rows flagged (ties to the smallest C_a).
-Whether the welfare argmax sits at an interior C_a is reported by the data,
-never asserted by the code.
+The administration-cost sweep reports the full horizon's aggregate trials,
+run-level settlement rate and final welfare for each C_a on a grid under
+the identical configuration and seed, with the best-welfare and
+fewest-trials rows flagged (ties to the smallest C_a).  Whether the welfare
+argmax sits at an interior C_a is reported by the data, never asserted by
+the code.
 
 A run is compiled once before its first tick: the dispute primitives, the
 thresholds and the settle/trial decision do not change over a run, and the
 precaution choice depends only on the lagged settlement rate, which is 0.0
 on the first tick and exactly 0.0 or 1.0 after it.  harm_probability_fn is
 therefore treated as a pure function, evaluated once per distinct rate in a
-run.  One walk yields a run's ticks as stretches at one precaution level:
+walk.  One walk yields a run's ticks as stretches at one precaution level:
 a deterministic run is at most two stretches, the first tick and the rest,
-whose ticks share one outcome.  The sweep adds each stretch's filings and
-welfare in C, in tick order from +0.0, with the bits of the per-tick loop,
-and takes settlements and trials from filings, as a run settles or tries
-every filing as a block.  A stochastic run draws each stretch of ticks at
-one precaution level in one numpy call, with the values of one draw per
-tick; a settling run's rate flips with a zero draw, so it redraws from the
-state saved before the chunk up to that draw.  ``step`` in
-stochastic mode needs the caller's ``rng``, passed on every call, and makes
-one scalar draw from it.
+whose ticks share one outcome.  The walk reads C_a only through the
+settle/trial decision, so the sweep walks the horizon once per decision
+class, not once per cell.  It adds each stretch's filings once per class
+and its welfare once per trial cell and once for all settling cells, whose
+ticks try nothing and so do not read C_a; the adds run in C, in tick order
+from +0.0, with the bits of the per-tick loop.  Settlements and trials come
+from filings, as a run settles or tries every filing as a block.  A
+stochastic run draws each stretch of ticks at one precaution level in one
+numpy call, with the values of one draw per tick; a settling run's rate
+flips with a zero draw, so it redraws from the state saved before the chunk
+up to that draw.  ``step`` in stochastic mode needs the caller's ``rng``,
+passed on every call, and makes one scalar draw from it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,13 @@ from ._validation import (
     require_unit_interval,
     shown,
 )
-from .core_model import CaseParameters, Decision, classify_scenario, resolve_thresholds
+from .core_model import (
+    CaseParameters,
+    Decision,
+    classify_scenario,
+    require_thresholds,
+    resolve_thresholds,
+)
 from .errors import InvalidParameterError
 
 if TYPE_CHECKING:
@@ -158,6 +167,8 @@ class SimConfig:
                     f"rises at B={B}"
                 )
             previous = p
+        # given cutoffs that classify_scenario would refuse, refused before any run
+        require_thresholds(self.theta_a, self.theta_b)
 
     def thresholds(self) -> tuple[float, float]:
         case = self.case_template.with_admin_cost(self.C_a_policy)
@@ -364,24 +375,35 @@ def require_admin_cost_grid(C_a_grid: Sequence[float]) -> list[float]:
 
 
 def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow]:
-    """Rerun the horizon for each administration cost on the grid.
+    """The horizon's totals at each administration cost on the grid.
 
-    Every run shares cfg (including the seed); the settlement rate reported
-    per row is total settlements over total filings for that run.  Exactly
+    Every cell shares cfg (including the seed), so the cells that settle
+    share one walk of the horizon and the cells that go to trial another:
+    the precaution choice reads the lagged rate, never C_a.  Each stretch is
+    added to every trial cell, and once for all settling cells, whose ticks
+    try nothing and so hold the same welfare.  The settlement rate reported
+    per row is total settlements over total filings for that cell.  Exactly
     one row is flagged best_welfare and one fewest_trials (ties to the
     smallest C_a).
     """
     grid = require_admin_cost_grid(C_a_grid)
-    results = []
-    for C_a in grid:
-        plan = _RunPlan(cfg, C_a)
-        filings = welfare = 0.0
+    plans = [_RunPlan(cfg, C_a) for C_a in grid]  # every cell's errors first, in grid order
+    classes: dict[bool, list[int]] = {}
+    for i, plan in enumerate(plans):
+        classes.setdefault(plan.settles, []).append(i)
+    results: list[tuple] = [()] * len(grid)
+    for settles, cells in classes.items():
+        summed = cells[:1] if settles else cells  # a settling cell's welfare never reads C_a
+        filings, welfare = 0.0, [0.0] * len(summed)
         # from +0.0, left to right as += adds (sum() compensates); every injury is a filing
-        for B, injuries in _stretches(plan, _generator(cfg), 0.0, cfg.ticks):
+        for B, injuries in _stretches(plans[cells[0]], _generator(cfg), 0.0, cfg.ticks):
             filings = reduce(add, injuries, filings)
-            welfare = reduce(add, map(itemgetter(4), plan.ticks(B, injuries)), welfare)
-        settlements, trials = (filings, 0.0) if plan.settles else (0.0, filings)  # block decision
-        results.append((C_a, trials, settlements / filings if filings > 0.0 else 0.0, welfare))
+            welfare = [reduce(add, map(itemgetter(4), plans[i].ticks(B, injuries)), w)
+                       for i, w in zip(summed, welfare)]
+        settlements, trials = (filings, 0.0) if settles else (0.0, filings)  # block decision
+        rate = settlements / filings if filings > 0.0 else 0.0
+        for i, w in zip(cells, welfare * len(cells) if settles else welfare):
+            results[i] = (grid[i], trials, rate, w)
 
     best_welfare_at = max(range(len(results)), key=lambda i: (results[i][3], -i))
     fewest_trials_at = min(range(len(results)), key=lambda i: (results[i][1], i))

@@ -423,6 +423,8 @@ class TestSimulateAndSweep:
                 ("--harm_p0", "2", "harm_p0 must lie in [0, 1], got 2.0"),
                 ("--harm_decay", "-1", "harm_decay must be >= 0, got -1.0"),
                 ("--precaution_grid", "[-1]", "precaution_grid[0] must be >= 0, got -1.0"),
+                ("--theta_a", "-1", "theta_a must be > 0, got -1.0"),
+                ("--theta_b", "nan", "theta_b must be finite, got nan"),
             )
         ] + [("simulate", "--C_a", "-1", "C_a must be >= 0, got -1.0")],
     )

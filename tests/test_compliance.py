@@ -61,6 +61,13 @@ class TestStrategyGameValidation:
         with pytest.raises(TypeError, match="allowed must be a set of strategy names"):
             StrategyGame(utilities={"ab": 1.0, "a": 5.0, "b": 0.0}, allowed=allowed)
 
+    @pytest.mark.parametrize("utilities", ["ab", ["ab"], [("a", 1.0)], None],
+                             ids=["str", "list-of-str", "list-of-pairs", "None"])
+    def test_utilities_of_another_type_is_a_type_error(self, utilities):
+        # dict() read "ab" as a bad pair and ["ab"] as {"a": "b"}
+        with pytest.raises(TypeError, match="^utilities must be a mapping of strategy names"):
+            StrategyGame(utilities=utilities, allowed=frozenset({"a"}))
+
     def test_disallowed_is_the_complement(self):
         assert GAME.disallowed == frozenset({"evade"})
 

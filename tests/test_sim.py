@@ -25,6 +25,7 @@ from lexopt import (
     step,
     sweep_admin_cost,
 )
+from lexopt import sim
 from lexopt._validation import require_unit_interval
 from lexopt.sim import (
     INITIAL_STATE,
@@ -176,6 +177,23 @@ class TestThresholds:
     def test_mixed_override(self):
         cfg = small_config(theta_a=3.0)
         assert cfg.thresholds() == (3.0, 27.5)
+
+    @pytest.mark.parametrize("theta_a,theta_b", [
+        (math.nan, -3.0), (-1.0, math.nan), (-1.0, None), (None, 0.0), (math.inf, 1.0),
+        (1.0, -math.inf), (-1.0, -2.0), ("x", 1.0),
+    ])
+    def test_given_cutoffs_are_refused_as_classify_scenario_refuses_them(self, theta_a, theta_b):
+        # thresholds() once returned (nan, -3.0), and only a run refused them
+        case = small_config().case_template.with_admin_cost(10.0)
+        with pytest.raises(InvalidParameterError) as expected:
+            classify_scenario(case, theta_a, theta_b)
+        with pytest.raises(InvalidParameterError) as refused:
+            small_config(theta_a=theta_a, theta_b=theta_b)
+        assert str(refused.value) == str(expected.value)
+
+    def test_cutoffs_are_checked_last(self):
+        with pytest.raises(InvalidParameterError, match="^harm_probability_fn"):
+            small_config(theta_a=math.nan, harm_probability_fn=lambda B: 2.0)
 
 
 @st.composite
@@ -673,6 +691,95 @@ class TestAgainstReferenceLoop:
         cfg = replace(default_config(), ticks=500)
         grid = default_sweep_grid()
         assert _hex_fields(sweep_admin_cost(cfg, grid)) == _hex_fields(reference_sweep(cfg, grid))
+
+    def test_one_generator_per_decision_class(self, monkeypatch):
+        # the cells of a class share one walk, so a sweep seeds one stream per
+        # class, not one per cell
+        calls = []
+        generator = sim._generator
+
+        def counting(cfg):
+            calls.append(cfg)
+            return generator(cfg)
+
+        monkeypatch.setattr(sim, "_generator", counting)
+        cfg = small_config(ticks=60, stochastic=True, seed=5)
+        grid = [3.0 * k for k in range(20)]
+        rows = sweep_admin_cost(cfg, grid)
+        assert {r.settlement_rate for r in rows} == {0.0, 1.0}  # both classes
+        assert len(calls) <= 2
+        assert _hex_fields(rows) == _hex_fields(reference_sweep(cfg, grid))
+
+
+def formula_cell(cfg, C_a):
+    """(settles, aggregate_trials, settlement_rate, welfare) of a cell.
+
+    Taken from the model's formulas, tick by tick in a deterministic run:
+    the quadrant rule, the precaution that minimizes B + P_harm(B) * L_harm
+    * (1 - discount * lagged rate), injuries n * P_harm(B), and the welfare
+    of a tick that settles or tries every filing.
+    """
+    t = cfg.case_template
+    half = 0.5 * (0.5 * (t.p * t.W_B + t.S_B))  # P_C / 2
+    theta_a = half if cfg.theta_a is None else cfg.theta_a
+    theta_b = half if cfg.theta_b is None else cfg.theta_b
+    settles = t.C_b < theta_b and C_a >= theta_a and t.p * t.W_B - C_a < t.S_B - t.C_b
+    rate = filings = trials = welfare = 0.0
+    for _ in range(cfg.ticks):
+        weight = 1.0 - cfg.settlement_liability_discount * rate
+        B = min(cfg.precaution_cost_grid,
+                key=lambda B: B + cfg.harm_probability_fn(B) * cfg.L_harm * weight)
+        x = cfg.n_injurers * cfg.harm_probability_fn(B)
+        s, tried = (x, 0.0) if settles else (0.0, x)
+        filings += x
+        trials += tried
+        welfare += (s * t.S_B + tried * t.p * t.W_B - (s * t.C_b + tried * C_a)
+                    - cfg.n_injurers * B - x * cfg.L_harm)
+        rate = 1.0 if settles and x > 0.0 else 0.0
+    settlement_rate = (filings if settles else 0.0) / filings if filings > 0.0 else 0.0
+    return settles, trials, settlement_rate, welfare
+
+
+class TestSweepFacts:
+    """What the model fixes across the cells of a sweep, checked on its rows."""
+
+    @settings(max_examples=200)
+    @given(cfg=sim_configs(),
+           grid=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=8, unique=True).map(sorted))
+    @example(cfg=small_config(ticks=30), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(ticks=30, stochastic=True, seed=5), grid=BOTH_DECISIONS)
+    @example(cfg=small_config(harm_probability_fn=ExponentialHarm(p0=0.0, decay=0.1)),
+             grid=BOTH_DECISIONS)
+    @example(cfg=ZERO_DRAWS, grid=BOTH_DECISIONS)
+    def test_settling_cells_share_a_row_and_trial_cells_their_trials(self, cfg, grid):
+        try:
+            rows = sweep_admin_cost(cfg, grid)
+        except InvalidParameterError:  # default cutoffs of 0, which classify_scenario refuses
+            assume(False)
+        cells = [formula_cell(cfg, C_a) for C_a in grid]
+        settles = [cell[0] for cell in cells]
+        # settling needs C_a >= theta_a and C_a > p * W_B - S_B + C_b: on an
+        # increasing grid the decision switches at most once, from trial to settle
+        assert settles == sorted(settles)
+        settling = [_hex_fields([r])[0][1:4] for r, s in zip(rows, settles) if s]
+        trying = [r for r, s in zip(rows, settles) if not s]
+        # a settling tick tries nothing, so C_a never reaches a settling row
+        assert all(row == settling[0] for row in settling)
+        assert all(r.aggregate_trials.hex() == trying[0].aggregate_trials.hex() for r in trying)
+        assert all(r.settlement_rate == 0.0 for r in trying)
+        # each trial tries as many filings, and each one costs C_a
+        assert all(a.welfare >= b.welfare for a, b in zip(trying, trying[1:]))
+
+        first_settling = settles.index(True) if any(settles) else None
+        best = [i for i, r in enumerate(rows) if r.best_welfare]
+        assert best in ([0], [first_settling])
+        fewest = [i for i, r in enumerate(rows) if r.fewest_trials]
+        if first_settling is not None and (not trying or trying[0].aggregate_trials > 0.0):
+            assert fewest == [first_settling]  # injured, so every trial cell tried some
+        if not cfg.stochastic:
+            assert [_hex_fields([r])[0][1:4] for r in rows] == [
+                [v.hex() for v in cell[1:]] for cell in cells
+            ]
 
 
 class TestStretches:
