@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from . import __version__
@@ -118,8 +119,7 @@ class _Table:
             return None
         first = self.rows[0]
         floats = [j for j, v in enumerate(first) if type(v) is float]
-        columns = list(zip(*self.rows))
-        if not all(all(map(math.isfinite, columns[j])) for j in floats):
+        if not all(all(map(math.isfinite, map(itemgetter(j), self.rows))) for j in floats):
             for row in self.rows:  # render order, so the first bad value is reported
                 for j in floats:
                     _fmt_float(row[j])
@@ -560,11 +560,13 @@ def _build_sim_config(params: dict, C_a_policy: float) -> SimConfig:
 def _run_simulate(C_a: float, **sim: Any) -> CommandOutput:
     from dataclasses import fields
 
-    from .sim import SimState, _run_rows
+    from .sim import SimState, _run_columns
 
     cfg = _build_sim_config(sim, C_a)
-    # each row holds the SimState fields in declaration order
-    rows = _Table(tuple(f.name for f in fields(SimState)), _run_rows(cfg))
+    # each row holds the SimState fields in declaration order; a stochastic
+    # run's counts are ints, which print through %d as their floats would
+    names = tuple(f.name for f in fields(SimState))
+    rows = _Table(names, list(zip(*_run_columns(cfg, whole_counts=True))))
     return CommandOutput({"seed": cfg.seed, "ticks": cfg.ticks, "rows": rows}, rows)
 
 

@@ -24,6 +24,7 @@ whether private bargaining can replace a trial at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -126,11 +127,25 @@ def resolve_thresholds(
     theta_a: float | None = None,
     theta_b: float | None = None,
 ) -> tuple[float, float]:
-    """The High/Low cutoffs to use: each one not given defaults to P_C / 2."""
+    """The High/Low cutoffs to use, as floats, each finite and > 0.
+
+    Cutoffs given are checked by require_thresholds.  Each one not given
+    defaults to P_C / 2 = (p * W_B + S_B) / 4, which is refused, naming p,
+    W_B and S_B, when it is not finite and > 0 (as when p * W_B + S_B is 0).
+    """
+    theta_a, theta_b = require_thresholds(theta_a, theta_b)
     if theta_a is None or theta_b is None:
-        default_a, default_b = default_thresholds(c)
-        theta_a = default_a if theta_a is None else theta_a
-        theta_b = default_b if theta_b is None else theta_b
+        default, _ = default_thresholds(c)
+        if not 0.0 < default < math.inf:
+            left = [name for name, theta in (("theta_a", theta_a), ("theta_b", theta_b))
+                    if theta is None]
+            raise InvalidParameterError(
+                f"{' and '.join(left)} {'default' if len(left) == 2 else 'defaults'} to "
+                f"P_C / 2 = (p * W_B + S_B) / 4, which must be finite and > 0, got {default!r} "
+                f"from p={c.p!r}, W_B={c.W_B!r}, S_B={c.S_B!r}"
+            )
+        theta_a = default if theta_a is None else theta_a
+        theta_b = default if theta_b is None else theta_b
     return theta_a, theta_b
 
 
@@ -166,7 +181,7 @@ def classify_scenario(
     payoff.  Every other quadrant goes to trial.  Thresholds default to
     P_C / 2 and must be strictly positive.
     """
-    theta_a, theta_b = require_thresholds(*resolve_thresholds(c, theta_a, theta_b))
+    theta_a, theta_b = resolve_thresholds(c, theta_a, theta_b)
 
     high_b = c.C_b >= theta_b
     high_a = c.C_a >= theta_a

@@ -36,18 +36,31 @@ on the first tick and exactly 0.0 or 1.0 after it.  harm_probability_fn is
 therefore treated as a pure function, evaluated once per distinct rate in a
 walk.  One walk yields a run's ticks as stretches at one precaution level:
 a deterministic run is at most two stretches, the first tick and the rest,
-whose ticks share one outcome.  The walk reads C_a only through the
-settle/trial decision, so the sweep walks the horizon once per decision
-class, not once per cell.  It adds each stretch's filings once per class
-and its welfare once per trial cell and once for all settling cells, whose
-ticks try nothing and so do not read C_a; the adds run in C, in tick order
-from +0.0, with the bits of the per-tick loop.  Settlements and trials come
-from filings, as a run settles or tries every filing as a block.  A
-stochastic run draws each stretch of ticks at one precaution level in one
-numpy call, with the values of one draw per tick; a settling run's rate
-flips with a zero draw, so it redraws from the state saved before the chunk
-up to that draw.  ``step`` in stochastic mode needs the caller's ``rng``,
-passed on every call, and makes one scalar draw from it.
+whose ticks share one outcome.  A stochastic run draws each stretch of
+ticks at one precaution level in one numpy call, with the values of one
+draw per tick; a settling run's rate flips with a zero draw, so it redraws
+from the state saved before the chunk up to that draw.  ``step`` in
+stochastic mode needs the caller's ``rng``, passed on every call, and makes
+one scalar draw from it.
+
+One column kernel turns a stretch into its ticks' injuries and welfare:
+the welfare is one expression, with the parentheses of the sum above,
+evaluated once per stretch, on the one float a deterministic stretch's
+ticks share or on a drawn stretch's draws as one float64 array, whose
+elementwise + - * round as Python's float arithmetic does.  A run's
+running totals, aggregate_trials and welfare, are Python's + in tick order
+from +0.0, as one step adds onto the previous state.  For ``simulate`` a
+stochastic run's count columns hold the draws as ints, and
+aggregate_trials their exact running sums, while they stay below 2**53,
+where "%d" of the int prints the digits "%.17g" prints for the float.
+
+The walk reads C_a only through the settle/trial decision, so the sweep
+walks the horizon once per decision class, not once per cell.  It adds
+each stretch's filings once per class and its welfare once per trial cell
+and once for all settling cells, whose ticks try nothing and so do not
+read C_a; the adds run in C, in tick order from +0.0, with the bits of the
+per-tick loop.  Settlements and trials come from filings, as a run settles
+or tries every filing as a block.
 """
 
 from __future__ import annotations
@@ -55,9 +68,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, repeat, starmap
-from operator import add, itemgetter
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from itertools import accumulate, starmap
+from operator import add
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ._validation import (
     as_float,
@@ -72,7 +85,6 @@ from .core_model import (
     CaseParameters,
     Decision,
     classify_scenario,
-    require_thresholds,
     resolve_thresholds,
 )
 from .errors import InvalidParameterError
@@ -167,8 +179,9 @@ class SimConfig:
                     f"rises at B={B}"
                 )
             previous = p
-        # given cutoffs that classify_scenario would refuse, refused before any run
-        require_thresholds(self.theta_a, self.theta_b)
+        # cutoffs, given or defaulted, that classify_scenario would refuse, refused
+        # before any run; the default does not depend on C_a
+        self.thresholds()
 
     def thresholds(self) -> tuple[float, float]:
         case = self.case_template.with_admin_cost(self.C_a_policy)
@@ -241,22 +254,28 @@ class _RunPlan:
         """The next tick's lagged settlement rate: every filing settled, or none did."""
         return 1.0 if self.settles and filings > 0.0 else 0.0
 
-    def ticks(self, B: float, injuries: list[float]) -> list[tuple]:
-        """(injuries, filings, settlements, trials, tick welfare) per injury count at B.
+    def columns(self, B: float, injuries: Sequence) -> tuple[list[float], list[float]]:
+        """(injuries, welfare) of each tick of a stretch at B, as lists of floats.
 
-        A deterministic stretch's injury counts are equal, so its one outcome
-        is computed once and repeated.
+        The welfare is one expression, evaluated once per stretch: on the one
+        injury count that a deterministic stretch's ticks share, or on a drawn
+        stretch's draws as one float64 array, whose elementwise + - * round
+        as Python's float arithmetic does.  An overflow leaves an inf or a
+        nan in the welfare, which the caller reports; numpy warns of none.
         """
-        repeats = 1
         if not self.cfg.stochastic:
-            injuries, repeats = injuries[:1], len(injuries)
-        case, L_harm, spend = self.case, self.cfg.L_harm, self.cfg.n_injurers * B
-        S_B, p, W_B, C_b, C_a = case.S_B, case.p, case.W_B, case.C_b, case.C_a
-        settled, tried = (injuries, repeat(0.0)) if self.settles else (repeat(0.0), injuries)
-        return [  # every filing settles or every filing goes to trial
-            (x, x, s, t, s * S_B + t * p * W_B - (s * C_b + t * C_a) - spend - x * L_harm)
-            for x, s, t in zip(injuries, settled, tried)
-        ] * repeats
+            return injuries, [self._welfare(B, injuries[0])] * len(injuries)
+        import numpy as np
+
+        x = np.asarray(injuries, dtype=float)
+        with np.errstate(all="ignore"):
+            return x.tolist(), self._welfare(B, x).tolist()
+
+    def _welfare(self, B: float, x):
+        case, cfg = self.case, self.cfg
+        s, t = (x, 0.0) if self.settles else (0.0, x)  # every filing settles or none does
+        return (s * case.S_B + t * case.p * case.W_B - (s * case.C_b + t * case.C_a)
+                - cfg.n_injurers * B - x * cfg.L_harm)
 
 
 def _generator(cfg: SimConfig) -> np.random.Generator | None:
@@ -270,7 +289,7 @@ def _generator(cfg: SimConfig) -> np.random.Generator | None:
 
 def _stretches(
     plan: _RunPlan, rng: np.random.Generator | None, rate: float, left: int
-) -> Iterator[tuple[float, list[float]]]:
+) -> Iterator[tuple[float, Sequence]]:
     """``left`` ticks' injuries from the lagged rate ``rate`` on, as (B, injuries) stretches.
 
     A stretch runs at one precaution level B up to a flip of the rate.  A
@@ -280,9 +299,10 @@ def _stretches(
     ``size=k``, whose values are those of k scalar calls; if the rate flips
     inside it, the generator's saved state is restored and only the ticks up
     to the flip are redrawn.  While a flip is likely soon, or few ticks are
-    left, each tick is one scalar call.  With no rng the ticks are the
-    deterministic expectation n * p, a stretch to the horizon once the rate
-    stops flipping.
+    left, each tick is one scalar call.  A drawn stretch's injuries are its
+    integer draws, an int64 array or a list of the scalar calls' ints.  With
+    no rng the ticks are the deterministic expectation n * p, a list of
+    equal floats, a stretch to the horizon once the rate stops flipping.
     """
     n, sizes = plan.cfg.n_injurers, {}
     while left:
@@ -297,17 +317,16 @@ def _stretches(
         if rng is None:  # a deterministic tick depends on the rate alone
             injuries = [n * p_harm] * (left if plan.rate_after(n * p_harm) == rate else 1)
         elif size < _CHUNK_MIN:
-            injuries = [float(rng.binomial(n, p_harm))]
+            injuries = [rng.binomial(n, p_harm)]
             while len(injuries) < left and plan.rate_after(injuries[-1]) == rate:
-                injuries.append(float(rng.binomial(n, p_harm)))
+                injuries.append(rng.binomial(n, p_harm))
         else:
             saved = rng.bit_generator.state
-            drawn = rng.binomial(n, p_harm, size=size)
-            flips = ((drawn > 0) != (rate > 0.0)).nonzero()[0] if plan.settles else ()
+            injuries = rng.binomial(n, p_harm, size=size)
+            flips = ((injuries > 0) != (rate > 0.0)).nonzero()[0] if plan.settles else ()
             if len(flips) and flips[0] + 1 < size:
                 rng.bit_generator.state = saved
-                drawn = rng.binomial(n, p_harm, size=flips[0] + 1)
-            injuries = drawn.astype(float).tolist()
+                injuries = rng.binomial(n, p_harm, size=flips[0] + 1)
         yield B, injuries
         left -= len(injuries)
         rate = plan.rate_after(injuries[-1])
@@ -328,35 +347,60 @@ def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None
         )
     plan = _RunPlan(cfg, cfg.C_a_policy)
     stretch = next(_stretches(plan, rng if cfg.stochastic else None, _settlement_rate(state), 1))
-    injuries, filings, settlements, trials, welfare = plan.ticks(*stretch)[0]
-    return SimState(state.tick + 1, injuries, filings, settlements, trials,
+    (injuries,), (welfare,) = plan.columns(*stretch)
+    settlements, trials = (injuries, 0.0) if plan.settles else (0.0, injuries)
+    return SimState(state.tick + 1, injuries, injuries, settlements, trials,
                     state.aggregate_trials + trials, state.welfare + welfare)
 
 
-def _run_rows(cfg: SimConfig) -> list[tuple]:
-    """Full horizon from the zero state, one tuple of the SimState fields per tick.
+#: Below 2**53 an integral float is an int exactly, and "%d" of the int
+#: prints the digits "%.17g" prints for the float.
+_WHOLE_LIMIT = 2**53
 
-    The tuples hold what run_simulation's states hold, in field order, without
-    a record per tick: (tick, injuries, filings, settlements, trials,
-    aggregate_trials, welfare).
+
+def _running(terms: Iterable, start):
+    """The running totals of ``terms`` from ``start``, each Python's + onto the last."""
+    totals = list(accumulate(terms, initial=start))
+    del totals[0]
+    return totals
+
+
+def _run_columns(cfg: SimConfig, whole_counts: bool = False) -> list[Sequence]:
+    """The SimState fields over the full horizon from the zero state, one column per field.
+
+    Each stretch's ticks come from ``_RunPlan.columns``; aggregate_trials and
+    welfare are running totals, added in tick order from +0.0 as step adds
+    onto the previous state.  With ``whole_counts`` a stochastic run's
+    injuries, filings, settlements and trials are the draws as ints, and
+    aggregate_trials their running sums, each column while all its values
+    stay below 2**53; a column that reaches it holds floats.
     """
     plan = _RunPlan(cfg, cfg.C_a_policy)
-    stretches = _stretches(plan, _generator(cfg), 0.0, cfg.ticks)
-    rows = []
-    # explicit + in tick order, as step accumulates onto the previous state
-    aggregate_trials = welfare = 0.0
-    for tick, (injuries, filings, settlements, trials, w) in enumerate(
-        chain.from_iterable(starmap(plan.ticks, stretches)), 1
-    ):
-        aggregate_trials += trials
+    stretches = list(_stretches(plan, _generator(cfg), 0.0, cfg.ticks))
+    injuries, welfare = [], []
+    for x, w in starmap(plan.columns, stretches):
+        injuries += x
         welfare += w
-        rows.append((tick, injuries, filings, settlements, trials, aggregate_trials, welfare))
-    return rows
+    whole = False
+    if whole_counts and cfg.stochastic:
+        import numpy as np
+
+        draws = np.concatenate([drawn for _, drawn in stretches])
+        whole = draws.max() < _WHOLE_LIMIT
+        if whole:
+            injuries = draws.tolist()
+    none = [0 if whole else 0.0] * cfg.ticks
+    settlements, trials = (injuries, none) if plan.settles else (none, injuries)
+    aggregate_trials = _running(trials, none[0])
+    if whole and aggregate_trials[-1] >= _WHOLE_LIMIT:
+        aggregate_trials = _running(map(float, trials), 0.0)
+    return [range(1, cfg.ticks + 1), injuries, injuries, settlements, trials, aggregate_trials,
+            _running(welfare, 0.0)]
 
 
 def run_simulation(cfg: SimConfig) -> list[SimState]:
     """Full horizon from the zero state; returns the state after each tick."""
-    return [SimState(*row) for row in _run_rows(cfg)]
+    return list(map(SimState, *_run_columns(cfg)))
 
 
 @dataclass(frozen=True)
@@ -396,10 +440,10 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
         summed = cells[:1] if settles else cells  # a settling cell's welfare never reads C_a
         filings, welfare = 0.0, [0.0] * len(summed)
         # from +0.0, left to right as += adds (sum() compensates); every injury is a filing
-        for B, injuries in _stretches(plans[cells[0]], _generator(cfg), 0.0, cfg.ticks):
-            filings = reduce(add, injuries, filings)
-            welfare = [reduce(add, map(itemgetter(4), plans[i].ticks(B, injuries)), w)
-                       for i, w in zip(summed, welfare)]
+        for stretch in _stretches(plans[cells[0]], _generator(cfg), 0.0, cfg.ticks):
+            columns = [plans[i].columns(*stretch) for i in summed]
+            filings = reduce(add, columns[0][0], filings)
+            welfare = [reduce(add, w, total) for (_, w), total in zip(columns, welfare)]
         settlements, trials = (filings, 0.0) if settles else (0.0, filings)  # block decision
         rate = settlements / filings if filings > 0.0 else 0.0
         for i, w in zip(cells, welfare * len(cells) if settles else welfare):

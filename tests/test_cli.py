@@ -2,13 +2,15 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from lexopt import __version__, default_config, solve_closed_form
+from lexopt import __version__, default_config, run_simulation, solve_closed_form
 from lexopt.cli import (COMMANDS, _build_sim_config, _emit, _merge_params, build_parser, entry,
                         main)
 from lexopt.errors import DomainError, InvalidParameterError
@@ -432,6 +434,35 @@ class TestSimulateAndSweep:
         argv = [command, *self.SMALL, "--seed", "0", flag, value, "--format", fmt]
         code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    ZERO_POOL = ("theta_a and theta_b default to P_C / 2 = (p * W_B + S_B) / 4, which must be "
+                 "finite and > 0, got 0.0 from p=0.0, W_B=100.0, S_B=0.0")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--seed", "0", "--p", "0", "--S_B", "0"], ZERO_POOL),
+        (["sweep", "--seed", "0", "--p", "0", "--S_B", "0"], ZERO_POOL),
+        (["classify", "--p", "0", "--W_B", "100", "--S_B", "0", "--C_a", "1", "--C_b", "1"],
+         ZERO_POOL),
+        (["simulate", "--seed", "0", "--p", "0", "--S_B", "0", "--theta_a", "3"],
+         ZERO_POOL.replace("theta_a and theta_b default", "theta_b defaults")),
+        (["classify", "--p", "1", "--W_B", "1e308", "--S_B", "1e308", "--C_a", "1", "--C_b", "1",
+          "--theta_b", "3"],
+         "theta_a defaults to P_C / 2 = (p * W_B + S_B) / 4, which must be finite and > 0, "
+         "got inf from p=1.0, W_B=1e+308, S_B=1e+308"),
+    ], ids=["simulate", "sweep", "classify", "simulate-theta_a", "classify-inf"])
+    def test_default_thresholds_that_are_not_positive_name_their_inputs(
+        self, capsys, argv, message, fmt
+    ):
+        # these once said "theta_a must be > 0, got 0.0", naming a flag never given
+        code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_zero_benefit_pool_runs_with_both_thresholds_given(self, capsys):
+        for command in ("simulate", "sweep"):
+            argv = [command, *self.SMALL, "--seed", "0", "--p", "0", "--S_B", "0",
+                    "--theta_a", "1", "--theta_b", "1"]
+            assert run_cli(capsys, argv)[0] == 0
 
     def test_simulate_flag_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["simulate", "--seed", "0"])
@@ -877,6 +908,37 @@ class TestFloatRangeFailures:
         code, out, err = run_cli(capsys, [*argv, "--format", fmt])
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: result overflowed the representable range: -inf"]
+
+    # the per-tick harm x * L_harm overflows at once, or the running welfare
+    # total (about -1.9e306 a tick) first overflows at tick 83 of 100; C_a 10
+    # goes to trial, 55 settles
+    STOCHASTIC_OVERFLOWS = [["--L_harm", L_harm, "--C_a", C_a]
+                            for L_harm in ("1e308", "1.6e304") for C_a in ("10", "55")]
+    STOCHASTIC_OVERFLOW = "error: result overflowed the representable range: -inf"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("flags", STOCHASTIC_OVERFLOWS, ids=" ".join)
+    def test_stochastic_overflow_is_one_error_line(self, capsys, flags, fmt):
+        # numpy's elementwise arithmetic warns of an overflow unless told not to,
+        # and its RuntimeWarning would print above the error line
+        argv = ["simulate", "--seed", "0", "--stochastic", *flags, "--format", fmt]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out, err.splitlines()) == (2, "", [self.STOCHASTIC_OVERFLOW])
+        assert caught == []
+        proc = subprocess.run([sys.executable, "-m", "lexopt", *argv], capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [self.STOCHASTIC_OVERFLOW]
+
+    def test_late_stochastic_overflow_comes_from_the_running_total(self):
+        config = _build_sim_config(
+            _merge_params(COMMANDS["simulate"].fields, build_parser().parse_args(
+                ["simulate", "--seed", "0", "--stochastic", "--L_harm", "1.6e304"])),
+            10.0)
+        welfare = [s.welfare for s in run_simulation(config)]
+        assert all(map(math.isfinite, welfare[:80])) and welfare[-1] == -math.inf
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_final_utility_is_a_domain_failure(self, capsys, fmt):

@@ -138,6 +138,37 @@ class TestClassifyScenario:
         with pytest.raises(InvalidParameterError, match="theta"):
             classify_scenario(RUNNING_CASE, theta_a, theta_b)
 
+    ZERO_POOL = CaseParameters(p=0.0, W_B=100.0, S_B=0.0, C_a=1.0, C_b=1.0)
+
+    @pytest.mark.parametrize("case,theta_a,theta_b,message", [
+        (ZERO_POOL, None, None,
+         "theta_a and theta_b default to P_C / 2 = (p * W_B + S_B) / 4, which must be finite "
+         "and > 0, got 0.0 from p=0.0, W_B=100.0, S_B=0.0"),
+        (ZERO_POOL, 3.0, None,
+         "theta_b defaults to P_C / 2 = (p * W_B + S_B) / 4, which must be finite and > 0, "
+         "got 0.0 from p=0.0, W_B=100.0, S_B=0.0"),
+        # (p * W_B + S_B) / 4 underflows to 0
+        (CaseParameters(p=0.0, W_B=1.0, S_B=5e-324, C_a=1.0, C_b=1.0), None, 3.0,
+         "theta_a defaults to P_C / 2 = (p * W_B + S_B) / 4, which must be finite and > 0, "
+         "got 0.0 from p=0.0, W_B=1.0, S_B=5e-324"),
+        (CaseParameters(p=1.0, W_B=1e308, S_B=1e308, C_a=1.0, C_b=1.0), None, None,
+         "theta_a and theta_b default to P_C / 2 = (p * W_B + S_B) / 4, which must be finite "
+         "and > 0, got inf from p=1.0, W_B=1e+308, S_B=1e+308"),
+    ], ids=["zero", "zero-theta_a-given", "underflow", "inf"])
+    def test_default_thresholds_that_are_not_positive_name_their_inputs(
+        self, case, theta_a, theta_b, message
+    ):
+        # a default of 0.0 was refused as "theta_a must be > 0, got 0.0"
+        with pytest.raises(InvalidParameterError) as refused:
+            classify_scenario(case, theta_a, theta_b)
+        assert str(refused.value) == message
+
+    def test_given_thresholds_are_checked_before_the_defaults(self):
+        with pytest.raises(InvalidParameterError, match="^theta_a must be > 0, got -1.0$"):
+            classify_scenario(self.ZERO_POOL, -1.0, None)
+        s = classify_scenario(self.ZERO_POOL, 1.0, 1.0)  # no default needed
+        assert s.label is CostRegime.HIGH_CB_HIGH_CA
+
 
 class TestHandLiability:
     def test_cheap_precaution_liable(self):

@@ -380,6 +380,19 @@ class TestSimulateAgainstTheReference:
     @example(params={**DEFAULT_SIMULATE, "C_a": 55.0, "ticks": 300, "stochastic": True})
     @example(params={**DEFAULT_SIMULATE, "C_a": 10.0, "ticks": 1, "stochastic": True})
     @example(params={**DEFAULT_SIMULATE, "C_a": 55.0, "ticks": 1, "stochastic": False})
+    # where the counts print as ints and where they switch back to floats: draws
+    # above 1e17, past 2**53, so every count column renders through %.17g ...
+    @example(params={**DEFAULT_SIMULATE, "C_a": 10.0, "ticks": 5, "stochastic": True,
+                     "n_injurers": 2**63 - 1})
+    @example(params={**DEFAULT_SIMULATE, "C_a": 55.0, "ticks": 5, "stochastic": True,
+                     "n_injurers": 2**63 - 1})
+    # ... and draws of about 3e13 a tick, whose aggregate_trials in a trial run
+    # crosses 2**53 at tick 298 of 300 and renders as floats; a settling run
+    # tries nothing, so there it stays 0 and every count column prints as ints
+    @example(params={**DEFAULT_SIMULATE, "C_a": 10.0, "ticks": 300, "stochastic": True,
+                     "n_injurers": 5 * 10**14})
+    @example(params={**DEFAULT_SIMULATE, "C_a": 55.0, "ticks": 300, "stochastic": True,
+                     "n_injurers": 5 * 10**14})
     def test_stdout_bytes(self, params):
         try:
             rows = [vars(s) for s in reference_run(simulate_config(params))]
@@ -407,6 +420,16 @@ class TestSimulateAgainstTheReference:
 
 
 class TestFloatText:
+    @settings(max_examples=300)
+    @given(x=st.integers(0, 2**53 - 1).map(float))
+    @example(x=0.0)
+    @example(x=float(2**53 - 1))
+    @example(x=1e15)
+    @example(x=float(2**52 + 1))
+    def test_whole_floats_below_2_to_the_53_print_as_their_int(self, x):
+        # simulate prints a stochastic run's counts as ints through %d
+        assert "%d" % int(x) == "%.17g" % x
+
     def test_percent_format_equals_format_on_random_bit_patterns(self):
         # _fmt_float writes "%.17g" % x where the earlier code wrote format(x, ".17g")
         rng = random.Random(20211)

@@ -29,6 +29,7 @@ from lexopt import sim
 from lexopt._validation import require_unit_interval
 from lexopt.sim import (
     INITIAL_STATE,
+    _run_columns,
     _RunPlan,
     _settlement_rate,
     _stretches,
@@ -190,6 +191,19 @@ class TestThresholds:
         with pytest.raises(InvalidParameterError) as refused:
             small_config(theta_a=theta_a, theta_b=theta_b)
         assert str(refused.value) == str(expected.value)
+
+    def test_default_cutoffs_of_zero_are_refused_on_construction(self):
+        # the run refused them once, with "theta_a must be > 0, got 0.0"
+        template = CaseTemplate(p=0.0, W_B=100.0, S_B=0.0, C_b=4.0)
+        with pytest.raises(InvalidParameterError) as expected:
+            classify_scenario(template.with_admin_cost(10.0))
+        assert str(expected.value).startswith("theta_a and theta_b default to P_C / 2")
+        for stochastic in (False, True):
+            with pytest.raises(InvalidParameterError) as refused:
+                small_config(case_template=template, stochastic=stochastic)
+            assert str(refused.value) == str(expected.value)
+        cfg = small_config(case_template=template, theta_a=1.0, theta_b=1.0)
+        assert _hex_fields(run_simulation(cfg)) == _hex_fields(reference_run(cfg))
 
     def test_cutoffs_are_checked_last(self):
         with pytest.raises(InvalidParameterError, match="^harm_probability_fn"):
@@ -566,30 +580,48 @@ def _outcome(fn, *args):
 
 @st.composite
 def sim_configs(draw):
+    """SimConfigs over every field, half of them with a precaution choice near a tie.
+
+    There L_harm puts two neighbouring grid levels within 0.1% of equal cost
+    at full liability, so a small change of the liability weight flips the
+    choice.  A draw that SimConfig refuses (default cutoffs of 0) is rejected.
+    """
     theta = st.one_of(st.none(), st.floats(0.5, 60.0))
-    return SimConfig(
-        n_injurers=draw(st.one_of(st.integers(1, 3), st.integers(1, 10**6))),
-        precaution_cost_grid=tuple(draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5))),
-        harm_probability_fn=ExponentialHarm(
-            p0=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
-            decay=draw(st.floats(0.0, 1.0)),
-        ),
-        L_harm=draw(st.floats(0.0, 500.0)),
-        case_template=CaseTemplate(
-            p=draw(st.floats(0.0, 1.0)),
-            W_B=draw(st.floats(0.0, 200.0)),
-            S_B=draw(st.floats(0.0, 120.0)),
-            C_b=draw(st.floats(0.0, 40.0)),
-        ),
-        C_a_policy=draw(st.floats(0.0, 60.0)),
-        settlement_liability_discount=draw(st.one_of(st.sampled_from([0.0, 1.0]),
-                                                     st.floats(0.0, 1.0))),
-        ticks=draw(st.integers(1, 40)),
-        seed=draw(st.integers(0, 2**32)),
-        theta_a=draw(theta),
-        theta_b=draw(theta),
-        stochastic=draw(st.booleans()),
+    grid = tuple(draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5)))
+    harm = ExponentialHarm(
+        p0=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+        decay=draw(st.floats(0.0, 1.0)),
     )
+    L_harm = draw(st.floats(0.0, 500.0))
+    levels = sorted(set(grid))
+    if len(levels) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(levels) - 2))
+        low, high = levels[i:i + 2]
+        if harm(low) > harm(high):
+            L_harm = (high - low) / (harm(low) - harm(high)) * draw(st.floats(0.999, 1.001))
+    try:
+        return SimConfig(
+            n_injurers=draw(st.one_of(st.integers(1, 3), st.integers(1, 10**6))),
+            precaution_cost_grid=grid,
+            harm_probability_fn=harm,
+            L_harm=L_harm,
+            case_template=CaseTemplate(
+                p=draw(st.floats(0.0, 1.0)),
+                W_B=draw(st.floats(0.0, 200.0)),
+                S_B=draw(st.floats(0.0, 120.0)),
+                C_b=draw(st.floats(0.0, 40.0)),
+            ),
+            C_a_policy=draw(st.floats(0.0, 60.0)),
+            settlement_liability_discount=draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                                         st.floats(0.0, 1.0))),
+            ticks=draw(st.integers(1, 40)),
+            seed=draw(st.integers(0, 2**32)),
+            theta_a=draw(theta),
+            theta_b=draw(theta),
+            stochastic=draw(st.booleans()),
+        )
+    except InvalidParameterError:
+        assume(False)
 
 
 #: Cells below the default admin threshold (27.5) go to trial, cells above settle.
@@ -603,6 +635,11 @@ BOTH_DECISIONS = [0.0, 10.0, 27.5, 30.0, 55.0]
 ZERO_DRAWS = small_config(n_injurers=1, harm_probability_fn=ExponentialHarm(p0=0.05, decay=0.1),
                           L_harm=1000.0, settlement_liability_discount=1.0, ticks=400,
                           stochastic=True, seed=2)
+
+#: Costs of 20.00002 at B = 0 and 20.00001 at B = 10 at full liability (rate 0.0).
+NEAR_TIE = small_config(precaution_cost_grid=(0.0, 10.0),
+                        harm_probability_fn={0.0: 0.1, 10.0: 0.05}.__getitem__,
+                        L_harm=200.0002)
 
 
 class TestAgainstReferenceLoop:
@@ -631,6 +668,10 @@ class TestAgainstReferenceLoop:
     @example(cfg=ZERO_DRAWS, grid=BOTH_DECISIONS)
     @example(cfg=small_config(ticks=2000, stochastic=True, seed=11), grid=BOTH_DECISIONS)
     @example(cfg=small_config(n_injurers=2**63 - 1, stochastic=True), grid=BOTH_DECISIONS)
+    # a precaution choice near a tie: at full liability B = 10 costs 1e-5 less
+    # than B = 0, and any settlement discount of the liability flips it to B = 0
+    @example(cfg=NEAR_TIE, grid=BOTH_DECISIONS)
+    @example(cfg=replace(NEAR_TIE, stochastic=True, seed=3), grid=BOTH_DECISIONS)
     def test_field_by_field(self, cfg, grid):
         assert _outcome(run_simulation, cfg) == _outcome(reference_run, cfg)
         assert _outcome(sweep_admin_cost, cfg, grid) == _outcome(reference_sweep, cfg, grid)
@@ -644,6 +685,12 @@ class TestAgainstReferenceLoop:
             return states
 
         assert _outcome(chained_steps, step) == _outcome(chained_steps, reference_step)
+
+    def test_near_tie_example_flips_with_the_rate(self):
+        # a precaution that read anything but the lagged rate, C_a say, would
+        # move this choice, and the run would differ from the reference
+        assert choose_precaution(NEAR_TIE, 0.0) == 10.0
+        assert choose_precaution(NEAR_TIE, 0.01) == 0.0
 
     def test_examples_reach_both_decisions(self):
         cfg = small_config()
@@ -752,10 +799,7 @@ class TestSweepFacts:
              grid=BOTH_DECISIONS)
     @example(cfg=ZERO_DRAWS, grid=BOTH_DECISIONS)
     def test_settling_cells_share_a_row_and_trial_cells_their_trials(self, cfg, grid):
-        try:
-            rows = sweep_admin_cost(cfg, grid)
-        except InvalidParameterError:  # default cutoffs of 0, which classify_scenario refuses
-            assume(False)
+        rows = sweep_admin_cost(cfg, grid)
         cells = [formula_cell(cfg, C_a) for C_a in grid]
         settles = [cell[0] for cell in cells]
         # settling needs C_a >= theta_a and C_a > p * W_B - S_B + C_b: on an
@@ -794,10 +838,41 @@ class TestStretches:
     def test_deterministic_run_is_at_most_two_stretches(self, cfg):
         # the lagged rate is fixed from tick 2 on, which keeps the sweep's
         # per-tick adds in C, a constant number of Python steps per cell
-        try:
-            plan = _RunPlan(cfg, cfg.C_a_policy)
-        except InvalidParameterError:  # thresholds that classify_scenario refuses
-            assume(False)
+        plan = _RunPlan(cfg, cfg.C_a_policy)
         stretches = list(_stretches(plan, None, 0.0, cfg.ticks))
         assert len(stretches) <= 2
         assert sum(len(injuries) for _, injuries in stretches) == cfg.ticks
+
+
+class TestWholeCounts:
+    """The count columns simulate prints as ints, and where they stay floats."""
+
+    @staticmethod
+    def kinds(cfg):
+        whole, floats = _run_columns(cfg, whole_counts=True), _run_columns(cfg)
+        # equal values, of one type per column; the tick column is ints either way
+        assert [list(c) for c in whole] == [list(c) for c in floats]
+        assert all(type(v) is float for c in floats[1:] for v in c)
+        kinds = [{type(v).__name__ for v in c} for c in whole[1:]]
+        assert all(len(k) == 1 for k in kinds)
+        return [k.pop() for k in kinds]
+
+    @pytest.mark.parametrize("C_a", [10.0, 55.0])
+    def test_stochastic_counts_are_ints(self, C_a):
+        cfg = replace(default_config(), stochastic=True, C_a_policy=C_a)
+        assert self.kinds(cfg) == ["int"] * 5 + ["float"]
+
+    def test_deterministic_counts_stay_floats(self):
+        assert self.kinds(default_config()) == ["float"] * 6
+
+    @pytest.mark.parametrize("C_a", [10.0, 55.0])
+    def test_draws_past_2_to_the_53_stay_floats(self, C_a):
+        cfg = replace(default_config(), stochastic=True, C_a_policy=C_a, n_injurers=2**63 - 1,
+                      ticks=5)
+        assert self.kinds(cfg) == ["float"] * 6
+
+    def test_aggregate_trials_past_2_to_the_53_stays_floats(self):
+        cfg = replace(default_config(), stochastic=True, n_injurers=5 * 10**14, ticks=300)
+        totals = [s.aggregate_trials for s in run_simulation(cfg)]
+        assert totals[-4] < 2**53 <= totals[-3]  # crossed at tick 298
+        assert self.kinds(cfg) == ["int"] * 4 + ["float"] * 2
