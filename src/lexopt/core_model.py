@@ -117,8 +117,12 @@ def reasonable_bargain(c: CaseParameters) -> BargainDecomposition:
 
 
 def default_thresholds(c: CaseParameters) -> tuple[float, float]:
-    """Default High/Low cutoffs: half the expectation-benefit component each."""
-    half = 0.5 * reasonable_bargain(c).P_C
+    """Default High/Low cutoffs: half the expectation-benefit component each.
+
+    Only p, W_B and S_B are read, so a sim CaseTemplate, which has no C_a,
+    does as well as a CaseParameters.
+    """
+    half = 0.5 * (0.5 * (c.p * c.W_B + c.S_B))  # P_C / 2, as reasonable_bargain(c).P_C
     return half, half
 
 
@@ -189,11 +193,17 @@ def classify_scenario(
         label = CostRegime.HIGH_CB_HIGH_CA if high_a else CostRegime.HIGH_CB_LOW_CA
     else:
         label = CostRegime.LOW_CB_HIGH_CA if high_a else CostRegime.LOW_CB_LOW_CA
-
-    settles = label is CostRegime.LOW_CB_HIGH_CA and (
-        c.p * c.W_B - c.C_a < c.S_B - c.C_b
-    )
+    settles = _settles(c, c.C_a, theta_a, theta_b)
     return ScenarioLabel(label=label, decision=Decision.SETTLE if settles else Decision.TRIAL)
+
+
+def _settles(c, C_a: float, theta_a: float, theta_b: float) -> bool:
+    """classify_scenario's decision on floats: settle in LowCb_HighCa when trial nets less.
+
+    ``c`` is anything with the dispute fields p, W_B, S_B and C_b as floats
+    (a CaseParameters or a validated CaseTemplate); the cutoffs are resolved.
+    """
+    return c.C_b < theta_b and C_a >= theta_a and c.p * c.W_B - C_a < c.S_B - c.C_b
 
 
 def hand_liability(h: HandRuleInputs) -> bool:

@@ -36,7 +36,7 @@ on the first tick and exactly 0.0 or 1.0 after it.  harm_probability_fn is
 therefore treated as a pure function, evaluated once per distinct rate in a
 walk.  One walk yields a run's ticks as stretches at one precaution level:
 a deterministic run is at most two stretches, the first tick and the rest,
-whose ticks share one outcome.  A stochastic run draws each stretch of
+each one outcome and its tick count.  A stochastic run draws each stretch of
 ticks at one precaution level in one numpy call, with the values of one
 draw per tick; a settling run's rate flips with a zero draw, so it redraws
 from the state saved before the chunk up to that draw.  ``step`` in
@@ -54,13 +54,14 @@ stochastic run's count columns hold the draws as ints, and
 aggregate_trials their exact running sums, while they stay below 2**53,
 where "%d" of the int prints the digits "%.17g" prints for the float.
 
-The walk reads C_a only through the settle/trial decision, so the sweep
-walks the horizon once per decision class, not once per cell.  It adds
-each stretch's filings once per class and its welfare once per trial cell
-and once for all settling cells, whose ticks try nothing and so do not
-read C_a; the adds run in C, in tick order from +0.0, with the bits of the
-per-tick loop.  Settlements and trials come from filings, as a run settles
-or tries every filing as a block.
+The walk reads C_a only through the settle/trial decision, made on floats,
+so the sweep walks the horizon once per decision class, not once per cell.
+It adds each stretch's filings once per class and its welfare once per
+trial cell and once for all settling cells, whose ticks try nothing and so
+do not read C_a, in tick order from +0.0 with the bits of the per-tick
+loop: a drawn stretch's values in C, a deterministic stretch's one value
+a binade at a time, in O(binades crossed) adds.  Settlements and trials
+come from filings, as a run settles or tries every filing as a block.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, starmap
+from itertools import accumulate
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -81,12 +82,7 @@ from ._validation import (
     require_unit_interval,
     shown,
 )
-from .core_model import (
-    CaseParameters,
-    Decision,
-    classify_scenario,
-    resolve_thresholds,
-)
+from .core_model import CaseParameters, _settles, resolve_thresholds
 from .errors import InvalidParameterError
 
 if TYPE_CHECKING:
@@ -162,7 +158,8 @@ class SimConfig:
         object.__setattr__(self, "C_a_policy", require_nonnegative("C_a_policy", self.C_a_policy))
         if not isinstance(self.case_template, CaseTemplate):
             raise TypeError(f"case_template must be a CaseTemplate, got {type(self.case_template)}")
-        self.case_template.with_admin_cost(self.C_a_policy)  # validates the template fields
+        c = self.case_template.with_admin_cost(self.C_a_policy)  # the fields, validated, as floats
+        object.__setattr__(self, "case_template", CaseTemplate(c.p, c.W_B, c.S_B, c.C_b))
         object.__setattr__(
             self,
             "settlement_liability_discount",
@@ -184,8 +181,7 @@ class SimConfig:
         self.thresholds()
 
     def thresholds(self) -> tuple[float, float]:
-        case = self.case_template.with_admin_cost(self.C_a_policy)
-        return resolve_thresholds(case, self.theta_a, self.theta_b)
+        return resolve_thresholds(self.case_template, self.theta_a, self.theta_b)
 
 
 @dataclass(frozen=True)
@@ -225,20 +221,17 @@ def _settlement_rate(state: SimState) -> float:
 
 
 class _RunPlan:
-    """The part of a run that no tick changes, built once per run.
+    """The part of a run that no tick changes, built once per run or decision class.
 
-    It holds the dispute primitives at the run's administration cost and the
-    settle/trial decision, and caches the precaution choice (B, P_harm(B)) by
-    lagged settlement rate.  The decision is fixed for the run, so from the
-    second tick on the rate is exactly 0.0 or 1.0 and a run makes at most two
-    precaution choices.
+    It holds the settle/trial decision at C_a, made on floats, and caches the
+    precaution choice (B, P_harm(B)) by lagged settlement rate.  The decision
+    is fixed for the run, so from the second tick on the rate is exactly 0.0
+    or 1.0 and a run makes at most two precaution choices.
     """
 
-    def __init__(self, cfg: SimConfig, C_a: float) -> None:
+    def __init__(self, cfg: SimConfig, C_a: float, thresholds: tuple | None = None) -> None:
         self.cfg = cfg
-        self.case = cfg.case_template.with_admin_cost(C_a)
-        scenario = classify_scenario(self.case, cfg.theta_a, cfg.theta_b)
-        self.settles = scenario.decision is Decision.SETTLE
+        self.settles = _settles(cfg.case_template, C_a, *(thresholds or cfg.thresholds()))
         self._precautions: dict[float, tuple[float, float]] = {}
 
     def precaution(self, settlement_rate: float) -> tuple[float, float]:
@@ -254,8 +247,8 @@ class _RunPlan:
         """The next tick's lagged settlement rate: every filing settled, or none did."""
         return 1.0 if self.settles and filings > 0.0 else 0.0
 
-    def columns(self, B: float, injuries: Sequence) -> tuple[list[float], list[float]]:
-        """(injuries, welfare) of each tick of a stretch at B, as lists of floats.
+    def columns(self, B: float, injuries, ticks: int, C_a: float) -> tuple[list, list]:
+        """(injuries, welfare) of each tick of a stretch at B and C_a, as lists of floats.
 
         The welfare is one expression, evaluated once per stretch: on the one
         injury count that a deterministic stretch's ticks share, or on a drawn
@@ -264,17 +257,17 @@ class _RunPlan:
         nan in the welfare, which the caller reports; numpy warns of none.
         """
         if not self.cfg.stochastic:
-            return injuries, [self._welfare(B, injuries[0])] * len(injuries)
+            return [injuries] * ticks, [self._welfare(B, injuries, C_a)] * ticks
         import numpy as np
 
         x = np.asarray(injuries, dtype=float)
         with np.errstate(all="ignore"):
-            return x.tolist(), self._welfare(B, x).tolist()
+            return x.tolist(), self._welfare(B, x, C_a).tolist()
 
-    def _welfare(self, B: float, x):
-        case, cfg = self.case, self.cfg
+    def _welfare(self, B: float, x, C_a: float):
+        case, cfg = self.cfg.case_template, self.cfg
         s, t = (x, 0.0) if self.settles else (0.0, x)  # every filing settles or none does
-        return (s * case.S_B + t * case.p * case.W_B - (s * case.C_b + t * case.C_a)
+        return (s * case.S_B + t * case.p * case.W_B - (s * case.C_b + t * C_a)
                 - cfg.n_injurers * B - x * cfg.L_harm)
 
 
@@ -289,8 +282,8 @@ def _generator(cfg: SimConfig) -> np.random.Generator | None:
 
 def _stretches(
     plan: _RunPlan, rng: np.random.Generator | None, rate: float, left: int
-) -> Iterator[tuple[float, Sequence]]:
-    """``left`` ticks' injuries from the lagged rate ``rate`` on, as (B, injuries) stretches.
+) -> Iterator[tuple[float, float | Sequence, int]]:
+    """``left`` ticks' injuries from the lagged rate ``rate`` on, as (B, injuries, ticks) stretches.
 
     A stretch runs at one precaution level B up to a flip of the rate.  A
     trial run's rate stays 0.0; a settling run's flips when the injuries turn
@@ -301,8 +294,8 @@ def _stretches(
     to the flip are redrawn.  While a flip is likely soon, or few ticks are
     left, each tick is one scalar call.  A drawn stretch's injuries are its
     integer draws, an int64 array or a list of the scalar calls' ints.  With
-    no rng the ticks are the deterministic expectation n * p, a list of
-    equal floats, a stretch to the horizon once the rate stops flipping.
+    no rng a stretch is the deterministic expectation n * p as one float,
+    for every tick to the horizon once the rate stops flipping.
     """
     n, sizes = plan.cfg.n_injurers, {}
     while left:
@@ -315,7 +308,8 @@ def _stretches(
             sizes[rate] = int(1.0 / max(flip, 1.0 / _CHUNK_MAX))
         size = min(left, sizes.get(rate, 1))
         if rng is None:  # a deterministic tick depends on the rate alone
-            injuries = [n * p_harm] * (left if plan.rate_after(n * p_harm) == rate else 1)
+            injuries = n * p_harm
+            ticks = left if plan.rate_after(injuries) == rate else 1
         elif size < _CHUNK_MIN:
             injuries = [rng.binomial(n, p_harm)]
             while len(injuries) < left and plan.rate_after(injuries[-1]) == rate:
@@ -327,9 +321,10 @@ def _stretches(
             if len(flips) and flips[0] + 1 < size:
                 rng.bit_generator.state = saved
                 injuries = rng.binomial(n, p_harm, size=flips[0] + 1)
-        yield B, injuries
-        left -= len(injuries)
-        rate = plan.rate_after(injuries[-1])
+        ticks, last = (ticks, injuries) if rng is None else (len(injuries), injuries[-1])
+        yield B, injuries, ticks
+        left -= ticks
+        rate = plan.rate_after(last)
 
 
 def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None) -> SimState:
@@ -347,7 +342,7 @@ def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None
         )
     plan = _RunPlan(cfg, cfg.C_a_policy)
     stretch = next(_stretches(plan, rng if cfg.stochastic else None, _settlement_rate(state), 1))
-    (injuries,), (welfare,) = plan.columns(*stretch)
+    (injuries,), (welfare,) = plan.columns(*stretch, cfg.C_a_policy)
     settlements, trials = (injuries, 0.0) if plan.settles else (0.0, injuries)
     return SimState(state.tick + 1, injuries, injuries, settlements, trials,
                     state.aggregate_trials + trials, state.welfare + welfare)
@@ -378,14 +373,15 @@ def _run_columns(cfg: SimConfig, whole_counts: bool = False) -> list[Sequence]:
     plan = _RunPlan(cfg, cfg.C_a_policy)
     stretches = list(_stretches(plan, _generator(cfg), 0.0, cfg.ticks))
     injuries, welfare = [], []
-    for x, w in starmap(plan.columns, stretches):
+    for stretch in stretches:
+        x, w = plan.columns(*stretch, cfg.C_a_policy)
         injuries += x
         welfare += w
     whole = False
     if whole_counts and cfg.stochastic:
         import numpy as np
 
-        draws = np.concatenate([drawn for _, drawn in stretches])
+        draws = np.concatenate([drawn for _, drawn, _ in stretches])
         whole = draws.max() < _WHOLE_LIMIT
         if whole:
             injuries = draws.tolist()
@@ -396,6 +392,36 @@ def _run_columns(cfg: SimConfig, whole_counts: bool = False) -> list[Sequence]:
         aggregate_trials = _running(map(float, trials), 0.0)
     return [range(1, cfg.ticks + 1), injuries, injuries, settlements, trials, aggregate_trials,
             _running(welfare, 0.0)]
+
+
+def _repeat_add(x: float, c: float, n: int) -> float:
+    """x after ``for _ in range(n): x += c``, with the loop's bits, a binade at a time.
+
+    Within a binade every add rounds c to one multiple d of its ulp, once a
+    round-half-even tie has made the total even.  Of four plain adds a, b, x
+    the last shows d when a and x share a binade and |a| > 4|c| (no add near
+    zero); x + j * d is then exact and the loop's total while it stays over
+    half a step short of the binade's edge.  A total that stops moving is a
+    fixed point: O(binades crossed) adds in all.
+    """
+    while n >= 4:
+        a = x + c + c
+        b = a + c
+        x = b + c
+        n -= 4
+        if x == b or not math.isfinite(x):
+            return x  # x + c is x again: c rounds away, or x is inf or nan
+        m, e = math.frexp(x)
+        if abs(a) > 4.0 * abs(c) and math.frexp(a)[1] == e:
+            d = x - b
+            room = 1.0 - abs(m) if (d > 0.0) == (x > 0.0) else abs(m) - 0.5
+            j = min(n, int(room / math.ldexp(abs(d), -e)) - 1)  # steps to the edge, less one
+            if j > 0:
+                x += j * d
+                n -= j
+    for _ in range(n):
+        x += c
+    return x
 
 
 def run_simulation(cfg: SimConfig) -> list[SimState]:
@@ -423,27 +449,35 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
 
     Every cell shares cfg (including the seed), so the cells that settle
     share one walk of the horizon and the cells that go to trial another:
-    the precaution choice reads the lagged rate, never C_a.  Each stretch is
-    added to every trial cell, and once for all settling cells, whose ticks
-    try nothing and so hold the same welfare.  The settlement rate reported
+    the precaution choice reads the lagged rate, never C_a, and each cell is
+    decided on floats.  Each stretch is added to every trial cell, and once
+    for all settling cells, whose ticks try nothing and so hold the same
+    welfare; a deterministic one a binade at a time (``_repeat_add``), in time
+    and memory that do not grow with the horizon.  The settlement rate reported
     per row is total settlements over total filings for that cell.  Exactly
     one row is flagged best_welfare and one fewest_trials (ties to the
     smallest C_a).
     """
     grid = require_admin_cost_grid(C_a_grid)
-    plans = [_RunPlan(cfg, C_a) for C_a in grid]  # every cell's errors first, in grid order
+    thresholds = cfg.thresholds()  # neither cutoff reads C_a
     classes: dict[bool, list[int]] = {}
-    for i, plan in enumerate(plans):
-        classes.setdefault(plan.settles, []).append(i)
+    for i, C_a in enumerate(grid):
+        classes.setdefault(_settles(cfg.case_template, C_a, *thresholds), []).append(i)
     results: list[tuple] = [()] * len(grid)
     for settles, cells in classes.items():
+        plan = _RunPlan(cfg, grid[cells[0]], thresholds)
         summed = cells[:1] if settles else cells  # a settling cell's welfare never reads C_a
         filings, welfare = 0.0, [0.0] * len(summed)
         # from +0.0, left to right as += adds (sum() compensates); every injury is a filing
-        for stretch in _stretches(plans[cells[0]], _generator(cfg), 0.0, cfg.ticks):
-            columns = [plans[i].columns(*stretch) for i in summed]
-            filings = reduce(add, columns[0][0], filings)
-            welfare = [reduce(add, w, total) for (_, w), total in zip(columns, welfare)]
+        for B, injuries, ticks in _stretches(plan, _generator(cfg), 0.0, cfg.ticks):
+            if cfg.stochastic:
+                columns = [plan.columns(B, injuries, ticks, grid[i]) for i in summed]
+                filings = reduce(add, columns[0][0], filings)
+                welfare = [reduce(add, w, total) for (_, w), total in zip(columns, welfare)]
+            else:  # the one value a deterministic stretch's ticks share, added ticks times
+                filings = _repeat_add(filings, injuries, ticks)
+                welfare = [_repeat_add(total, plan._welfare(B, injuries, grid[i]), ticks)
+                           for i, total in zip(summed, welfare)]
         settlements, trials = (filings, 0.0) if settles else (0.0, filings)  # block decision
         rate = settlements / filings if filings > 0.0 else 0.0
         for i, w in zip(cells, welfare * len(cells) if settles else welfare):
@@ -451,17 +485,8 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
 
     best_welfare_at = max(range(len(results)), key=lambda i: (results[i][3], -i))
     fewest_trials_at = min(range(len(results)), key=lambda i: (results[i][1], i))
-    return [
-        SweepRow(
-            C_a=C_a,
-            aggregate_trials=trials,
-            settlement_rate=rate,
-            welfare=welfare,
-            best_welfare=(i == best_welfare_at),
-            fewest_trials=(i == fewest_trials_at),
-        )
-        for i, (C_a, trials, rate, welfare) in enumerate(results)
-    ]
+    return [SweepRow(*row, best_welfare=i == best_welfare_at, fewest_trials=i == fewest_trials_at)
+            for i, row in enumerate(results)]
 
 
 def default_config() -> SimConfig:

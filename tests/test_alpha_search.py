@@ -4,7 +4,7 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexopt import (
@@ -27,6 +27,7 @@ from lexopt import (
 )
 from lexopt.alpha_search import _select_best
 from lexopt.cobb_douglas import CobbDouglasProblem
+from lexopt.hessian import DET_NOISE_RTOL
 
 BASE_GRID = (0.25, 0.5, 0.75)
 
@@ -356,3 +357,115 @@ class TestAgainstReferenceLoop:
         result = search_alpha(cfg)
         assert result.admissible
         assert _hex_fields(result) == _hex_fields(reference_search(cfg))
+
+
+# ---------------------------------------------------------------------------
+# the admissible region, from the model's closed forms
+
+
+def closed_form_det(alpha, beta, p1, p2, P_C, variant, cross):
+    """(det, noise floor, matrix scale) of the bordered Hessian at the optimum.
+
+    From the model's formulas, not the kernel's: with s = alpha + beta the
+    optimum is L = alpha * P_C / (s * p1), R = beta * P_C / (s * p2),
+    U = L**alpha * R**beta and lambda = s * U / P_C, so the border entries
+    -lambda * p1 and -lambda * p2 are -alpha * U / L and -beta * U / R, and
+    the cross partial is alpha * beta * U / (L * R).  Expanding the
+    determinant:
+
+        ShadowForm  lambda**3 * p1**2 * p2**2 * s**2 / (alpha * beta * P_C)
+                    + 2 * lambda**2 * p1 * p2 * h12
+        DirectForm  U**3 * alpha * beta * (s - 2 * alpha * beta) / (L * R)**2,
+                    with s alone in the parentheses when the cross term is in
+
+    The noise floor is DET_NOISE_RTOL * (largest absolute entry)**3.
+    """
+    s = alpha + beta
+    L, R = alpha * P_C / (s * p1), beta * P_C / (s * p2)
+    U = L**alpha * R**beta
+    lam = s * U / P_C
+    h12 = alpha * beta * U / (L * R) if cross else 0.0
+    if variant is HessianVariant.SHADOW_FORM:
+        h11, h22 = -lam * p1**2 * s / (alpha * P_C), -lam * p2**2 * s / (beta * P_C)
+        det = lam**3 * p1**2 * p2**2 * s**2 / (alpha * beta * P_C) + 2 * lam**2 * p1 * p2 * h12
+    else:
+        h11, h22 = alpha * (alpha - 1) * U / L**2, beta * (beta - 1) * U / R**2
+        det = U**3 * alpha * beta * (s - (0.0 if cross else 2 * alpha * beta)) / (L * R) ** 2
+    scale = max(lam * p1, lam * p2, abs(h11), abs(h12), abs(h22))
+    return det, DET_NOISE_RTOL * scale**3, scale
+
+
+def assert_admitted_as(model_class, alpha, beta, p1, p2, P_C, variant, cross):
+    """The kernel's det is the closed form's, and its class is the model's.
+
+    The one disagreement allowed is Indeterminate, and only in the band
+    where the closed-form |det| is within 0.1% of the noise floor or below
+    it; below 99.9% of the floor the class must be Indeterminate.  The alpha
+    search admits the candidate iff the class is LocalMax (lambda > 0 here).
+    """
+    prob = CobbDouglasProblem(alpha=alpha, beta=beta, p1=p1, p2=p2, P_C=P_C)
+    sol = solve_closed_form(prob)
+    det_cf, floor, scale = closed_form_det(alpha, beta, p1, p2, P_C, variant, cross)
+    det = hessian_determinant(build_bordered_hessian(prob, sol, variant, cross))
+    assert abs(det - det_cf) <= 1e-12 * scale**3
+    cls = classify_second_order(prob, sol, cross)[variant]
+    if abs(det_cf) < floor * (1 - 1e-3):
+        assert cls is SecondOrderClass.INDETERMINATE
+    elif abs(det_cf) > floor * (1 + 1e-3):
+        assert cls is model_class
+    else:
+        assert cls in (model_class, SecondOrderClass.INDETERMINATE)
+    cfg = AlphaSearchConfig(alpha_grid=(alpha,), beta=beta, p1=p1, p2=p2, P_C=P_C,
+                            hessian_variant=variant, include_cross_terms=cross)
+    assert bool(search_alpha(cfg).admissible) == (cls is SecondOrderClass.LOCAL_MAX)
+
+
+#: The input box of the admissible-region tests: wide enough that the
+#: entries' scales differ by orders of magnitude, narrow enough that no
+#: power leaves the float range.
+ADMISSIBLE_BOX = dict(alpha=st.floats(0.05, 5.0), beta=st.floats(0.05, 5.0),
+                      p1=st.floats(0.1, 10.0), p2=st.floats(0.1, 10.0), P_C=st.floats(0.1, 100.0))
+
+
+class TestAdmissibleRegion:
+    """Which alpha the second-order check certifies, as the closed forms say."""
+
+    @settings(max_examples=300)
+    @given(cross=st.booleans(), **ADMISSIBLE_BOX)
+    @example(alpha=0.5, beta=0.5, p1=1.0, p2=1.0, P_C=2.0, cross=False)
+    @example(alpha=2.0, beta=2.0, p1=1.0, p2=1.0, P_C=4.0, cross=True)
+    # entries of very different scales: the determinant falls under the noise floor
+    @example(alpha=0.05, beta=5.0, p1=10.0, p2=0.1, P_C=0.1, cross=False)
+    @example(alpha=0.05, beta=5.0, p1=10.0, p2=0.1, P_C=0.1, cross=True)
+    def test_shadow_form_certifies_every_alpha(self, alpha, beta, p1, p2, P_C, cross):
+        det, _, _ = closed_form_det(alpha, beta, p1, p2, P_C, HessianVariant.SHADOW_FORM, cross)
+        assert det > 0.0
+        assert_admitted_as(SecondOrderClass.LOCAL_MAX, alpha, beta, p1, p2, P_C,
+                           HessianVariant.SHADOW_FORM, cross)
+
+    @settings(max_examples=300)
+    @given(**ADMISSIBLE_BOX)
+    @example(alpha=2.0, beta=2.0, p1=1.0, p2=1.0, P_C=4.0)
+    @example(alpha=5.0, beta=0.05, p1=0.1, p2=10.0, P_C=0.1)  # under the noise floor
+    def test_direct_form_with_cross_terms_certifies_every_alpha(self, alpha, beta, p1, p2, P_C):
+        det, _, _ = closed_form_det(alpha, beta, p1, p2, P_C, HessianVariant.DIRECT_FORM, True)
+        assert det > 0.0
+        assert_admitted_as(SecondOrderClass.LOCAL_MAX, alpha, beta, p1, p2, P_C,
+                           HessianVariant.DIRECT_FORM, True)
+
+    @settings(max_examples=300)
+    @given(**ADMISSIBLE_BOX)
+    # on the boundary alpha = beta / (2 * beta - 1): the determinant is 0, or
+    # a rounding of 0, far under the noise floor
+    @example(alpha=1.0, beta=1.0, p1=1.0, p2=1.0, P_C=2.0)
+    @example(alpha=2.0 / 3.0, beta=2.0, p1=1.3, p2=0.8, P_C=9.0)
+    # either side of it, and beta <= 1/2, where every alpha passes
+    @example(alpha=0.66, beta=2.0, p1=1.3, p2=0.8, P_C=9.0)
+    @example(alpha=0.67, beta=2.0, p1=1.3, p2=0.8, P_C=9.0)
+    @example(alpha=5.0, beta=0.5, p1=1.0, p2=1.0, P_C=2.0)
+    def test_direct_form_without_cross_terms_certifies_alpha_below_the_boundary(
+            self, alpha, beta, p1, p2, P_C):
+        # det is proportional to alpha + beta - 2 * alpha * beta
+        model = (SecondOrderClass.LOCAL_MAX if 1 / alpha + 1 / beta > 2
+                 else SecondOrderClass.LOCAL_MIN)
+        assert_admitted_as(model, alpha, beta, p1, p2, P_C, HessianVariant.DIRECT_FORM, False)

@@ -367,6 +367,20 @@ class TestSimulateAndSweep:
         assert sum(row["fewest_trials"] for row in payload["rows"]) == 1
         assert payload["fewest_trials_C_a"] == 30.0
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep_horizon_past_any_list_prints_rows(self, capsys, fmt):
+        # a deterministic sweep holds no value per tick; 10**20 ticks once
+        # failed with Python's list-size error, which names no field
+        argv = ["sweep", "--seed", "0", "--ticks", str(10**20), "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            rows = [list(row.values())[:4] for row in parse_json(out)["rows"]]
+        else:
+            rows = [line.split(",") for line in out.splitlines()[4:]]
+        assert len(rows) == 20
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
 
     @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--C_a_grid", "[0, 30]"]])
     def test_negative_seed_is_invalid_in_stochastic_mode(self, capsys, command):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +32,7 @@ from lexopt._validation import require_unit_interval
 from lexopt.sim import (
     INITIAL_STATE,
     _run_columns,
+    _repeat_add,
     _RunPlan,
     _settlement_rate,
     _stretches,
@@ -730,8 +733,9 @@ class TestAgainstReferenceLoop:
             assert any(a == 0.0 < b for a, b in zip(injuries[1:], injuries[2:]))
             rng = CountingRng(cfg.seed)
             plan = _RunPlan(cfg, C_a)
-            drawn = [x for _, stretch in _stretches(plan, rng, 0.0, cfg.ticks) for x in stretch]
-            assert drawn == injuries
+            stretches = list(_stretches(plan, rng, 0.0, cfg.ticks))
+            assert all(len(drawn) == ticks for _, drawn, ticks in stretches)
+            assert [x for _, drawn, _ in stretches for x in drawn] == injuries
             assert rng.restores > 0
 
     def test_default_sweep_at_benchmark_length(self):
@@ -826,6 +830,97 @@ class TestSweepFacts:
             ]
 
 
+class TestSweepAtLongHorizons:
+    """Deterministic totals stepped a binade at a time, against the per-tick reference."""
+
+    @pytest.mark.parametrize("cfg,grid", [
+        (replace(default_config(), ticks=1000), default_sweep_grid()),
+        (small_config(ticks=10_000), BOTH_DECISIONS),
+        (replace(NEAR_TIE, ticks=30_000), BOTH_DECISIONS[1::3]),
+        (replace(default_config(), ticks=100_000), [10.0, 55.0]),
+    ], ids=["default-1e3", "small-1e4", "near-tie-3e4", "default-1e5"])
+    def test_matches_the_reference_sweep(self, cfg, grid):
+        assert _hex_fields(sweep_admin_cost(cfg, grid)) == _hex_fields(reference_sweep(cfg, grid))
+
+    def test_peak_memory_does_not_grow_with_ticks(self):
+        # a stretch is one float and a tick count: a 10**6-float list is 8 MB
+        cfg, grid = replace(default_config(), ticks=10**6), default_sweep_grid()
+        sweep_admin_cost(cfg, grid)  # imports and first-call caches out of the count
+        tracemalloc.start()
+        try:
+            sweep_admin_cost(cfg, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_horizon_past_any_list_keeps_the_sweep_facts(self):
+        rows = sweep_admin_cost(replace(default_config(), ticks=10**20), default_sweep_grid())
+        assert all(math.isfinite(v) for r in rows for v in dataclasses.astuple(r)[1:4])
+        settling = [_hex_fields([r])[0][1:4] for r in rows if r.settlement_rate == 1.0]
+        trying = [r for r in rows if r.settlement_rate == 0.0]
+        assert settling and trying and len(settling) + len(trying) == len(rows)
+        assert all(row == settling[0] for row in settling)
+        assert len({r.aggregate_trials for r in trying}) == 1
+        assert all(a.welfare >= b.welfare for a, b in zip(trying, trying[1:]))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def repeated_adds(draw):
+    """(x0, c, n): any floats, or a start behind zero, or a c that ties at half an ulp."""
+    n = draw(st.integers(0, 10_000))
+    c, x0 = draw(st.floats()), draw(st.floats())
+    start = draw(st.sampled_from(["any", "behind zero", "tie"]))
+    if start == "behind zero" and math.isfinite(c):
+        x0 = -c * draw(st.integers(0, n)) * draw(st.floats(0.5, 1.0))
+    elif start == "tie" and math.isfinite(x0):
+        c = math.copysign(draw(st.integers(0, 8)) + 0.5, draw(st.floats())) * math.ulp(x0)
+    return x0, c, n
+
+
+class TestRepeatAdd:
+    """_repeat_add(x, c, n) against n plain adds, bit for bit."""
+
+    @staticmethod
+    def loop(x, c, n):
+        for _ in range(n):
+            x += c
+        return x
+
+    @settings(max_examples=500)
+    @given(case=repeated_adds())
+    @example(case=(-1000.25, 0.5, 3000))  # crosses zero
+    @example(case=(1e6, -333.3, 10_000))  # crosses zero moving down through the binades
+    # half-ulp ties: from an odd total the first add rounds to even, the rest step by 2 ulps
+    @example(case=(1.0 + 2**-52, 3 * 2**-53, 3000))
+    @example(case=(-(1.0 + 2**-52), -3 * 2**-53, 3000))
+    @example(case=(1.0, 2**-53, 3000))  # a tie that rounds to the total: a fixed point
+    @example(case=(0.0, 5e-324, 3000))  # subnormals
+    @example(case=(2.2250738585072014e-308, -3 * 5e-324, 3000))
+    @example(case=(-0.0, -0.0, 5))  # signed zeros
+    @example(case=(-0.0, 0.0, 5))
+    @example(case=(0.0, -0.0, 5))
+    @example(case=(1.5, 0.0, 3000))  # c = 0
+    @example(case=(1.7e308, 1e306, 3000))  # overflow to inf
+    @example(case=(-1.7e308, -1e306, 3000))
+    @example(case=(math.inf, -math.inf, 10))
+    @example(case=(math.nan, 1.0, 10))  # nan
+    @example(case=(1.0, math.nan, 10))
+    def test_matches_the_loop(self, case):
+        x0, c, n = case
+        assert _bits(_repeat_add(x0, c, n)) == _bits(self.loop(x0, c, n))
+
+    def test_cost_does_not_grow_with_n(self):
+        # four plain adds and a jump per binade crossed: 10**20 adds of 1.0
+        # from 0.0 stop at 2**53, where 1.0 rounds away
+        assert _repeat_add(0.0, 1.0, 10**20) == 2.0**53
+        assert _repeat_add(0.0, -22712.24, 10**6) == self.loop(0.0, -22712.24, 10**6)
+
+
 class TestStretches:
     @settings(max_examples=200)
     @given(cfg=sim_configs().map(lambda cfg: replace(cfg, stochastic=False)))
@@ -836,12 +931,14 @@ class TestStretches:
     @example(cfg=small_config(harm_probability_fn=lambda B: 0.1 if B < 10 else 0.0,
                               L_harm=60.0, C_a_policy=30.0, ticks=40))
     def test_deterministic_run_is_at_most_two_stretches(self, cfg):
-        # the lagged rate is fixed from tick 2 on, which keeps the sweep's
-        # per-tick adds in C, a constant number of Python steps per cell
+        # the lagged rate is fixed from tick 2 on, so a cell's totals are at
+        # most two repeated adds; a stretch is one float and its tick count
         plan = _RunPlan(cfg, cfg.C_a_policy)
         stretches = list(_stretches(plan, None, 0.0, cfg.ticks))
         assert len(stretches) <= 2
-        assert sum(len(injuries) for _, injuries in stretches) == cfg.ticks
+        assert sum(ticks for _, _, ticks in stretches) == cfg.ticks
+        assert all(type(injuries) is float for _, injuries, _ in stretches)
+        assert [ticks for _, _, ticks in stretches][:-1] in ([], [1])
 
 
 class TestWholeCounts:
