@@ -19,34 +19,44 @@ which coincides with U* when evaluated at phi_sum = L_C* under unit prices.
 Candidate evaluations are independent of one another; results are reported
 in grid order regardless of evaluation order.
 
-Each candidate is one pass on plain floats: the closed-form solver returns
-(L_C*, R_B*, lambda, U*, identity residual) and the second-order kernel
-certifies that point.  A candidate that passes all three predicates is kept
-as one tuple of floats, so rejected candidates build no records.  After the
-loop the kept tuples become ``OptimumSolution`` and ``AdmissibleAlpha``
-records column by column (``_records``): the instances are made bare and
+Each candidate is one fused pass on plain floats (``_admitted``): the
+closed-form optimum (L_C*, R_B*, lambda, U*, identity residual) and the
+selected variant's second-order check share one loop body and its powers,
+with the operations of the scalar kernels ``_solve`` and ``_second_order``
+in their order, so every bit is theirs.  A candidate whose arithmetic
+leaves the float range is run again through those scalar kernels, the only
+error path, so the first such candidate in grid order raises the
+DomainError that the single-point path raises for it.  A candidate that
+passes all three predicates is kept as one tuple of floats, so rejected
+candidates build no records.  alpha* is picked from the kept U* (or
+lambda) column, its first maximum, before any record is built.  The kept
+tuples then become ``OptimumSolution`` and ``AdmissibleAlpha`` records
+column by column (``_records.records``): the instances are made bare and
 each field is set on all of them in one C-level pass over its column, not
 one ``__init__`` per record.  Both record classes are frozen, slotted
 dataclasses, so ``vars()``, ``__dict__`` and weak references do not work on
 them; ``dataclasses.fields``, ``asdict``, ``astuple`` and ``replace`` do.
-The first candidate, in grid order, that leaves the float range raises the
-DomainError that ``classify_second_order`` raises for it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from operator import attrgetter
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
+from ._records import records
 from ._validation import require_finite, require_increasing, require_positive
 from .cobb_douglas import OptimumSolution, _solve
 from .errors import DomainError
-from .hessian import _LOCAL_MAX, HessianVariant, _second_order
+from .hessian import (
+    _DIRECT_FORM,
+    _LOCAL_MAX,
+    _SHADOW_FORM,
+    DET_NOISE_RTOL,
+    HessianVariant,
+    _second_order,
+)
 
 
 class Objective(Enum):
@@ -116,67 +126,125 @@ def final_utility(
     return u
 
 
-_Record = TypeVar("_Record")
+# An admitted candidate as its OptimumSolution and AdmissibleAlpha fields:
+# (alpha, L_C*, R_B*, lambda, U*, kkt_ok, identity residual, det_H).
+_Row = tuple[float, float, float, float, float, bool, float, float]
 
 
-def _records(cls: type[_Record], *columns: Sequence) -> tuple[_Record, ...]:
-    """Instances of the frozen, slotted dataclass ``cls``, one per row of ``columns``.
+def _candidate(
+    alpha: float,
+    beta: float,
+    p1: float,
+    p2: float,
+    P_C: float,
+    variant: HessianVariant,
+    cross: bool,
+) -> _Row | None:
+    """One candidate through the scalar kernels: its row if admitted, else None.
 
-    ``columns`` holds one sequence per field, in declaration order, all of
-    one length.  The instances are made with ``object.__new__``, and each
-    field is set on all of them by one map of its slot's ``__set__`` over
-    its column, drained in C, so each record equals the one ``cls(*row)``
-    makes, without a call to ``__init__`` per record.  A class with a
-    ``__post_init__``, whose checks would be skipped, or without its own
-    ``__slots__`` is a TypeError.
+    ``_solve`` then ``_second_order``, each raising the DomainError it
+    raises for a point that leaves the float range.  The reference for
+    ``_admitted`` and its only error path.
     """
-    if hasattr(cls, "__post_init__") or "__slots__" not in vars(cls):
-        raise TypeError(f"_records needs a slotted dataclass without __post_init__, got {cls!r}")
-    names = [f.name for f in fields(cls)]
-    n = len(columns[0]) if columns else 0
-    if len(columns) != len(names) or any(len(column) != n for column in columns):
-        raise TypeError(f"_records needs {len(names)} columns of one length for {cls.__name__}")
-    records = tuple(map(object.__new__, repeat(cls, n)))
-    for name, column in zip(names, columns):
-        deque(map(getattr(cls, name).__set__, records, column), maxlen=0)
-    return records
+    L, R, lam, U, residual = _solve(alpha, beta, p1, p2, P_C)
+    _, det, cls = _second_order(alpha, beta, p1, p2, P_C, L, R, lam, variant, cross)
+    if lam > 0.0 and lam / (alpha + beta) > 0.0 and cls is _LOCAL_MAX:
+        return alpha, L, R, lam, U, lam > 0.0, residual, det
+    return None
 
 
-def _select_best(
-    entries: tuple[AdmissibleAlpha, ...], key: Callable[[AdmissibleAlpha], float]
-) -> AdmissibleAlpha | None:
-    """First entry attaining the maximum key; entries arrive in grid order,
-    and max keeps the first of equal keys: the smallest-alpha tie-break."""
-    return max(entries, key=key, default=None)
+def _admitted(
+    grid: Sequence[float],
+    beta: float,
+    p1: float,
+    p2: float,
+    P_C: float,
+    variant: HessianVariant,
+    cross: bool,
+) -> list[_Row]:
+    """The rows of the admitted candidates, in grid order, from one float pass each.
+
+    The loop body is ``_solve`` and ``_second_order`` written out with
+    their operations in their order, so every bit matches ``_candidate``:
+    the powers R_B* ** beta, L_C* ** alpha and L_C* ** (alpha - 1) are each
+    computed once for both, and the terms that do not vary with alpha once
+    per grid.  Since the noise floor is >= 0 and never NaN, det_H above it
+    is exactly the LocalMax class.  A candidate whose arithmetic raises, or
+    whose identity residual is not finite, is run again through
+    ``_candidate``, which raises the error the scalar kernels raise for it;
+    so is every candidate of a variant that is not a HessianVariant.
+    """
+    b = beta
+    if variant is not _SHADOW_FORM and variant is not _DIRECT_FORM:
+        return [row for a in grid if (row := _candidate(a, b, p1, p2, P_C, variant, cross))]
+    shadow = variant is _SHADOW_FORM
+    b_P_C, b_b_1, b_1, b_2 = b * P_C, b * (b - 1.0), b - 1.0, b - 2.0
+    rows: list[_Row] = []
+    append = rows.append
+    for a in grid:
+        try:
+            total = a + b
+            L = (a * P_C) / (total * p1)
+            R = b_P_C / (total * p2)
+            L_a_1 = L ** (a - 1.0)
+            R_b = R**b
+            lam = a * L_a_1 * R_b / p1
+            L_a = L**a
+            U = L_a * R_b
+            residual = abs(U - (lam / total) * P_C) / U  # U* = 0 raises here
+            if shadow:
+                h11 = -lam * (a / total) * P_C / L**2
+                h22 = -lam * (b / total) * P_C / R**2
+            else:
+                h11 = a * (a - 1.0) * L ** (a - 2.0) * R_b
+                h22 = b_b_1 * L_a * R**b_2
+            h12 = a * b * L_a_1 * R**b_1 if cross else 0.0
+            b1, b2 = -lam * p1, -lam * p2
+            det = (
+                0.0 * (h11 * h22 - h12 * h12)
+                - b1 * (b1 * h22 - h12 * b2)
+                + b2 * (b1 * h12 - h11 * b2)
+            )
+            floor = DET_NOISE_RTOL * max(0.0, abs(b1), abs(b2), abs(h11), abs(h12), abs(h22)) ** 3
+        except (ZeroDivisionError, OverflowError):
+            residual = math.nan
+        if not residual < math.inf:
+            row = _candidate(a, b, p1, p2, P_C, variant, cross)
+            if row:
+                append(row)
+        elif lam > 0.0 and lam / total > 0.0 and det > floor:
+            append((a, L, R, lam, U, True, residual, det))
+    return rows
+
+
+def _select_best(column: Sequence[float]) -> int | None:
+    """Index of the first maximum of ``column``, None when it is empty.
+
+    Rows arrive in grid order, so the first of equal values is the
+    smallest-alpha tie-break.  An admitted row's U* and lambda are finite.
+    """
+    return column.index(max(column)) if column else None
 
 
 def search_alpha(cfg: AlphaSearchConfig) -> AlphaSearchResult:
     """Evaluate the grid, filter by admissibility, and pick alpha*."""
     # the config has validated beta, the prices, P_C and every grid point, so
-    # candidates go straight to the float solver and second-order kernel
-    beta, p1, p2, P_C = cfg.beta, cfg.p1, cfg.p2, cfg.P_C
-    variant, cross = cfg.hessian_variant, cfg.include_cross_terms
-    admitted: list[tuple] = []
-    for alpha in cfg.alpha_grid:
-        L, R, lam, U, residual = _solve(alpha, beta, p1, p2, P_C)
-        _, det, cls = _second_order(alpha, beta, p1, p2, P_C, L, R, lam, variant, cross)
-        if lam > 0.0 and lam / (alpha + beta) > 0.0 and cls is _LOCAL_MAX:
-            admitted.append((alpha, L, R, lam, U, lam > 0.0, residual, det))
+    # candidates go straight to the float pass
+    rows = _admitted(cfg.alpha_grid, cfg.beta, cfg.p1, cfg.p2, cfg.P_C,
+                     cfg.hessian_variant, cfg.include_cross_terms)
+    if not rows:
+        return AlphaSearchResult(admissible=(), alpha_star=None, L_C_opt=None, U_star_final=None)
 
-    entries: tuple[AdmissibleAlpha, ...] = ()
-    if admitted:
-        alphas, *optima, dets = zip(*admitted)
-        entries = _records(AdmissibleAlpha, alphas, _records(OptimumSolution, *optima), dets)
-    by_utility = cfg.objective is Objective.MAX_UTILITY
-    best = _select_best(entries, attrgetter("solution.U_star" if by_utility else "solution.lam"))
-    if best is None:
-        return AlphaSearchResult(admissible=entries, alpha_star=None, L_C_opt=None, U_star_final=None)
-
-    sol = best.solution
-    u_final = final_utility(sol, best.alpha, cfg.beta, phi_sum=sol.L_C_star, R_B=sol.R_B_star)
+    alphas, *optima, dets = zip(*rows)
+    _, _, lams, utilities, _, _ = optima
+    best = _select_best(utilities if cfg.objective is Objective.MAX_UTILITY else lams)
+    entries = records(AdmissibleAlpha, alphas, records(OptimumSolution, *optima), dets)
+    sol = entries[best].solution
+    alpha_star = alphas[best]
+    u_final = final_utility(sol, alpha_star, cfg.beta, phi_sum=sol.L_C_star, R_B=sol.R_B_star)
     return AlphaSearchResult(
         admissible=entries,
-        alpha_star=best.alpha,
+        alpha_star=alpha_star,
         L_C_opt=sol.L_C_star,
         U_star_final=u_final,
     )

@@ -166,7 +166,8 @@ def _solve(
     leaves the identity residual undefined), and a demand, multiplier or U*
     that is not finite are each a DomainError.  The demands are computed
     here, not passed in, so U* is the plain power product, without
-    ``utility``'s argument checks.
+    ``utility``'s argument checks.  ``alpha_search._admitted`` repeats these
+    operations in this order, so a change here is made there too.
     """
     total = a + b
     try:

@@ -27,13 +27,15 @@ expansion against a generic determinant routine.
 
 The check itself runs on plain floats: one private kernel takes the point
 (L_C*, R_B*, lambda) as three floats and returns the five distinct entries,
-the determinant and the class, and every caller (the classification report,
-the alpha search, the command line) goes through it.  The callers that take
-an ``OptimumSolution`` from outside check that both demands are positive
-before they unpack it; the alpha search passes its solver's floats straight
-through.  ``BorderedHessian`` and its functions wrap the same entries and
-determinant in a read-only numpy matrix for callers that want the matrix
-object; only they import numpy.
+the determinant and the class, and the classification report and the
+command line go through it.  They take an ``OptimumSolution`` from outside,
+so they check that both demands are positive before they unpack it.  The
+alpha search runs the kernel's operations, in its order, fused with the
+solver's in one loop body, and calls the kernel itself for a candidate
+that leaves the float range, so its errors are the kernel's.
+``BorderedHessian`` and its functions wrap the same entries and determinant
+in a read-only numpy matrix for callers that want the matrix object; only
+they import numpy.
 """
 
 from __future__ import annotations
@@ -154,6 +156,9 @@ def _second_order(
     with the largest absolute entry, the zero corner included; unlike
     numpy's maximum, ``max`` does not propagate NaN, but a NaN entry makes
     the determinant NaN, which classifies as LocalMin at any scale.
+    ``alpha_search._admitted`` repeats the operations of this check, and of
+    ``_entries`` and ``_determinant``, in their order, so a change here is
+    made there too.
     """
     e = b1, b2, h11, h12, h22 = _entries(
         alpha, beta, p1, p2, P_C, L, R, lam, variant, include_cross_terms

@@ -75,6 +75,7 @@ from itertools import accumulate
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from ._records import records
 from ._validation import (
     as_float,
     require_count,
@@ -186,8 +187,14 @@ class SimConfig:
         return resolve_thresholds(self.case_template, self.theta_a, self.theta_b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimState:
+    """The state after one tick, with the run's running totals.
+
+    The record is slotted: it has no ``__dict__`` and takes no weak
+    reference.  ``run_simulation`` builds its states column by column.
+    """
+
     tick: int
     injuries: float
     filings: float
@@ -438,11 +445,13 @@ def _repeat_add(x: float, c: float, n: int) -> float:
 
 def run_simulation(cfg: SimConfig) -> list[SimState]:
     """Full horizon from the zero state; returns the state after each tick."""
-    return list(map(SimState, *_run_columns(cfg)))
+    return list(records(SimState, *_run_columns(cfg)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
+    """One administration cost's horizon totals and flags; slotted, like ``SimState``."""
+
     C_a: float
     aggregate_trials: float
     settlement_rate: float
@@ -503,10 +512,11 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
         for i, w in zip(cells, welfare * len(cells) if settles else welfare):
             results[i] = (grid[i], trials, rate, w)
 
-    best_welfare_at = max(range(len(results)), key=lambda i: (results[i][3], -i))
-    fewest_trials_at = min(range(len(results)), key=lambda i: (results[i][1], i))
-    return [SweepRow(*row, best_welfare=i == best_welfare_at, fewest_trials=i == fewest_trials_at)
-            for i, row in enumerate(results)]
+    rows = range(len(results))
+    best_welfare_at = max(rows, key=lambda i: (results[i][3], -i))
+    fewest_trials_at = min(rows, key=lambda i: (results[i][1], i))
+    return list(records(SweepRow, *zip(*results), [i == best_welfare_at for i in rows],
+                        [i == fewest_trials_at for i in rows]))
 
 
 def default_config() -> SimConfig:

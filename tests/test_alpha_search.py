@@ -20,6 +20,8 @@ from lexopt import (
     Objective,
     OptimumSolution,
     SecondOrderClass,
+    SimState,
+    SweepRow,
     build_bordered_hessian,
     classify_from_determinant,
     classify_second_order,
@@ -28,9 +30,10 @@ from lexopt import (
     search_alpha,
     solve_closed_form,
 )
-from lexopt.alpha_search import _records, _select_best
+from lexopt._records import records
+from lexopt.alpha_search import _admitted, _candidate, _select_best
 from lexopt.cobb_douglas import CobbDouglasProblem
-from lexopt.hessian import DET_NOISE_RTOL
+from lexopt.hessian import DET_NOISE_RTOL, _second_order
 
 BASE_GRID = (0.25, 0.5, 0.75)
 
@@ -256,32 +259,41 @@ class TestFloatRangeParity:
 
 
 class TestSelectBest:
+    """alpha* is the first maximum of the admitted U* (or lambda) column."""
+
     @staticmethod
     def entry(alpha: float, value: float) -> AdmissibleAlpha:
         sol = OptimumSolution(1.0, 1.0, value, value, True, 0.0)
         return AdmissibleAlpha(alpha=alpha, solution=sol, det_H=1.0)
 
+    @staticmethod
+    def select(entries, key):
+        """The entry at the index _select_best picks from the column of keys."""
+        best = _select_best(tuple(map(key, entries)))
+        return None if best is None else entries[best]
+
     def test_empty_gives_none(self):
-        assert _select_best((), lambda e: e.solution.U_star) is None
+        assert _select_best(()) is None
+        assert self.select((), lambda e: e.solution.U_star) is None
 
     def test_tie_goes_to_the_earliest_entry(self):
         entries = (self.entry(0.2, 5.0), self.entry(0.4, 5.0), self.entry(0.6, 3.0))
-        best = _select_best(entries, lambda e: e.solution.U_star)
+        best = self.select(entries, lambda e: e.solution.U_star)
         assert best is not None and best.alpha == 0.2
 
     def test_strictly_better_later_entry_wins(self):
         entries = (self.entry(0.2, 5.0), self.entry(0.4, 6.0))
-        best = _select_best(entries, lambda e: e.solution.U_star)
+        best = self.select(entries, lambda e: e.solution.U_star)
         assert best is not None and best.alpha == 0.4
 
     @settings(max_examples=300)
-    @given(values=st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 2.5, 7.0]),
+    @given(values=st.lists(st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 2.5, 7.0]),
                                      st.floats(allow_nan=False, allow_infinity=False)),
                            max_size=8))
     def test_matches_the_reference_loop(self, values):
         entries = tuple(self.entry(0.1 * (i + 1), v) for i, v in enumerate(values))
         key = attrgetter("solution.U_star")
-        assert _select_best(entries, key) is reference_select_best(entries, key)
+        assert self.select(entries, key) is reference_select_best(entries, key)
 
 
 def reference_select_best(entries, key):
@@ -365,6 +377,123 @@ class TestAgainstReferenceLoop:
 
 
 # ---------------------------------------------------------------------------
+# the fused float pass where the float range runs out
+
+def _decades(low: int, high: int):
+    """Positive floats from 10**low up to 10**high, with every decade as likely."""
+    return st.tuples(st.floats(1.0, 10.0), st.integers(low, high - 1)).map(
+        lambda t: t[0] * 10.0 ** t[1])
+
+
+#: Positive floats of every scale: the values of the reference-loop tests
+#: and of moderate scale, under which a search runs to its end, then
+#: 1e-300 ... 1e300 and the subnormals.
+EXTREME = st.one_of(
+    st.floats(0.05, 5.0),
+    _decades(-20, 20),
+    _decades(-300, 300),
+    st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True),
+)
+
+
+def scalar_error(cfg: AlphaSearchConfig) -> str | None:
+    """The DomainError text of the first candidate the single-point path refuses.
+
+    Per candidate, ``solve_closed_form`` and then the selected variant's
+    scalar second-order kernel; None when every candidate stays in range.
+    """
+    for alpha in cfg.alpha_grid:
+        prob = CobbDouglasProblem(alpha=alpha, beta=cfg.beta, p1=cfg.p1, p2=cfg.p2, P_C=cfg.P_C)
+        try:
+            sol = solve_closed_form(prob)
+            _second_order(alpha, cfg.beta, cfg.p1, cfg.p2, cfg.P_C, sol.L_C_star, sol.R_B_star,
+                          sol.lam, cfg.hessian_variant, cfg.include_cross_terms)
+        except DomainError as exc:
+            return str(exc)
+    return None
+
+
+def reference_outcome(cfg: AlphaSearchConfig):
+    """What search_alpha must give: reference_search's fields as float.hex, or an error.
+
+    The error is the single-point path's at the first candidate that leaves
+    the float range, or ``final_utility``'s when U_final overflows, where
+    reference_search, which checks neither, raises a bare OverflowError or
+    gives inf or nan.
+    """
+    error = scalar_error(cfg)
+    if error is None:
+        reference = reference_search(cfg)
+        if reference.U_star_final is None or math.isfinite(reference.U_star_final):
+            return _hex_fields(reference)
+        winner = next(e for e in reference.admissible if e.alpha == reference.alpha_star)
+        sol = winner.solution
+        with pytest.raises(DomainError) as info:
+            final_utility(sol, winner.alpha, cfg.beta, phi_sum=sol.L_C_star, R_B=sol.R_B_star)
+        error = str(info.value)
+    return f"DomainError: {error}"
+
+
+def outcome(fn, *args):
+    """fn(*args) with floats as float.hex, or the text of the DomainError it raises."""
+    try:
+        return _hex_fields(fn(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+class TestFusedPassOnExtremeInputs:
+    """The fused pass gives the scalar kernels' bits, and their errors, at every scale."""
+
+    @pytest.mark.parametrize("variant", list(HessianVariant))
+    @pytest.mark.parametrize("cross", [False, True])
+    @settings(max_examples=300)
+    @given(
+        grid=st.lists(EXTREME, min_size=1, max_size=6, unique=True).map(sorted),
+        beta=EXTREME, p1=EXTREME, p2=EXTREME, P_C=EXTREME,
+        objective=st.sampled_from(Objective),
+    )
+    # the grids of TestFloatRangeParity, whose first or second candidate fails
+    @example(grid=[1e-300, 1e-299, 1.0], beta=1.0, p1=1.0, p2=1.0, P_C=6.0,
+             objective=Objective.MAX_UTILITY)
+    @example(grid=[1e-258, 1e-257, 1.0], beta=1.0, p1=1e-100, p2=1.0, P_C=1.0,
+             objective=Objective.MAX_UTILITY)
+    @example(grid=[1.7e-161, 1e-160, 1.0], beta=1.0, p1=1.0, p2=1.0, P_C=6.0,
+             objective=Objective.MAX_LAMBDA)
+    @example(grid=[1e-161, 1.0, 2.0], beta=1.7e-161, p1=1.0, p2=1.0, P_C=6.0,
+             objective=Objective.MAX_UTILITY)
+    # U_final overflows at alpha*, after every candidate passed
+    @example(grid=[1e-300], beta=1.0, p1=1e-300, p2=1e-300, P_C=1.0,
+             objective=Objective.MAX_UTILITY)
+    # lambda overflows to inf while U* stays finite: the identity residual is inf
+    @example(grid=[1e300], beta=1.0, p1=1e-300, p2=5e-324, P_C=1e-300,
+             objective=Objective.MAX_UTILITY)
+    # |h12| is the largest entry, and sets a noise floor that det_H does not clear
+    @example(grid=[3.252189719749643], beta=3.8258177974194716, p1=4.527260995303806,
+             p2=3.238480198935048, P_C=8.469336548880716e-05, objective=Objective.MAX_UTILITY)
+    # subnormal inputs, and an ordinary grid
+    @example(grid=[5e-324, 1e-320], beta=5e-324, p1=5e-324, p2=1.0, P_C=5e-324,
+             objective=Objective.MAX_LAMBDA)
+    @example(grid=[0.25, 0.5, 2.0], beta=0.5, p1=1.0, p2=1.0, P_C=2.0,
+             objective=Objective.MAX_UTILITY)
+    def test_search_matches_the_reference(self, variant, cross, grid, beta, p1, p2, P_C,
+                                          objective):
+        cfg = AlphaSearchConfig(
+            alpha_grid=tuple(grid), beta=beta, p1=p1, p2=p2, P_C=P_C,
+            objective=objective, hessian_variant=variant, include_cross_terms=cross,
+        )
+        assert outcome(search_alpha, cfg) == reference_outcome(cfg)
+        # the pass's rows are the scalar kernels' rows, candidate by candidate
+        args = (beta, p1, p2, P_C, variant, cross)
+        assert outcome(_admitted, cfg.alpha_grid, *args) == outcome(
+            lambda: [row for a in cfg.alpha_grid if (row := _candidate(a, *args))])
+
+    def test_a_variant_that_is_not_a_hessian_variant_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="variant must be a HessianVariant"):
+            _admitted((0.5, 1.0), 0.5, 1.0, 1.0, 2.0, "ShadowForm", False)
+
+
+# ---------------------------------------------------------------------------
 # records built column by column
 
 # any float, +-0.0, +-inf and nan included
@@ -386,7 +515,7 @@ class TestRecords:
                    (-0.0, 0.0, -math.inf, math.inf, 1.0, False, 0.0, math.nan)])
     def test_match_the_records_init_builds(self, rows):
         alphas, *optima, dets = zip(*rows)
-        built = _records(AdmissibleAlpha, alphas, _records(OptimumSolution, *optima), dets)
+        built = records(AdmissibleAlpha, alphas, records(OptimumSolution, *optima), dets)
         # the same float objects, so a nan field compares and hashes alike
         made = [AdmissibleAlpha(r[0], OptimumSolution(*r[1:7]), r[7]) for r in rows]
         assert len(built) == len(made)
@@ -405,14 +534,45 @@ class TestRecords:
             assert repr(_round_trip(b)) == repr(m)
             assert type(_round_trip(b)) is AdmissibleAlpha
 
+    #: a SimState row (tick, injuries, ..., welfare) and a SweepRow row
+    #: (C_a, aggregate_trials, settlement_rate, welfare, best_welfare, fewest_trials)
+    SIM_ROWS = {
+        SimState: st.tuples(st.integers(1, 2**63), *[ANY_FLOAT] * 6),
+        SweepRow: st.tuples(*[ANY_FLOAT] * 4, st.booleans(), st.booleans()),
+    }
+
+    @pytest.mark.parametrize("cls", [SimState, SweepRow], ids=["SimState", "SweepRow"])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_simulator_records_match_the_records_init_builds(self, cls, data):
+        rows = data.draw(st.lists(self.SIM_ROWS[cls], min_size=1, max_size=6))
+        built = records(cls, *zip(*rows))
+        made = [cls(*row) for row in rows]  # the same float objects, as above
+        assert len(built) == len(made)
+        for b, m in zip(built, made):
+            assert b == m and hash(b) == hash(m) and repr(b) == repr(m)
+            assert dataclasses.astuple(b) == dataclasses.astuple(m)
+            assert dataclasses.replace(b) == m
+            assert dataclasses.replace(b, welfare=1.0) == dataclasses.replace(m, welfare=1.0)
+            assert copy.copy(b) == m
+            assert _hex_fields(_round_trip(b)) == _hex_fields(_round_trip(m)) == _hex_fields(m)
+            assert repr(_round_trip(b)) == repr(m)
+            assert type(_round_trip(b)) is cls
+
     def test_records_are_frozen_and_slotted(self):
-        (built,) = _records(AdmissibleAlpha, [0.5], _records(
+        (built,) = records(AdmissibleAlpha, [0.5], records(
             OptimumSolution, [1.0], [2.0], [0.5], [1.5], [True], [0.0]), [0.25])
+        (state,) = records(SimState, [1], [2.0], [2.0], [0.0], [2.0], [2.0], [-5.0])
+        (row,) = records(SweepRow, [0.0], [2.0], [0.0], [-5.0], [True], [False])
         with pytest.raises(dataclasses.FrozenInstanceError):
             built.alpha = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             built.solution.lam = 1.0
-        for record in (built, built.solution):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.welfare = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.welfare = 1.0
+        for record in (built, built.solution, state, row):
             assert not hasattr(record, "__dict__")
             with pytest.raises(TypeError):
                 vars(record)
@@ -437,17 +597,17 @@ class TestRecords:
 
         for cls in (Checked, CobbDouglasProblem, AlphaSearchConfig):
             with pytest.raises(TypeError, match="without __post_init__"):
-                _records(cls, *[[1.0]] * len(dataclasses.fields(cls)))
+                records(cls, *[[1.0]] * len(dataclasses.fields(cls)))
         for cls in (Unslotted, Subclass):
             with pytest.raises(TypeError, match="slotted dataclass"):
-                _records(cls, *[[1.0]] * len(dataclasses.fields(cls)))
+                records(cls, *[[1.0]] * len(dataclasses.fields(cls)))
 
     def test_refuses_columns_that_do_not_fill_every_field(self):
         with pytest.raises(TypeError, match="3 columns of one length"):
-            _records(AdmissibleAlpha, [0.5], [None])
+            records(AdmissibleAlpha, [0.5], [None])
         with pytest.raises(TypeError, match="3 columns of one length"):
-            _records(AdmissibleAlpha, [0.5, 0.6], [None, None], [1.0])
-        assert _records(AdmissibleAlpha, (), (), ()) == ()
+            records(AdmissibleAlpha, [0.5, 0.6], [None, None], [1.0])
+        assert records(AdmissibleAlpha, (), (), ()) == ()
 
 
 # ---------------------------------------------------------------------------

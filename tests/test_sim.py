@@ -488,12 +488,17 @@ class TestSweepAdminCost:
         rows = sweep_admin_cost(cfg, [0.0, 30.0, 55.0])
         assert all(r.settlement_rate == 0.0 for r in rows)
 
-    def test_records_hold_their_fields_in_their_instance_dict(self):
-        # the CLI prints vars() of each sweep row and of the bargain split
+    def test_records_list_their_fields_in_declaration_order(self):
+        # the CLI prints vars() of the bargain split and astuple() of each sweep
+        # row; the states and rows are slotted, so they have no instance dict
         cfg = small_config()
         bargain = reasonable_bargain(cfg.case_template.with_admin_cost(10.0))
-        for record in (run_simulation(cfg)[0], sweep_admin_cost(cfg, [0.0])[0], bargain):
-            assert list(vars(record)) == [f.name for f in dataclasses.fields(record)]
+        assert list(vars(bargain)) == [f.name for f in dataclasses.fields(bargain)]
+        for record in (run_simulation(cfg)[0], sweep_admin_cost(cfg, [0.0])[0]):
+            assert list(dataclasses.asdict(record)) == [f.name for f in dataclasses.fields(record)]
+            assert dataclasses.astuple(record) == tuple(
+                getattr(record, f.name) for f in dataclasses.fields(record))
+            assert not hasattr(record, "__dict__")
 
     def test_default_sweep_grid_shape(self):
         grid = default_sweep_grid()

@@ -3,12 +3,19 @@
 float() refuses such an integer with a bare OverflowError, and str() refuses
 one past the interpreter's digit limit with a bare ValueError; each entry
 point must instead raise InvalidParameterError naming the field.
+
+A grid of plain floats is checked in C; it must give what the per-element
+path gives, the same grid or the same error text.
 """
 
 import dataclasses
+import math
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexopt.alpha_search import AlphaSearchConfig
 from lexopt.cobb_douglas import CobbDouglasProblem, utility
@@ -17,6 +24,8 @@ from lexopt.compliance import (StrategyGame, apply_penalty, compliance_dominant,
 from lexopt.core_model import (CaseParameters, HandRuleInputs, classify_scenario,
                                cooperation_possible)
 from lexopt.cost_schedule import CostSchedule
+from lexopt._validation import (require_each, require_increasing, require_nonnegative,
+                                require_positive)
 from lexopt.errors import InvalidParameterError
 from lexopt.oracle import GridSpec
 from lexopt.sim import ExponentialHarm, default_config
@@ -88,3 +97,69 @@ def test_integer_past_str_digit_limit_is_a_named_invalid_field(case):
     with pytest.raises(InvalidParameterError,
                        match=f"^{check} an integer of more than {limit} digits$"):
         call(10 ** (limit + 700))
+
+
+# ---------------------------------------------------------------------------
+# the float-grid fast path of require_increasing
+
+
+def reference_increasing(name, values, check):
+    """require_increasing as it was before its fast path: each value, then the order."""
+    grid = require_each(name, values, check)
+    if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
+        raise InvalidParameterError(f"{name} must be strictly increasing")
+    return grid
+
+
+def grid_outcome(fn, values, check):
+    """The grid fn returns, each value by type and bits, or its error's type and text."""
+    try:
+        grid = fn("grid", values, check)
+    except (InvalidParameterError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(grid).__name__, [(type(v).__name__, v.hex()) for v in grid]
+
+
+#: One value that the fast path must not take as a plain float in range.
+BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5, -5e-324, 3, True, False,
+              np.float64(0.5), "1.0", None]
+
+
+@settings(max_examples=400)
+@given(
+    grid=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8, unique=True).map(sorted),
+    check=st.sampled_from([require_positive, require_nonnegative]),
+    container=st.sampled_from([list, tuple, iter]),
+    data=st.data(),
+)
+@example(grid=[0.5], check=require_positive, container=tuple, data=None)  # one point
+@example(grid=[0.0, 1.0], check=require_nonnegative, container=list, data=None)
+@example(grid=[0.0, 1.0], check=require_positive, container=tuple, data=None)
+def test_fast_path_gives_the_per_element_result(grid, check, container, data):
+    if data is not None:
+        change = data.draw(st.sampled_from(["none", "bad", "swap", "repeat"]))
+        i = data.draw(st.integers(0, len(grid) - 1))
+        j = min(i, len(grid) - 2)  # the pair (j, j + 1) of a grid of two or more
+        if change == "bad":
+            grid[i] = data.draw(st.sampled_from(BAD_VALUES))
+        elif change == "swap" and len(grid) > 1:
+            grid[j], grid[j + 1] = grid[j + 1], grid[j]
+        elif change == "repeat" and len(grid) > 1:
+            grid[j + 1] = grid[j]
+    assert grid_outcome(require_increasing, container(grid), check) == grid_outcome(
+        reference_increasing, container(grid), check)
+
+
+def test_a_valid_float_grid_is_checked_at_its_ends():
+    grid = tuple(0.05 + i * (4.95 / 999) for i in range(1000))
+    seen = []
+
+    def check(name, value):
+        seen.append(value)
+        return require_positive(name, value)
+
+    assert require_increasing("grid", grid, check) == list(grid)
+    assert seen == [grid[0], grid[-1]]
+    seen.clear()
+    assert require_increasing("grid", (*grid[:-1], 5), check) == [*grid[:-1], 5.0]
+    assert len(seen) == 1000  # an int takes the per-element path
