@@ -30,12 +30,15 @@ DomainError that the single-point path raises for it.  A candidate that
 passes all three predicates is kept as one tuple of floats, so rejected
 candidates build no records.  alpha* is picked from the kept U* (or
 lambda) column, its first maximum, before any record is built.  The kept
-tuples then become ``OptimumSolution`` and ``AdmissibleAlpha`` records
-column by column (``_records.records``): the instances are made bare and
-each field is set on all of them in one C-level pass over its column, not
-one ``__init__`` per record.  Both record classes are frozen, slotted
-dataclasses, so ``vars()``, ``__dict__`` and weak references do not work on
-them; ``dataclasses.fields``, ``asdict``, ``astuple`` and ``replace`` do.
+tuples then become ``OptimumSolution`` and ``AdmissibleAlpha`` records with
+one ``tuple.__new__`` call per record, in C.
+
+The result records (``OptimumSolution``, ``AdmissibleAlpha`` and
+``AlphaSearchResult``) are NamedTuples: they unpack and index, compare
+equal to a plain tuple of the same values, and offer ``_fields``,
+``_asdict()`` and ``_replace()``; ``dataclasses.fields``, ``asdict`` and
+``replace`` do not apply to them, and assigning a field raises
+AttributeError.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
-from ._records import records
 from ._validation import require_finite, require_increasing, require_positive
 from .cobb_douglas import OptimumSolution, _solve
 from .errors import DomainError
@@ -66,6 +69,13 @@ class Objective(Enum):
 
 @dataclass(frozen=True)
 class AlphaSearchConfig:
+    """A strictly increasing grid of alpha > 0, the fixed beta and prices, and the rule.
+
+    Each candidate is admitted by the ``hessian_variant`` check, with the
+    mixed partial when ``include_cross_terms``, and alpha* maximizes the
+    ``objective`` among the admitted.
+    """
+
     alpha_grid: tuple[float, ...]
     beta: float
     p1: float
@@ -84,8 +94,7 @@ class AlphaSearchConfig:
         object.__setattr__(self, "P_C", require_positive("P_C", self.P_C))
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissibleAlpha:
+class AdmissibleAlpha(NamedTuple):
     """One grid candidate that passed all three admissibility predicates."""
 
     alpha: float
@@ -93,8 +102,7 @@ class AdmissibleAlpha:
     det_H: float
 
 
-@dataclass(frozen=True)
-class AlphaSearchResult:
+class AlphaSearchResult(NamedTuple):
     """Admissible table in grid order plus the selected candidate, if any."""
 
     admissible: tuple[AdmissibleAlpha, ...]
@@ -238,7 +246,9 @@ def search_alpha(cfg: AlphaSearchConfig) -> AlphaSearchResult:
     alphas, *optima, dets = zip(*rows)
     _, _, lams, utilities, _, _ = optima
     best = _select_best(utilities if cfg.objective is Objective.MAX_UTILITY else lams)
-    entries = records(AdmissibleAlpha, alphas, records(OptimumSolution, *optima), dets)
+    # one tuple.__new__ per record, in C, as OptimumSolution(*...) would make it
+    solutions = map(tuple.__new__, repeat(OptimumSolution), zip(*optima))
+    entries = tuple(map(tuple.__new__, repeat(AdmissibleAlpha), zip(alphas, solutions, dets)))
     sol = entries[best].solution
     alpha_star = alphas[best]
     u_final = final_utility(sol, alpha_star, cfg.beta, phi_sum=sol.L_C_star, R_B=sol.R_B_star)

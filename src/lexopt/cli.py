@@ -330,8 +330,8 @@ def _run_bargain(**case: float) -> CommandOutput:
     from .core_model import CaseParameters, reasonable_bargain
 
     d = reasonable_bargain(CaseParameters(**case))
-    # vars() of the record is its fields in order
-    return CommandOutput({**vars(d), "negative_bargain": d.negative_bargain})
+    # _asdict() of the record is its fields in order
+    return CommandOutput({**d._asdict(), "negative_bargain": d.negative_bargain})
 
 
 @_command("classify", "cost-quadrant label and settle/trial decision",
@@ -558,15 +558,12 @@ def _build_sim_config(params: dict, C_a_policy: float) -> SimConfig:
 @_command("simulate", "run the litigation market over the configured horizon",
           *_SIM_COMMON_FIELDS, Field("C_a", FLOAT, 10.0))
 def _run_simulate(C_a: float, **sim: Any) -> CommandOutput:
-    from dataclasses import fields
-
     from .sim import SimState, _run_columns
 
     cfg = _build_sim_config(sim, C_a)
     # each row holds the SimState fields in declaration order; a stochastic
     # run's counts are ints, which print through %d as their floats would
-    names = tuple(f.name for f in fields(SimState))
-    rows = _Table(names, list(zip(*_run_columns(cfg, whole_counts=True))))
+    rows = _Table(SimState._fields, list(zip(*_run_columns(cfg, whole_counts=True))))
     return CommandOutput({"seed": cfg.seed, "ticks": cfg.ticks, "rows": rows}, rows)
 
 
@@ -574,15 +571,13 @@ def _run_simulate(C_a: float, **sim: Any) -> CommandOutput:
 @_command("sweep", "rerun the horizon across an administration-cost grid",
           *_SIM_COMMON_FIELDS, Field("C_a_grid", JSONVAL, None))
 def _run_sweep(C_a_grid: Any, **sim: Any) -> CommandOutput:
-    from dataclasses import astuple, fields
-
     from .sim import SweepRow, default_sweep_grid, require_admin_cost_grid, sweep_admin_cost
 
     grid = _float_list("C_a_grid", default_sweep_grid() if C_a_grid is None else C_a_grid)
     # the grid is checked first, so that its errors do not name C_a_policy
     cfg = _build_sim_config(sim, require_admin_cost_grid(grid)[0])
     sweep = sweep_admin_cost(cfg, grid)
-    rows = _Table(tuple(f.name for f in fields(SweepRow)), [astuple(r) for r in sweep])
+    rows = _Table(SweepRow._fields, sweep)
     payload = {
         "seed": cfg.seed,
         "rows": rows,

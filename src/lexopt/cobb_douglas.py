@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._validation import as_float, require_positive
 from .errors import DomainError, InvalidParameterError
@@ -50,13 +51,11 @@ class CobbDouglasProblem:
             object.__setattr__(self, name, require_positive(name, getattr(self, name)))
 
 
-@dataclass(frozen=True, slots=True)
-class OptimumSolution:
+class OptimumSolution(NamedTuple):
     """Interior optimum with its multiplier and self-consistency diagnostics.
 
     ``identity_residual`` is the relative gap between U* and
-    (lambda / (alpha + beta)) * P_C; ``kkt_ok`` records lambda > 0.  The
-    record is slotted: it has no ``__dict__`` and takes no weak reference.
+    (lambda / (alpha + beta)) * P_C; ``kkt_ok`` records lambda > 0.
     """
 
     L_C_star: float

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ._validation import (
     require_finite,
@@ -54,8 +55,7 @@ class CaseParameters:
         object.__setattr__(self, "C_b", require_nonnegative("C_b", self.C_b))
 
 
-@dataclass(frozen=True)
-class BargainDecomposition:
+class BargainDecomposition(NamedTuple):
     """Reasonable bargain split into its benefit and cost components.
 
     ``R_B`` may be negative when transaction costs swamp the expected
@@ -85,8 +85,7 @@ class Decision(Enum):
     SETTLE = "Settle"
 
 
-@dataclass(frozen=True)
-class ScenarioLabel:
+class ScenarioLabel(NamedTuple):
     label: CostRegime
     decision: Decision
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._validation import require_positive
+from ._validation import as_float, require_positive
 from .cobb_douglas import CobbDouglasProblem, OptimumSolution, _range_error
 from .errors import DomainError, InvalidParameterError
 
@@ -167,10 +167,8 @@ def _second_order(
     scale = max(0.0, abs(b1), abs(b2), abs(h11), abs(h12), abs(h22))
     try:
         return e, det, classify_from_determinant(det, scale)
-    except OverflowError:
-        raise DomainError(
-            f"{variant.value} bordered Hessian: the noise floor overflows at matrix scale {scale!r}"
-        ) from None
+    except DomainError as exc:
+        raise DomainError(f"{variant.value} bordered Hessian: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +187,7 @@ class BorderedHessian:
             raise InvalidParameterError(f"entries must be 3x3, got shape {m.shape}")
         if m[0, 0] != 0.0:
             raise InvalidParameterError(f"entries[0, 0] must be 0, got {m[0, 0]!r}")
-        if not np.array_equal(m, m.T):
+        if not np.array_equal(m, m.T, equal_nan=True):  # NaN counts equal to itself
             raise InvalidParameterError("entries must be symmetric")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -228,8 +226,17 @@ def scale_border(h: BorderedHessian, k: float) -> BorderedHessian:
 
 
 def classify_from_determinant(det: float, matrix_scale: float) -> SecondOrderClass:
-    """Sign test with a noise floor of DET_NOISE_RTOL * matrix_scale**3."""
-    if abs(det) <= DET_NOISE_RTOL * matrix_scale**3:
+    """Sign test with a noise floor of DET_NOISE_RTOL * matrix_scale**3.
+
+    A floor that overflows is a DomainError naming the matrix scale, a numpy
+    scalar's too: the power is taken on a plain float, which raises.
+    """
+    matrix_scale = as_float("matrix_scale", matrix_scale)
+    try:
+        floor = DET_NOISE_RTOL * matrix_scale**3
+    except OverflowError:
+        raise DomainError(f"the noise floor overflows at matrix scale {matrix_scale!r}") from None
+    if abs(det) <= floor:
         return _INDETERMINATE
     return _LOCAL_MAX if det > 0.0 else _LOCAL_MIN
 

@@ -39,6 +39,12 @@ class GridMax(NamedTuple):
 
 @dataclass(frozen=True)
 class GridSpec:
+    """The oracle's grid: ``points_per_axis`` >= 100 points on each axis.
+
+    Each axis is clamped ``clamp_epsilon`` in from both ends, or
+    ``default_clamp_epsilon`` of the problem when it is None.
+    """
+
     points_per_axis: int = 10_000
     clamp_epsilon: float | None = None
 

@@ -62,6 +62,13 @@ do not read C_a, in tick order from +0.0 with the bits of the per-tick
 loop: a drawn stretch's values in C, a deterministic stretch's one value
 a binade at a time, in O(binades crossed) adds.  Settlements and trials
 come from filings, as a run settles or tries every filing as a block.
+
+The records ``SimState`` and ``SweepRow`` are NamedTuples: they unpack and
+index, compare equal to a plain tuple of the same values, and offer
+``_fields``, ``_asdict()`` and ``_replace()``; ``dataclasses.asdict``,
+``astuple`` and ``replace`` do not apply to them, and assigning a field
+raises AttributeError.  ``run_simulation`` turns the rows of its columns
+into states with one ``tuple.__new__`` call per state, in C.
 """
 
 from __future__ import annotations
@@ -71,11 +78,10 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._records import records
 from ._validation import (
     as_float,
     require_count,
@@ -125,6 +131,18 @@ class CaseTemplate:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A market of ``n_injurers`` per tick over ``ticks`` ticks at one administration cost.
+
+    Each tick's injurers pick the precaution on ``precaution_cost_grid``
+    that minimizes their expected cost, with the harm probability
+    ``harm_probability_fn(B)`` and size ``L_harm``, the liability discounted
+    by ``settlement_liability_discount`` times the lagged settlement rate.
+    Filings settle or go to trial by the ``case_template`` dispute at
+    ``C_a_policy``, with the High/Low cutoffs ``theta_a`` and ``theta_b``
+    (P_C / 2 each when None).  ``stochastic`` draws the injuries binomially
+    from ``seed``.
+    """
+
     n_injurers: int
     precaution_cost_grid: tuple[float, ...]
     harm_probability_fn: Callable[[float], float]
@@ -187,13 +205,8 @@ class SimConfig:
         return resolve_thresholds(self.case_template, self.theta_a, self.theta_b)
 
 
-@dataclass(frozen=True, slots=True)
-class SimState:
-    """The state after one tick, with the run's running totals.
-
-    The record is slotted: it has no ``__dict__`` and takes no weak
-    reference.  ``run_simulation`` builds its states column by column.
-    """
+class SimState(NamedTuple):
+    """The state after one tick, with the run's running totals."""
 
     tick: int
     injuries: float
@@ -445,12 +458,11 @@ def _repeat_add(x: float, c: float, n: int) -> float:
 
 def run_simulation(cfg: SimConfig) -> list[SimState]:
     """Full horizon from the zero state; returns the state after each tick."""
-    return list(records(SimState, *_run_columns(cfg)))
+    return list(map(tuple.__new__, repeat(SimState), zip(*_run_columns(cfg))))
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
-    """One administration cost's horizon totals and flags; slotted, like ``SimState``."""
+class SweepRow(NamedTuple):
+    """One administration cost's horizon totals and flags."""
 
     C_a: float
     aggregate_trials: float
@@ -515,8 +527,7 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
     rows = range(len(results))
     best_welfare_at = max(rows, key=lambda i: (results[i][3], -i))
     fewest_trials_at = min(rows, key=lambda i: (results[i][1], i))
-    return list(records(SweepRow, *zip(*results), [i == best_welfare_at for i in rows],
-                        [i == fewest_trials_at for i in rows]))
+    return [SweepRow(*results[i], i == best_welfare_at, i == fewest_trials_at) for i in rows]
 
 
 def default_config() -> SimConfig:

@@ -2,8 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
-import weakref
 from operator import attrgetter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,23 +14,30 @@ from lexopt import (
     AdmissibleAlpha,
     AlphaSearchConfig,
     AlphaSearchResult,
+    BargainDecomposition,
     DomainError,
     HessianVariant,
     InvalidParameterError,
     Objective,
     OptimumSolution,
+    ScenarioLabel,
     SecondOrderClass,
     SimState,
     SweepRow,
     build_bordered_hessian,
+    classify_scenario,
     classify_from_determinant,
     classify_second_order,
+    default_config,
     final_utility,
     hessian_determinant,
+    reasonable_bargain,
+    run_simulation,
     search_alpha,
     solve_closed_form,
+    sweep_admin_cost,
 )
-from lexopt._records import records
+from lexopt import alpha_search, sim
 from lexopt.alpha_search import _admitted, _candidate, _select_best
 from lexopt.cobb_douglas import CobbDouglasProblem
 from lexopt.hessian import DET_NOISE_RTOL, _second_order
@@ -335,9 +342,7 @@ def _hex_fields(x):
     """Every field of a search result, floats as float.hex so the last bit counts."""
     if isinstance(x, float):
         return x.hex()
-    if dataclasses.is_dataclass(x):
-        return [_hex_fields(getattr(x, f.name)) for f in dataclasses.fields(x)]
-    if isinstance(x, tuple):
+    if isinstance(x, tuple):  # a record is a tuple of its fields
         return [_hex_fields(v) for v in x]
     return x
 
@@ -372,7 +377,7 @@ class TestAgainstReferenceLoop:
         result, reference = search_alpha(cfg), reference_search(cfg)
         assert result.admissible
         assert _hex_fields(result) == _hex_fields(reference)
-        # records built column by column equal those __init__ builds
+        # records built by tuple.__new__ equal those the constructors build
         assert result.admissible == reference.admissible
 
 
@@ -416,22 +421,26 @@ def scalar_error(cfg: AlphaSearchConfig) -> str | None:
 def reference_outcome(cfg: AlphaSearchConfig):
     """What search_alpha must give: reference_search's fields as float.hex, or an error.
 
-    The error is the single-point path's at the first candidate that leaves
-    the float range, or ``final_utility``'s when U_final overflows, where
-    reference_search, which checks neither, raises a bare OverflowError or
-    gives inf or nan.
+    reference_search raises the DomainError of the first candidate that
+    leaves the float range, with the text of the single-point path, whose
+    second-order kernel names its variant in front of an overflowing noise
+    floor.  Where U_final overflows, reference_search, which does not check
+    it, gives inf or nan, and the error is ``final_utility``'s.
     """
     error = scalar_error(cfg)
-    if error is None:
+    try:
         reference = reference_search(cfg)
-        if reference.U_star_final is None or math.isfinite(reference.U_star_final):
-            return _hex_fields(reference)
-        winner = next(e for e in reference.admissible if e.alpha == reference.alpha_star)
-        sol = winner.solution
-        with pytest.raises(DomainError) as info:
-            final_utility(sol, winner.alpha, cfg.beta, phi_sum=sol.L_C_star, R_B=sol.R_B_star)
-        error = str(info.value)
-    return f"DomainError: {error}"
+    except DomainError as exc:
+        assert error is not None and error.endswith(str(exc))
+        return f"DomainError: {error}"
+    assert error is None
+    if reference.U_star_final is None or math.isfinite(reference.U_star_final):
+        return _hex_fields(reference)
+    winner = next(e for e in reference.admissible if e.alpha == reference.alpha_star)
+    sol = winner.solution
+    with pytest.raises(DomainError) as info:
+        final_utility(sol, winner.alpha, cfg.beta, phi_sum=sol.L_C_star, R_B=sol.R_B_star)
+    return f"DomainError: {info.value}"
 
 
 def outcome(fn, *args):
@@ -494,17 +503,61 @@ class TestFusedPassOnExtremeInputs:
 
 
 # ---------------------------------------------------------------------------
-# records built column by column
+# the result records: NamedTuples, built in bulk with one tuple.__new__ each
 
 # any float, +-0.0, +-inf and nan included
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+#: Each record's fields, in the order of the frozen dataclass it replaced:
+#: the CLI's columns and the benchmark digests depend on it.
+RECORD_FIELDS = {
+    OptimumSolution: ("L_C_star", "R_B_star", "lam", "U_star", "kkt_ok", "identity_residual"),
+    AdmissibleAlpha: ("alpha", "solution", "det_H"),
+    AlphaSearchResult: ("admissible", "alpha_star", "L_C_opt", "U_star_final"),
+    SimState: ("tick", "injuries", "filings", "settlements", "trials", "aggregate_trials",
+               "welfare"),
+    SweepRow: ("C_a", "aggregate_trials", "settlement_rate", "welfare", "best_welfare",
+               "fewest_trials"),
+    BargainDecomposition: ("R_B", "P_C", "L_C"),
+    ScenarioLabel: ("label", "decision"),
+}
+
+
+def built_record(cls):
+    """A record of class cls as the library builds it."""
+    cfg = default_config()
+    case = cfg.case_template.with_admin_cost(10.0)
+    build = {
+        OptimumSolution: lambda: search_alpha(base_config()).admissible[0].solution,
+        AdmissibleAlpha: lambda: search_alpha(base_config()).admissible[0],
+        AlphaSearchResult: lambda: search_alpha(base_config()),
+        SimState: lambda: run_simulation(cfg)[0],
+        SweepRow: lambda: sweep_admin_cost(cfg, [0.0])[0],
+        BargainDecomposition: lambda: reasonable_bargain(case),
+        ScenarioLabel: lambda: classify_scenario(case),
+    }
+    return build[cls]()
 
 
 def _round_trip(record):
     return pickle.loads(pickle.dumps(record))
 
 
-class TestRecords:
+def assert_same_records(built, made):
+    """Equal records, type and bits included, under ==, hash, repr, copy and pickle."""
+    assert len(built) == len(made)
+    for b, m in zip(built, made):
+        assert type(b) is type(m)
+        assert _hex_fields(b) == _hex_fields(m)
+        # the same float objects, so a nan field compares and hashes alike
+        assert b == m and hash(b) == hash(m) and repr(b) == repr(m)
+        assert copy.copy(b) == m and copy.deepcopy(b) == m
+        # a round trip makes new nan objects, so it is compared bit for bit
+        assert _hex_fields(_round_trip(b)) == _hex_fields(m)
+        assert repr(_round_trip(b)) == repr(m) and type(_round_trip(b)) is type(m)
+
+
+class TestRecordContract:
     @settings(max_examples=200)
     @given(rows=st.lists(
         st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, st.booleans(),
@@ -513,101 +566,55 @@ class TestRecords:
     ))
     @example(rows=[(0.0, -0.0, math.inf, -math.inf, math.nan, True, -math.nan, 5e-324),
                    (-0.0, 0.0, -math.inf, math.inf, 1.0, False, 0.0, math.nan)])
-    def test_match_the_records_init_builds(self, rows):
-        alphas, *optima, dets = zip(*rows)
-        built = records(AdmissibleAlpha, alphas, records(OptimumSolution, *optima), dets)
-        # the same float objects, so a nan field compares and hashes alike
+    def test_search_builds_the_records_init_builds(self, rows):
+        # search_alpha builds its records from the admitted rows, whatever they hold
+        with mock.patch.object(alpha_search, "_admitted", return_value=rows), \
+                mock.patch.object(alpha_search, "final_utility", return_value=0.0):
+            built = search_alpha(base_config()).admissible
         made = [AdmissibleAlpha(r[0], OptimumSolution(*r[1:7]), r[7]) for r in rows]
-        assert len(built) == len(made)
-        for b, m in zip(built, made):
-            assert b == m and b.solution == m.solution
-            assert hash(b) == hash(m) and hash(b.solution) == hash(m.solution)
-            assert repr(b) == repr(m)
-            assert dataclasses.astuple(b) == dataclasses.astuple(m)
-            assert dataclasses.replace(b) == m
-            assert dataclasses.replace(b, det_H=1.0) == dataclasses.replace(m, det_H=1.0)
-            changed = [dataclasses.replace(r.solution, lam=2.0) for r in (b, m)]
-            assert changed[0] == changed[1]
-            assert copy.copy(b) == m and copy.copy(b.solution) == m.solution
-            # a round trip makes new nan objects, so it is compared bit for bit
-            assert _hex_fields(_round_trip(b)) == _hex_fields(_round_trip(m)) == _hex_fields(m)
-            assert repr(_round_trip(b)) == repr(m)
-            assert type(_round_trip(b)) is AdmissibleAlpha
+        assert type(built) is tuple
+        assert_same_records(built, made)
+        assert_same_records([b.solution for b in built], [m.solution for m in made])
 
-    #: a SimState row (tick, injuries, ..., welfare) and a SweepRow row
-    #: (C_a, aggregate_trials, settlement_rate, welfare, best_welfare, fewest_trials)
-    SIM_ROWS = {
-        SimState: st.tuples(st.integers(1, 2**63), *[ANY_FLOAT] * 6),
-        SweepRow: st.tuples(*[ANY_FLOAT] * 4, st.booleans(), st.booleans()),
-    }
+    @settings(max_examples=200)
+    @given(rows=st.lists(st.tuples(st.integers(1, 2**63), *[ANY_FLOAT] * 6),
+                         min_size=1, max_size=6))
+    def test_simulation_builds_the_states_init_builds(self, rows):
+        columns = [list(column) for column in zip(*rows)]
+        with mock.patch.object(sim, "_run_columns", return_value=columns):
+            built = run_simulation(default_config())
+            made = [SimState(*r) for r in zip(*sim._run_columns(default_config()))]
+        assert_same_records(built, made)
 
-    @pytest.mark.parametrize("cls", [SimState, SweepRow], ids=["SimState", "SweepRow"])
-    @settings(max_examples=150)
-    @given(data=st.data())
-    def test_simulator_records_match_the_records_init_builds(self, cls, data):
-        rows = data.draw(st.lists(self.SIM_ROWS[cls], min_size=1, max_size=6))
-        built = records(cls, *zip(*rows))
-        made = [cls(*row) for row in rows]  # the same float objects, as above
-        assert len(built) == len(made)
-        for b, m in zip(built, made):
-            assert b == m and hash(b) == hash(m) and repr(b) == repr(m)
-            assert dataclasses.astuple(b) == dataclasses.astuple(m)
-            assert dataclasses.replace(b) == m
-            assert dataclasses.replace(b, welfare=1.0) == dataclasses.replace(m, welfare=1.0)
-            assert copy.copy(b) == m
-            assert _hex_fields(_round_trip(b)) == _hex_fields(_round_trip(m)) == _hex_fields(m)
-            assert repr(_round_trip(b)) == repr(m)
-            assert type(_round_trip(b)) is cls
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_a_run_builds_the_states_init_builds(self, stochastic):
+        cfg = dataclasses.replace(default_config(), stochastic=stochastic)
+        made = [SimState(*r) for r in zip(*sim._run_columns(cfg))]
+        assert_same_records(run_simulation(cfg), made)
 
-    def test_records_are_frozen_and_slotted(self):
-        (built,) = records(AdmissibleAlpha, [0.5], records(
-            OptimumSolution, [1.0], [2.0], [0.5], [1.5], [True], [0.0]), [0.25])
-        (state,) = records(SimState, [1], [2.0], [2.0], [0.0], [2.0], [2.0], [-5.0])
-        (row,) = records(SweepRow, [0.0], [2.0], [0.0], [-5.0], [True], [False])
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            built.alpha = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            built.solution.lam = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            state.welfare = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            row.welfare = 1.0
-        for record in (built, built.solution, state, row):
-            assert not hasattr(record, "__dict__")
-            with pytest.raises(TypeError):
-                vars(record)
-            with pytest.raises(TypeError):
-                weakref.ref(record)
-        assert dataclasses.asdict(built)["solution"]["lam"] == 0.5
+    @pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda cls: cls.__name__)
+    def test_fields_keep_their_order(self, cls):
+        # the CLI prints _asdict() of the bargain split and each sweep row
+        names = RECORD_FIELDS[cls]
+        assert cls._fields == names
+        built = built_record(cls)
+        assert type(built) is cls and built._fields == names
+        values = tuple(float(i) for i in range(len(names)))
+        record = cls(*values)
+        assert record == values and tuple(record) == values
+        assert record._asdict() == dict(zip(names, values))
+        assert record._replace(**{names[-1]: -1.0}) == (*values[:-1], -1.0)
+        assert not dataclasses.is_dataclass(record)
 
-    def test_refuses_a_class_that_would_skip_validation(self):
-        @dataclasses.dataclass(frozen=True, slots=True)
-        class Checked:
-            x: float
-
-            def __post_init__(self):
-                raise AssertionError("never skipped")
-
-        @dataclasses.dataclass(frozen=True)
-        class Unslotted:
-            x: float
-
-        class Subclass(OptimumSolution):  # slotted base, but instances get a __dict__
-            pass
-
-        for cls in (Checked, CobbDouglasProblem, AlphaSearchConfig):
-            with pytest.raises(TypeError, match="without __post_init__"):
-                records(cls, *[[1.0]] * len(dataclasses.fields(cls)))
-        for cls in (Unslotted, Subclass):
-            with pytest.raises(TypeError, match="slotted dataclass"):
-                records(cls, *[[1.0]] * len(dataclasses.fields(cls)))
-
-    def test_refuses_columns_that_do_not_fill_every_field(self):
-        with pytest.raises(TypeError, match="3 columns of one length"):
-            records(AdmissibleAlpha, [0.5], [None])
-        with pytest.raises(TypeError, match="3 columns of one length"):
-            records(AdmissibleAlpha, [0.5, 0.6], [None, None], [1.0])
-        assert records(AdmissibleAlpha, (), (), ()) == ()
+    @pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda cls: cls.__name__)
+    def test_assignment_raises_attribute_error(self, cls):
+        record = cls(*[1.0] * len(cls._fields))
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 2.0)
+        with pytest.raises(AttributeError):
+            record.extra = 2.0
+        assert tuple(record) == (1.0,) * len(cls._fields)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,21 @@ class TestBorderedHessianValidation:
         with pytest.raises(InvalidParameterError, match="symmetric"):
             BorderedHessian(m, HessianVariant.SHADOW_FORM)
 
+    def test_symmetric_with_nan_is_accepted(self):
+        # NaN counts equal to itself in the symmetry check, on or off the diagonal
+        for m in ([[0, 1, 1], [1, math.nan, 0], [1, 0, 1.0]],
+                  [[0, 1, math.nan], [1, 2, 0], [math.nan, 0, 1.0]]):
+            h = BorderedHessian(np.array(m), HessianVariant.SHADOW_FORM)
+            (_, b1, b2), (_, h11, h12), (_, _, h22) = m
+            assert math.isnan(hessian_determinant(h))
+            assert math.isnan(_determinant(b1, b2, h11, h12, h22))
+
+    def test_asymmetric_with_nan_is_refused(self):
+        for m in ([[0, 1, 1], [1, math.nan, 0], [1, 2, 1.0]],
+                  [[0, 1, math.nan], [1, 2, 0], [1, 0, 1.0]]):
+            with pytest.raises(InvalidParameterError, match="symmetric"):
+                BorderedHessian(np.array(m), HessianVariant.SHADOW_FORM)
+
 
 class TestHessianDeterminant:
     def test_sqrt_case_frozen_values(self):
@@ -258,8 +273,20 @@ class TestFloatRange:
     def test_overflowing_noise_floor_is_a_domain_error(self):
         # entries ~1e160: the determinant is finite but scale**3 is not
         prob = CobbDouglasProblem(1.7e-161, 1.0, 1.0, 1.0, 6.0)
-        with pytest.raises(DomainError, match="noise floor"):
+        with pytest.raises(DomainError) as info:
             classify_second_order(prob, solve_closed_form(prob))
+        assert str(info.value) == ("ShadowForm bordered Hessian: the noise floor overflows "
+                                   "at matrix scale 9.802958137391112e+159")
+
+    def test_public_classify_names_the_overflowing_scale(self):
+        # a numpy scalar's power would overflow to inf with a warning, not raise
+        for scale in (1e103, np.float64(1e103)):
+            with pytest.raises(DomainError) as info:
+                classify_from_determinant(1.0, scale)
+            assert str(info.value) == "the noise floor overflows at matrix scale 1e+103"
+        with pytest.raises(TypeError, match="matrix_scale must be a number"):
+            classify_from_determinant(1.0, "1e103")
+        assert classify_from_determinant(1.0, 1e102) is SecondOrderClass.INDETERMINATE
 
 
 class TestNonFiniteEntries:

@@ -18,7 +18,6 @@ are drawn from exact types.
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -396,7 +395,7 @@ class TestSimulateAgainstTheReference:
                      "n_injurers": 5 * 10**14})
     def test_stdout_bytes(self, params):
         try:
-            rows = [dataclasses.asdict(s) for s in reference_run(simulate_config(params))]
+            rows = [s._asdict() for s in reference_run(simulate_config(params))]
         except InvalidParameterError:  # thresholds that are not > 0
             want = {"json": (1, ""), "csv": (1, "")}
         else:
