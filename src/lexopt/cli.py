@@ -12,6 +12,9 @@ input (the message names the offending field), 2 domain failure, 64 usage
 error.  Commands that simulate (``simulate``, ``sweep``) require a seed,
 either via ``--seed`` or the LEXOPT_SEED environment variable; the flag
 wins.
+
+``main`` builds each command's parser once per process, and help and error
+text is formatted as it is printed.  Tables are kept as columns.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import json
 import math
 import os
 import sys
-from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from ._validation import as_float
@@ -97,44 +99,48 @@ _NUMBER_SPECS = {int: "%d", float: "%.17g"}
 
 
 class _Table:
-    """Named columns over tuple rows, each column of one exact type.
+    """Named columns of cells, each column a sequence of one exact type.
 
     It renders as a list of dicts with ``columns`` as keys would, to the
-    byte.  When the first row holds only ints and floats, a row template
-    made once per table types each cell (``%d``, ``%.17g``) and a row is one
-    ``%``.  Otherwise JSON renders the rows as those dicts, and CSV writes
-    the cells with ``csv.writer``, which quotes text as the csv module does.
-    A plain class, not a dataclass: making a dataclass costs every command
-    process about a millisecond.
+    byte, one dict per row of ``zip(*cells, strict=True)``: columns of
+    unequal length are a ValueError.  When every column holds ints or
+    floats, a row template made once per table types each cell by its
+    column's first value (``%d``, ``%.17g``) and a row is one ``%``.
+    Otherwise JSON renders the rows as those dicts, and CSV writes the cells
+    with ``csv.writer``, which quotes text as the csv module does.  A plain
+    class, not a dataclass: making a dataclass costs every command process
+    about a millisecond.
     """
 
-    def __init__(self, columns: tuple[str, ...], rows: Sequence[tuple]) -> None:
+    def __init__(self, columns: tuple[str, ...], cells: Sequence[Sequence]) -> None:
         self.columns = columns
-        self.rows = rows
+        self.cells = cells  # one sequence of values per column, in column order
+
+    def _rows(self) -> Iterator[tuple]:
+        return zip(*self.cells, strict=True)
 
     def _specs(self) -> tuple[str, ...] | None:
         """The typed cell directives, once every float is known to be finite;
-        None when there is no row or the first holds anything but ints and floats."""
-        if not self.rows or not all(type(v) in _NUMBER_SPECS for v in self.rows[0]):
+        None when there is no row or a column holds anything but ints and floats."""
+        if not all(self.cells) or not all(type(col[0]) in _NUMBER_SPECS for col in self.cells):
             return None
-        first = self.rows[0]
-        floats = [j for j, v in enumerate(first) if type(v) is float]
-        if not all(all(map(math.isfinite, map(itemgetter(j), self.rows))) for j in floats):
-            for row in self.rows:  # render order, so the first bad value is reported
-                for j in floats:
-                    _fmt_float(row[j])
-        return tuple(_NUMBER_SPECS[type(v)] for v in first)
+        floats = [col for col in self.cells if type(col[0]) is float]
+        if not all(all(map(math.isfinite, col)) for col in floats):
+            for row in zip(*floats):  # render order, so the first bad value is reported
+                for v in row:
+                    _fmt_float(v)
+        return tuple(_NUMBER_SPECS[type(col[0])] for col in self.cells)
 
     def json(self, level: int) -> str:
         specs = self._specs()
         if specs is None:  # no row, or not all numbers: render the dicts it stands for
-            return _json_render([dict(zip(self.columns, row)) for row in self.rows], level)
+            return _json_render([dict(zip(self.columns, row)) for row in self._rows()], level)
         # the JSON template is itself %-formatted with the directives, so a %
         # in a column name is escaped once for each of the two formattings
         keys = tuple(c.replace("%", "%%") for c in self.columns)
         pad = "  " * level
         row = pad + "  " + _json_template(keys, level + 1) % specs
-        return "[\n" + ",\n".join(map(row.__mod__, self.rows)) + "\n" + pad + "]"
+        return "[\n" + ",\n".join(map(row.__mod__, self._rows())) + "\n" + pad + "]"
 
     def csv(self) -> str:
         import csv  # only a --format csv process loads the module
@@ -144,9 +150,9 @@ class _Table:
         writer.writerow(self.columns)
         specs = self._specs()
         if specs is not None:  # number text never needs quoting
-            return buf.getvalue() + "".join(map((",".join(specs) + "\n").__mod__, self.rows))
+            return buf.getvalue() + "".join(map((",".join(specs) + "\n").__mod__, self._rows()))
         text = _CSV_TEXT.get
-        writer.writerows([text(type(v), _unsupported)(v) for v in row] for row in self.rows)
+        writer.writerows([text(type(v), _unsupported)(v) for v in row] for row in self._rows())
         return buf.getvalue()
 
 
@@ -164,7 +170,7 @@ def _emit(out: CommandOutput, fmt: str) -> str:
     comments = "".join(f"# {k}={_json_render(payload[k])}\n" for k in out.csv_comments)
     table = out.csv_rows
     if table is None:
-        table = _Table(tuple(payload), [tuple(payload.values())])
+        table = _Table(tuple(payload), [(v,) for v in payload.values()])
     return header + comments + table.csv()
 
 
@@ -398,7 +404,7 @@ def _run_hessian(cross_terms: bool, **problem: float) -> CommandOutput:
         payload[variant.name.lower()] = {"matrix": m, "det": det, "classification": cls.value}
         rows.append((variant.value, *(m[i][j] for i, j in upper), det, cls.value))
     columns = ("variant", *(f"m{i}{j}" for i, j in upper), "det", "classification")
-    return CommandOutput(payload, _Table(columns, rows))
+    return CommandOutput(payload, _Table(columns, list(zip(*rows))))
 
 
 @_command(
@@ -434,8 +440,7 @@ def _run_phi(rates: Any, L: Any, C_b_fixed: float, with_fixed: bool,
             None if R_B is None or P_C is None else within_budget(schedule, L, R_B, P_C, with_fixed)
         ),
     }
-    rows = _Table(("component", "L", "phi"),
-                  [(i, L_i, c) for i, (L_i, c) in enumerate(zip(L, components))])
+    rows = _Table(("component", "L", "phi"), [range(len(L)), L, components])
     comments = tuple(k for k in ("total", "admissible", "within_budget") if payload[k] is not None)
     return CommandOutput(payload, rows, comments)
 
@@ -473,11 +478,12 @@ def _run_alpha_search(alpha_grid: Any, objective: str, hessian_variant: str, cro
         include_cross_terms=cross_terms,
     )
     result = search_alpha(cfg)
-    # the table keeps its header when no alpha is admissible
+    adm = result.admissible  # the table keeps its header when no alpha is admissible
     rows = _Table(
         ("alpha", "L_C_star", "R_B_star", "lambda", "U_star", "det_H"),
-        [(e.alpha, e.solution.L_C_star, e.solution.R_B_star, e.solution.lam, e.solution.U_star,
-          e.det_H) for e in result.admissible],
+        [[e.alpha for e in adm],
+         *([getattr(e.solution, f) for e in adm] for f in ("L_C_star", "R_B_star", "lam", "U_star")),
+         [e.det_H for e in adm]],
     )
     payload = {
         "objective": cfg.objective.value,
@@ -561,9 +567,9 @@ def _run_simulate(C_a: float, **sim: Any) -> CommandOutput:
     from .sim import SimState, _run_columns
 
     cfg = _build_sim_config(sim, C_a)
-    # each row holds the SimState fields in declaration order; a stochastic
-    # run's counts are ints, which print through %d as their floats would
-    rows = _Table(SimState._fields, list(zip(*_run_columns(cfg, whole_counts=True))))
+    # one column per SimState field, in declaration order; a stochastic run's
+    # counts are ints, which print through %d as their floats would
+    rows = _Table(SimState._fields, _run_columns(cfg, whole_counts=True))
     return CommandOutput({"seed": cfg.seed, "ticks": cfg.ticks, "rows": rows}, rows)
 
 
@@ -577,7 +583,7 @@ def _run_sweep(C_a_grid: Any, **sim: Any) -> CommandOutput:
     # the grid is checked first, so that its errors do not name C_a_policy
     cfg = _build_sim_config(sim, require_admin_cost_grid(grid)[0])
     sweep = sweep_admin_cost(cfg, grid)
-    rows = _Table(SweepRow._fields, sweep)
+    rows = _Table(SweepRow._fields, list(zip(*sweep)))
     payload = {
         "seed": cfg.seed,
         "rows": rows,
@@ -585,7 +591,7 @@ def _run_sweep(C_a_grid: Any, **sim: Any) -> CommandOutput:
         "fewest_trials_C_a": next(r.C_a for r in sweep if r.fewest_trials),
     }
     # the CSV leaves out the rows' best_welfare and fewest_trials flags
-    csv_rows = _Table(rows.columns[:4], [r[:4] for r in rows.rows])
+    csv_rows = _Table(rows.columns[:4], rows.cells[:4])
     return CommandOutput(payload, csv_rows, ("best_welfare_C_a", "fewest_trials_C_a"))
 
 
@@ -644,13 +650,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per command word and one of all nine, built on first use; a reused
+# parser prints what a fresh one would, as argparse reads COLUMNS as it prints
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a command word needs only its own subparser; any other first word
-    # (top-level --help, no or an unknown command) builds all nine
+    # (top-level --help, no or an unknown command) takes all nine
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse exits with an int: 0 for --help, 64 for usage
         return exc.code
 

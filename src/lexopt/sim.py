@@ -269,7 +269,8 @@ class _RunPlan:
         """The next tick's lagged settlement rate: every filing settled, or none did."""
         return 1.0 if self.settles and filings > 0.0 else 0.0
 
-    def columns(self, B: float, injuries, ticks: int, C_a: float) -> tuple[list, list]:
+    def columns(self, B: float, injuries, ticks: int, C_a: float,
+                counts: bool = True) -> tuple[list | None, list]:
         """(injuries, welfare) of each tick of a stretch at B and C_a, as lists of floats.
 
         The welfare is one expression, evaluated once per stretch: on the one
@@ -277,6 +278,7 @@ class _RunPlan:
         stretch's draws as one float64 array, whose elementwise + - * round
         as Python's float arithmetic does.  An overflow leaves an inf or a
         nan in the welfare, which the caller reports; numpy warns of none.
+        A drawn stretch's injuries are None unless ``counts`` asks for them.
         """
         if not self.cfg.stochastic:
             return [injuries] * ticks, [self._welfare(B, injuries, C_a)] * ticks
@@ -284,7 +286,7 @@ class _RunPlan:
 
         x = np.asarray(injuries, dtype=float)
         with np.errstate(all="ignore"):
-            return x.tolist(), self._welfare(B, x, C_a).tolist()
+            return x.tolist() if counts else None, self._welfare(B, x, C_a).tolist()
 
     def _welfare(self, B: float, x, C_a: float):
         case, cfg = self.cfg.case_template, self.cfg
@@ -395,29 +397,34 @@ def _run_columns(cfg: SimConfig, whole_counts: bool = False) -> list[Sequence]:
     injuries, filings, settlements and trials are the draws as ints, and
     aggregate_trials their running sums, each column while all its values
     stay below 2**53; a column that reaches it holds floats.  A horizon of
-    more ticks than a list can hold is a DomainError naming ticks, raised
-    before any tick is run; ``sweep_admin_cost`` keeps no per-tick rows and
-    takes any horizon.
+    more ticks than a list can hold, or than this process can allocate, is
+    a DomainError naming ticks, raised before any tick is run;
+    ``sweep_admin_cost`` keeps no per-tick rows and takes any horizon.
     """
     if cfg.ticks > _MAX_ROWS:
         raise DomainError(f"ticks={shown(cfg.ticks, str)} is more rows than a per-tick table "
                           f"can hold (at most {_MAX_ROWS})")
+    try:  # one per-tick column, sized before the walk draws anything
+        none = [0.0] * cfg.ticks
+    except MemoryError:
+        raise DomainError(f"ticks={shown(cfg.ticks, str)} is more rows than this process "
+                          f"can allocate") from None
     plan = _RunPlan(cfg, cfg.C_a_policy)
     stretches = list(_stretches(plan, _generator(cfg), 0.0, cfg.ticks))
-    injuries, welfare = [], []
-    for stretch in stretches:
-        x, w = plan.columns(*stretch, cfg.C_a_policy)
-        injuries += x
-        welfare += w
     whole = False
     if whole_counts and cfg.stochastic:
         import numpy as np
 
         draws = np.concatenate([drawn for _, drawn, _ in stretches])
         whole = draws.max() < _WHOLE_LIMIT
-        if whole:
-            injuries = draws.tolist()
-    none = [0 if whole else 0.0] * cfg.ticks
+    injuries, welfare = [], []
+    for stretch in stretches:  # float injuries only where the counts stay floats
+        x, w = plan.columns(*stretch, cfg.C_a_policy, counts=not whole)
+        if not whole:
+            injuries += x
+        welfare += w
+    if whole:
+        injuries, none = draws.tolist(), [0] * cfg.ticks
     settlements, trials = (injuries, none) if plan.settles else (none, injuries)
     aggregate_trials = _running(trials, none[0])
     if whole and aggregate_trials[-1] >= _WHOLE_LIMIT:

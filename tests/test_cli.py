@@ -10,11 +10,12 @@ import warnings
 
 import pytest
 
-from lexopt import __version__, default_config, run_simulation, solve_closed_form
+from lexopt import __version__, cli, default_config, run_simulation, solve_closed_form
 from lexopt.cli import (COMMANDS, _build_sim_config, _emit, _merge_params, build_parser, entry,
                         main)
 from lexopt.errors import DomainError, InvalidParameterError
 from lexopt.sim import _MAX_ROWS
+from test_sim import UNALLOCATABLE_TICKS, run_bounded
 
 BARGAIN_ARGS = ["--p", "0.5", "--W_B", "100", "--S_B", "60", "--C_a", "10", "--C_b", "4"]
 SQRT_ARGS = ["--alpha", "0.5", "--beta", "0.5", "--p1", "1", "--p2", "1", "--P_C", "2"]
@@ -396,6 +397,24 @@ class TestSimulateAndSweep:
             f"(at most {_MAX_ROWS})"
         ]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_simulate_unallocatable_horizon_is_a_domain_error(self, capsys, fmt):
+        # under the row bound, but no process can allocate its per-tick column;
+        # it once printed a MemoryError traceback and exited 1
+        argv = ["simulate", "--seed", "0", "--ticks", str(UNALLOCATABLE_TICKS), "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: ticks={UNALLOCATABLE_TICKS} is more rows than this process can allocate"]
+
+    def test_stochastic_unallocatable_horizon_fails_before_any_draw(self):
+        proc = run_bounded("import sys\nfrom lexopt.cli import main\nsys.exit(main(sys.argv[1:]))",
+                           "simulate", "--seed", "0", "--stochastic",
+                           "--ticks", str(UNALLOCATABLE_TICKS))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [
+            f"error: ticks={UNALLOCATABLE_TICKS} is more rows than this process can allocate"]
+
 
     @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--C_a_grid", "[0, 30]"]])
     def test_negative_seed_is_invalid_in_stochastic_mode(self, capsys, command):
@@ -750,8 +769,8 @@ PARSE_CASES = [
 
 class TestOneSubparserPerCommand:
     """``main`` builds only the named command's subparser, and all nine only
-    for top-level --help and no or an unknown command; its bytes are the
-    full parser's."""
+    for top-level --help and no or an unknown command, once per process; its
+    bytes are the full parser's."""
 
     @pytest.fixture(autouse=True)
     def _fixed_environment(self, monkeypatch):
@@ -789,9 +808,33 @@ class TestOneSubparserPerCommand:
         got, want = self.both(capsys, None)
         assert got == want
 
+    @pytest.mark.parametrize("argv", [*HELP_AND_USAGE_DIGESTS, *PARSE_CASES, *SUCCESSFUL_RUNS])
+    def test_same_bytes_from_a_reused_parser(self, capsys, argv):
+        words = shlex.split(argv)
+        head = words[:1] if words and words[0] in COMMANDS else []
+        # the parser main takes has answered a usage error, --help and this argv
+        for warm in ([*head, "--bogus", "1"], [*head, "--help"], words):
+            main(warm)
+        capsys.readouterr()
+        got, want = self.both(capsys, words)
+        assert got == want
+
+    @pytest.mark.parametrize("argv", ["--help", "simulate --help", "simulate --bogus 1"])
+    def test_help_rewraps_when_columns_change(self, capsys, monkeypatch, argv):
+        answers = []
+        for columns in ("80", "200", "80"):
+            monkeypatch.setenv("COLUMNS", columns)
+            got, want = self.both(capsys, shlex.split(argv))
+            assert got == want
+            answers.append(got)
+        assert answers[0] == answers[2] != answers[1]
+
     @pytest.fixture
     def added(self, monkeypatch):
-        """The names of the subparsers added while the test runs, in order."""
+        """The names of the subparsers added while the test runs, in order.
+
+        main's parsers are built anew, so a test sees main's first build."""
+        cli._parser.cache_clear()
         names = []
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -806,6 +849,12 @@ class TestOneSubparserPerCommand:
     def test_a_successful_run_adds_one_subparser(self, capsys, added, argv):
         assert main(shlex.split(argv)) == 0
         assert added == [argv.split()[0]]
+
+    @pytest.mark.parametrize("argv", [*SUCCESSFUL_RUNS, "--help", "bargain --bogus 1"])
+    def test_a_second_run_adds_no_subparser(self, capsys, added, argv):
+        for _ in range(2):
+            main(shlex.split(argv))
+        assert added == (list(COMMANDS) if argv == "--help" else [argv.split()[0]])
 
     @pytest.mark.parametrize("argv", ["--help", "", "nope"])
     def test_output_listing_the_commands_adds_all_nine(self, capsys, added, argv):

@@ -158,13 +158,17 @@ def check_exact_types(obj, where="payload"):
     """Every scalar is of an exact builtin type, and every _Table column holds one type.
 
     The renderer looks a scalar's text up by its exact type, and a table of
-    ints and floats renders each row through directives typed by its first.
+    ints and floats renders each row through directives typed by the first
+    value of each column.  A table has one column of cells per name, all of
+    one length.
     """
     if type(obj) is _Table:
         assert all(type(c) is str for c in obj.columns), where
-        for name, cells in zip(obj.columns, zip(*obj.rows)):
-            assert {type(v) for v in cells} == {type(cells[0])}, f"{where}.{name}"
-            assert type(cells[0]) in EXACT, f"{where}.{name}"
+        assert len(obj.cells) == len(obj.columns), where
+        assert len({len(cells) for cells in obj.cells}) == 1, where
+        for name, cells in zip(obj.columns, obj.cells):
+            kinds = {type(v) for v in cells}
+            assert len(kinds) <= 1 and kinds <= set(EXACT), f"{where}.{name}"
     elif type(obj) in (list, tuple):
         for i, value in enumerate(obj):
             check_exact_types(value, f"{where}[{i}]")

@@ -174,9 +174,10 @@ def tables(draw, non_finite=False):
     kinds = [INTS, floats(non_finite)]
     if draw(st.booleans()):
         kinds += [st.none(), st.booleans(), TEXT]
-    cells = [draw(st.sampled_from(kinds)) for _ in columns]
-    rows = [tuple(draw(c) for c in cells) for _ in range(draw(st.integers(0, 6)))]
-    return _Table(tuple(columns), rows), [dict(zip(columns, row)) for row in rows]
+    n = draw(st.integers(0, 6))
+    cells = [draw(st.lists(draw(st.sampled_from(kinds)), min_size=n, max_size=n))
+             for _ in columns]
+    return _Table(tuple(columns), cells), [dict(zip(columns, row)) for row in zip(*cells)]
 
 
 SIM_LIKE = {
@@ -210,15 +211,16 @@ class TestAgainstReference:
 
     @settings(max_examples=300)
     @given(table=tables(), level=st.integers(0, 2))
-    @example(table=(_Table(("a%sb", "%d", "%%"), [(1, 0.5, -0.0)]),
+    @example(table=(_Table(("a%sb", "%d", "%%"), [[1], [0.5], [-0.0]]),
                     [{"a%sb": 1, "%d": 0.5, "%%": -0.0}]), level=1)
-    @example(table=(_Table(("a%sb", "%d", "%%"), [("%s", 0.5, None)]),
+    @example(table=(_Table(("a%sb", "%d", "%%"), [["%s"], [0.5], [None]]),
                     [{"a%sb": "%s", "%d": 0.5, "%%": None}]), level=1)
-    @example(table=(_Table(("a,b", 'c"d'), [("", True), ("x\ny", False)]),
+    @example(table=(_Table(("a,b", 'c"d'), [["", "x\ny"], [True, False]]),
                     [{"a,b": "", 'c"d': True}, {"a,b": "x\ny", 'c"d': False}]), level=0)
     @example(table=(_Table(tuple(SIM_LIKE["rows"][0]),
-                           [tuple(r.values()) for r in SIM_LIKE["rows"]]),
+                           [[r[k] for r in SIM_LIKE["rows"]] for k in SIM_LIKE["rows"][0]]),
                     SIM_LIKE["rows"]), level=1)
+    @example(table=(_Table(("a", "b"), [[], []]), []), level=1)
     def test_table_bytes(self, table, level):
         table, rows = table
         assert _json_render(table, level) == ref_json_render(rows, level)
@@ -251,18 +253,18 @@ class TestExactTypesOnly:
         message = f"unsupported payload type {type(value)!r}"
         for render in (
             lambda: _json_render({"a": value}),
-            lambda: _json_render(_Table(("a", "b"), [("x", value)])),
-            _Table(("a", "b"), [("x", value)]).csv,
+            lambda: _json_render(_Table(("a", "b"), [["x"], [value]])),
+            _Table(("a", "b"), [["x"], [value]]).csv,
         ):
             with pytest.raises(TypeError) as got:
                 render()
             assert str(got.value) == message
         # nor does a typed template take it: its row is not all int and float
-        assert outcome(_Table(("a",), [(value,)]).csv)[0] is TypeError
+        assert outcome(_Table(("a",), [[value]]).csv)[0] is TypeError
 
     def test_a_list_is_no_csv_cell(self):
         # the reference wrote it as str() writes it
-        assert outcome(_Table(("a",), [([1],)]).csv) == (
+        assert outcome(_Table(("a",), [[[1]]]).csv) == (
             TypeError, "unsupported payload type <class 'list'>")
 
 
@@ -277,7 +279,7 @@ class TestNonFiniteAtEveryPosition:
 
     @staticmethod
     def table_of(rows):
-        return _Table(tuple(rows[0]), [tuple(r.values()) for r in rows])
+        return _Table(tuple(rows[0]), [[r[k] for r in rows] for k in rows[0]])
 
     @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
     @pytest.mark.parametrize("i,key", POSITIONS)
@@ -308,6 +310,24 @@ class TestNonFiniteAtEveryPosition:
                              (table.csv, ())):
             with pytest.raises(DomainError, match="range: -inf$"):
                 render(*args)
+
+
+class TestColumns:
+    """A _Table holds columns: an empty one has one empty column per name, and
+    columns of unequal length are a ValueError in either format."""
+
+    def test_empty_columns_render_no_rows(self):
+        table = _Table(("a", "b"), [[], []])
+        assert (_json_render(table), table.csv()) == ("[]", "a,b\n")
+
+    @pytest.mark.parametrize("cells", [[[1, 2], [0.5]], [[0.5], [1, 2]], [[1], []],
+                                       [[], [1]], [["x", "y"], [None]]],
+                             ids=["typed", "typed-longer", "empty-last", "empty-first", "text"])
+    def test_ragged_columns_raise_value_error(self, cells):
+        table = _Table(("a", "b"), cells)
+        for render in (lambda: _json_render(table), table.csv):
+            with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer)"):
+                render()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -38,6 +40,22 @@ from lexopt.sim import (
     _stretches,
     require_admin_cost_grid,
 )
+
+
+#: A horizon under sim._MAX_ROWS whose per-tick column, 2**60 bytes, is past any
+#: 64-bit address space
+UNALLOCATABLE_TICKS = 2**57
+
+
+def run_bounded(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code *args`` in a child with 1 GiB of address space and a minute.
+
+    A stochastic walk of UNALLOCATABLE_TICKS that went ahead would draw
+    without end: the limits stop it in the child, which fails the test.
+    """
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+    return subprocess.run([sys.executable, "-c", limit + code, *args],
+                          capture_output=True, text=True, timeout=60)
 
 
 def small_config(**overrides) -> SimConfig:
@@ -418,6 +436,29 @@ class TestRunSimulation:
             [0.0] * (sim._MAX_ROWS + 1)
         with pytest.raises(DomainError, match="ticks="):
             _run_columns(replace(default_config(), ticks=sim._MAX_ROWS + 1))
+
+    def test_unallocatable_horizon_is_a_domain_error(self, monkeypatch):
+        # a list of UNALLOCATABLE_TICKS is refused at once: malloc finds no room
+        monkeypatch.setattr(sim, "_generator", lambda cfg: pytest.fail("the walk ran"))
+        with pytest.raises(DomainError, match=rf"^ticks={UNALLOCATABLE_TICKS} is more rows than "
+                                              r"this process can allocate$"):
+            run_simulation(replace(default_config(), ticks=UNALLOCATABLE_TICKS))
+
+    def test_unallocatable_stochastic_horizon_fails_before_any_draw(self):
+        proc = run_bounded(
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from lexopt import DomainError, default_config, run_simulation\n"
+            "cfg = replace(default_config(), ticks=int(sys.argv[1]), stochastic=True)\n"
+            "try:\n"
+            "    run_simulation(cfg)\n"
+            "except DomainError as exc:\n"
+            "    print(exc)\n",
+            str(UNALLOCATABLE_TICKS),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (f"ticks={UNALLOCATABLE_TICKS} is more rows than this process "
+                               f"can allocate\n")
 
     def test_settlement_rate_helper(self):
         assert _settlement_rate(INITIAL_STATE) == 0.0
