@@ -1,7 +1,8 @@
 """Small field validators used by the public dataclasses.
 
-Every check raises :class:`~lexopt.errors.InvalidParameterError` with the
-field name in the message and returns the value coerced to ``float``.
+Every value check raises :class:`~lexopt.errors.InvalidParameterError` with
+the field name in the message and returns the value coerced to ``float``;
+``require_type`` raises a TypeError naming the field.
 """
 
 import math
@@ -68,6 +69,13 @@ def require_unit_interval(name: str, value: float) -> float:
     return value
 
 
+def require_type(name: str, value: object, kind: type) -> None:
+    """A TypeError naming the field unless value is a ``kind``; a truthy str would pick a mode."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, got {shown(value)}")
+
+
 def require_count(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
@@ -79,19 +87,11 @@ def require_count(name: str, value: int) -> int:
 def require_each(
     name: str, values: Iterable[float], check: Callable[[str, float], float]
 ) -> list[float]:
-    """Each value through ``check``; nonempty.
+    """Each value through ``check`` once, as ``name[i]``; nonempty.
 
-    Values are checked under the plain name, and only when a check fails are
-    they checked again as ``name[i]``, so the failing value's message names
-    its index while a valid grid formats no index names.
+    A generator is read once, and the first value that fails names its index.
     """
-    values = list(values)  # read a generator once: a failure reads the values again
-    try:
-        grid = [check(name, v) for v in values]
-    except InvalidParameterError:
-        for i, v in enumerate(values):
-            check(f"{name}[{i}]", v)
-        raise
+    grid = [check(f"{name}[{i}]", v) for i, v in enumerate(values)]
     if not grid:
         raise InvalidParameterError(f"{name} must be nonempty")
     return grid

@@ -49,11 +49,10 @@ from enum import Enum
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from ._validation import require_finite, require_increasing, require_positive
+from ._validation import require_finite, require_increasing, require_positive, require_type
 from .cobb_douglas import OptimumSolution, _solve
 from .errors import DomainError
 from .hessian import (
-    _DIRECT_FORM,
     _LOCAL_MAX,
     _SHADOW_FORM,
     DET_NOISE_RTOL,
@@ -73,7 +72,8 @@ class AlphaSearchConfig:
 
     Each candidate is admitted by the ``hessian_variant`` check, with the
     mixed partial when ``include_cross_terms``, and alpha* maximizes the
-    ``objective`` among the admitted.
+    ``objective`` among the admitted.  A mode of the wrong type, such as
+    the enum's value in place of its member, is a TypeError naming the field.
     """
 
     alpha_grid: tuple[float, ...]
@@ -92,6 +92,9 @@ class AlphaSearchConfig:
         object.__setattr__(self, "p1", require_positive("p1", self.p1))
         object.__setattr__(self, "p2", require_positive("p2", self.p2))
         object.__setattr__(self, "P_C", require_positive("P_C", self.P_C))
+        require_type("objective", self.objective, Objective)
+        require_type("hessian_variant", self.hessian_variant, HessianVariant)
+        require_type("include_cross_terms", self.include_cross_terms, bool)
 
 
 class AdmissibleAlpha(NamedTuple):
@@ -179,12 +182,10 @@ def _admitted(
     per grid.  Since the noise floor is >= 0 and never NaN, det_H above it
     is exactly the LocalMax class.  A candidate whose arithmetic raises, or
     whose identity residual is not finite, is run again through
-    ``_candidate``, which raises the error the scalar kernels raise for it;
-    so is every candidate of a variant that is not a HessianVariant.
+    ``_candidate``, which raises the error the scalar kernels raise for it.
+    The config has checked that ``variant`` is a HessianVariant.
     """
     b = beta
-    if variant is not _SHADOW_FORM and variant is not _DIRECT_FORM:
-        return [row for a in grid if (row := _candidate(a, b, p1, p2, P_C, variant, cross))]
     shadow = variant is _SHADOW_FORM
     b_P_C, b_b_1, b_1, b_2 = b * P_C, b * (b - 1.0), b - 1.0, b - 2.0
     rows: list[_Row] = []

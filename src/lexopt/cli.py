@@ -29,7 +29,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
-from ._validation import as_float
+from ._validation import as_float, require_each
 from .errors import DomainError, InvalidParameterError
 
 if TYPE_CHECKING:
@@ -304,7 +304,7 @@ def _number(key: str, value: Any) -> float:
 def _float_list(key: str, value: Any) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise InvalidParameterError(f"{key} must be a nonempty JSON array of numbers")
-    return tuple(_number(f"{key}[{i}]", v) for i, v in enumerate(value))
+    return tuple(require_each(key, value, _number))
 
 
 # ---------------------------------------------------------------------------

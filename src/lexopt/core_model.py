@@ -132,11 +132,18 @@ def resolve_thresholds(
 ) -> tuple[float, float]:
     """The High/Low cutoffs to use, as floats, each finite and > 0.
 
-    Cutoffs given are checked by require_thresholds.  Each one not given
+    Cutoffs given are checked both finite, then both > 0.  Each one not given
     defaults to P_C / 2 = (p * W_B + S_B) / 4, which is refused, naming p,
     W_B and S_B, when it is not finite and > 0 (as when p * W_B + S_B is 0).
     """
-    theta_a, theta_b = require_thresholds(theta_a, theta_b)
+    if theta_a is not None:
+        theta_a = require_finite("theta_a", theta_a)
+    if theta_b is not None:
+        theta_b = require_finite("theta_b", theta_b)
+    if theta_a is not None and theta_a <= 0.0:
+        raise InvalidParameterError(f"theta_a must be > 0, got {theta_a!r}")
+    if theta_b is not None and theta_b <= 0.0:
+        raise InvalidParameterError(f"theta_b must be > 0, got {theta_b!r}")
     if theta_a is None or theta_b is None:
         default, _ = default_thresholds(c)
         if not 0.0 < default < math.inf:
@@ -149,21 +156,6 @@ def resolve_thresholds(
             )
         theta_a = default if theta_a is None else theta_a
         theta_b = default if theta_b is None else theta_b
-    return theta_a, theta_b
-
-
-def require_thresholds(
-    theta_a: float | None, theta_b: float | None
-) -> tuple[float | None, float | None]:
-    """The cutoffs given, as floats: both finite first, then both > 0; None stays None."""
-    if theta_a is not None:
-        theta_a = require_finite("theta_a", theta_a)
-    if theta_b is not None:
-        theta_b = require_finite("theta_b", theta_b)
-    if theta_a is not None and theta_a <= 0.0:
-        raise InvalidParameterError(f"theta_a must be > 0, got {theta_a!r}")
-    if theta_b is not None and theta_b <= 0.0:
-        raise InvalidParameterError(f"theta_b must be > 0, got {theta_b!r}")
     return theta_a, theta_b
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._validation import require_finite, require_nonnegative
+from ._validation import require_finite, require_nonnegative, require_type
 from .errors import InvalidParameterError
 
 
@@ -56,7 +56,12 @@ class CostSchedule:
 
 
 def phi_component(s: CostSchedule, i: int, L_i: float, with_fixed: bool = False) -> float:
-    """Cost of component i at activity L_i under the selected form."""
+    """Cost of component i at activity L_i under the selected form.
+
+    ``with_fixed`` must be a bool, here and in the functions that call this
+    one; any other value, such as the text "no", is a TypeError.
+    """
+    require_type("with_fixed", with_fixed, bool)
     if not 0 <= i < len(s.rates):  # a negative i would wrap to a component from the end
         raise IndexError(f"component {i} is out of range for {len(s.rates)} rate pairs")
     alpha_plus, alpha_minus = s.rates[i]

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._validation import as_float, require_positive
+from ._validation import as_float, require_positive, require_type
 from .cobb_douglas import CobbDouglasProblem, OptimumSolution, _range_error
 from .errors import DomainError, InvalidParameterError
 
@@ -199,9 +199,10 @@ def build_bordered_hessian(
     variant: HessianVariant,
     include_cross_terms: bool = False,
 ) -> BorderedHessian:
-    """Assemble the bordered Hessian at the point carried by ``sol``."""
+    """Assemble the bordered Hessian at the point carried by ``sol``; the flag must be a bool."""
     import numpy as np
 
+    require_type("include_cross_terms", include_cross_terms, bool)
     cross = include_cross_terms
     e = _entries(prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, *_point(sol), variant, cross)
     return BorderedHessian(np.array(_matrix(*e)), variant, cross)
@@ -246,7 +247,8 @@ def classify_second_order(
     sol: OptimumSolution,
     include_cross_terms: bool = False,
 ) -> dict[HessianVariant, SecondOrderClass]:
-    """Evaluate and classify both variants at the solution point."""
+    """Evaluate and classify both variants at the solution point; the flag must be a bool."""
+    require_type("include_cross_terms", include_cross_terms, bool)
     point = _point(sol)
     return {
         variant: _second_order(

@@ -76,6 +76,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, repeat
@@ -88,6 +89,7 @@ from ._validation import (
     require_each,
     require_increasing,
     require_nonnegative,
+    require_type,
     require_unit_interval,
     shown,
 )
@@ -161,8 +163,7 @@ class SimConfig:
         require_count("ticks", self.ticks)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.stochastic, bool):  # 'false' or 1 would select the draws
-            raise TypeError(f"stochastic must be a bool, got {shown(self.stochastic)}")
+        require_type("stochastic", self.stochastic, bool)
         if self.stochastic and self.seed < 0:  # numpy's default_rng refuses negative seeds
             raise InvalidParameterError(
                 f"seed must be >= 0 in stochastic mode, got {shown(self.seed, str)}")
@@ -177,8 +178,7 @@ class SimConfig:
         object.__setattr__(self, "precaution_cost_grid", tuple(sorted(grid)))
         object.__setattr__(self, "L_harm", require_nonnegative("L_harm", self.L_harm))
         object.__setattr__(self, "C_a_policy", require_nonnegative("C_a_policy", self.C_a_policy))
-        if not isinstance(self.case_template, CaseTemplate):
-            raise TypeError(f"case_template must be a CaseTemplate, got {type(self.case_template)}")
+        require_type("case_template", self.case_template, CaseTemplate)
         c = self.case_template.with_admin_cost(self.C_a_policy)  # the fields, validated, as floats
         object.__setattr__(self, "case_template", CaseTemplate(c.p, c.W_B, c.S_B, c.C_b))
         object.__setattr__(
@@ -199,10 +199,12 @@ class SimConfig:
             previous = p
         # cutoffs, given or defaulted, that classify_scenario would refuse, refused
         # before any run; the default does not depend on C_a
-        self.thresholds()
+        cutoffs = resolve_thresholds(self.case_template, self.theta_a, self.theta_b)
+        object.__setattr__(self, "_thresholds", cutoffs)
 
     def thresholds(self) -> tuple[float, float]:
-        return resolve_thresholds(self.case_template, self.theta_a, self.theta_b)
+        """The (theta_a, theta_b) cutoffs as floats, resolved once when the config is made."""
+        return self._thresholds
 
 
 class SimState(NamedTuple):
@@ -248,12 +250,13 @@ class _RunPlan:
     It holds the settle/trial decision at C_a, made on floats, and caches the
     precaution choice (B, P_harm(B)) by lagged settlement rate.  The decision
     is fixed for the run, so from the second tick on the rate is exactly 0.0
-    or 1.0 and a run makes at most two precaution choices.
+    or 1.0 and a run makes at most two precaution choices.  The cutoffs are
+    the config's, resolved when it was made.
     """
 
-    def __init__(self, cfg: SimConfig, C_a: float, thresholds: tuple | None = None) -> None:
+    def __init__(self, cfg: SimConfig, C_a: float) -> None:
         self.cfg = cfg
-        self.settles = _settles(cfg.case_template, C_a, *(thresholds or cfg.thresholds()))
+        self.settles = _settles(cfg.case_template, C_a, *cfg.thresholds())
         self._precautions: dict[float, tuple[float, float]] = {}
 
     def precaution(self, settlement_rate: float) -> tuple[float, float]:
@@ -388,6 +391,16 @@ def _running(terms: Iterable, start):
     return totals
 
 
+@contextmanager
+def _per_tick_rows(ticks: int) -> Iterator[None]:
+    """A MemoryError while per-tick rows are built becomes a DomainError naming ticks."""
+    try:
+        yield
+    except MemoryError:
+        raise DomainError(f"ticks={shown(ticks, str)} is more rows than this process "
+                          f"can allocate") from None
+
+
 def _run_columns(cfg: SimConfig, whole_counts: bool = False) -> list[Sequence]:
     """The SimState fields over the full horizon from the zero state, one column per field.
 
@@ -398,39 +411,38 @@ def _run_columns(cfg: SimConfig, whole_counts: bool = False) -> list[Sequence]:
     aggregate_trials their running sums, each column while all its values
     stay below 2**53; a column that reaches it holds floats.  A horizon of
     more ticks than a list can hold, or than this process can allocate, is
-    a DomainError naming ticks, raised before any tick is run;
-    ``sweep_admin_cost`` keeps no per-tick rows and takes any horizon.
+    a DomainError naming ticks.  One column is sized before the walk, so a
+    horizon whose first column does not fit fails before any tick is run;
+    memory that runs out later, in the walk or a later column, is the same
+    error.  ``sweep_admin_cost`` keeps no per-tick rows and takes any horizon.
     """
     if cfg.ticks > _MAX_ROWS:
         raise DomainError(f"ticks={shown(cfg.ticks, str)} is more rows than a per-tick table "
                           f"can hold (at most {_MAX_ROWS})")
-    try:  # one per-tick column, sized before the walk draws anything
-        none = [0.0] * cfg.ticks
-    except MemoryError:
-        raise DomainError(f"ticks={shown(cfg.ticks, str)} is more rows than this process "
-                          f"can allocate") from None
-    plan = _RunPlan(cfg, cfg.C_a_policy)
-    stretches = list(_stretches(plan, _generator(cfg), 0.0, cfg.ticks))
-    whole = False
-    if whole_counts and cfg.stochastic:
-        import numpy as np
+    with _per_tick_rows(cfg.ticks):
+        none = [0.0] * cfg.ticks  # one per-tick column, sized before the walk draws anything
+        plan = _RunPlan(cfg, cfg.C_a_policy)
+        stretches = list(_stretches(plan, _generator(cfg), 0.0, cfg.ticks))
+        whole = False
+        if whole_counts and cfg.stochastic:
+            import numpy as np
 
-        draws = np.concatenate([drawn for _, drawn, _ in stretches])
-        whole = draws.max() < _WHOLE_LIMIT
-    injuries, welfare = [], []
-    for stretch in stretches:  # float injuries only where the counts stay floats
-        x, w = plan.columns(*stretch, cfg.C_a_policy, counts=not whole)
-        if not whole:
-            injuries += x
-        welfare += w
-    if whole:
-        injuries, none = draws.tolist(), [0] * cfg.ticks
-    settlements, trials = (injuries, none) if plan.settles else (none, injuries)
-    aggregate_trials = _running(trials, none[0])
-    if whole and aggregate_trials[-1] >= _WHOLE_LIMIT:
-        aggregate_trials = _running(map(float, trials), 0.0)
-    return [range(1, cfg.ticks + 1), injuries, injuries, settlements, trials, aggregate_trials,
-            _running(welfare, 0.0)]
+            draws = np.concatenate([drawn for _, drawn, _ in stretches])
+            whole = draws.max() < _WHOLE_LIMIT
+        injuries, welfare = [], []
+        for stretch in stretches:  # float injuries only where the counts stay floats
+            x, w = plan.columns(*stretch, cfg.C_a_policy, counts=not whole)
+            if not whole:
+                injuries += x
+            welfare += w
+        if whole:
+            injuries, none = draws.tolist(), [0] * cfg.ticks
+        settlements, trials = (injuries, none) if plan.settles else (none, injuries)
+        aggregate_trials = _running(trials, none[0])
+        if whole and aggregate_trials[-1] >= _WHOLE_LIMIT:
+            aggregate_trials = _running(map(float, trials), 0.0)
+        return [range(1, cfg.ticks + 1), injuries, injuries, settlements, trials, aggregate_trials,
+                _running(welfare, 0.0)]
 
 
 def _repeat_add(x: float, c: float, n: int) -> float:
@@ -464,8 +476,14 @@ def _repeat_add(x: float, c: float, n: int) -> float:
 
 
 def run_simulation(cfg: SimConfig) -> list[SimState]:
-    """Full horizon from the zero state; returns the state after each tick."""
-    return list(map(tuple.__new__, repeat(SimState), zip(*_run_columns(cfg))))
+    """Full horizon from the zero state; returns the state after each tick.
+
+    A horizon whose columns or states this process cannot allocate is a
+    DomainError naming ticks.
+    """
+    columns = _run_columns(cfg)
+    with _per_tick_rows(cfg.ticks):
+        return list(map(tuple.__new__, repeat(SimState), zip(*columns)))
 
 
 class SweepRow(NamedTuple):
@@ -513,7 +531,7 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
         classes.setdefault(_settles(cfg.case_template, C_a, *thresholds), []).append(i)
     results: list[tuple] = [()] * len(grid)
     for settles, cells in classes.items():
-        plan = _RunPlan(cfg, grid[cells[0]], thresholds)
+        plan = _RunPlan(cfg, grid[cells[0]])
         summed = cells[:1] if settles else cells  # a settling cell's welfare never reads C_a
         filings, welfare = 0.0, [0.0] * len(summed)
         # from +0.0, left to right as += adds (sum() compensates); every injury is a filing

@@ -91,6 +91,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError, match=field):
             base_config(**{field: 0.0})
 
+    def test_a_variant_that_is_not_a_hessian_variant_is_refused(self):
+        # the enum's value is not its member: the search would run it as DirectForm
+        with pytest.raises(TypeError, match="^hessian_variant must be a HessianVariant, "
+                                            "got 'ShadowForm'$"):
+            base_config(hessian_variant="ShadowForm")
+
     def test_defaults(self):
         cfg = base_config()
         assert cfg.objective is Objective.MAX_UTILITY
@@ -496,10 +502,6 @@ class TestFusedPassOnExtremeInputs:
         args = (beta, p1, p2, P_C, variant, cross)
         assert outcome(_admitted, cfg.alpha_grid, *args) == outcome(
             lambda: [row for a in cfg.alpha_grid if (row := _candidate(a, *args))])
-
-    def test_a_variant_that_is_not_a_hessian_variant_is_refused(self):
-        with pytest.raises(InvalidParameterError, match="variant must be a HessianVariant"):
-            _admitted((0.5, 1.0), 0.5, 1.0, 1.0, 2.0, "ShadowForm", False)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ from lexopt.sim import (
 #: 64-bit address space
 UNALLOCATABLE_TICKS = 2**57
 
+#: A horizon whose first per-tick column, 240 MB, fits in run_bounded's 1 GiB
+#: of address space, but whose walk and further columns do not
+LATE_UNALLOCATABLE_TICKS = 30_000_000
+
 
 def run_bounded(code: str, *args: str) -> subprocess.CompletedProcess:
     """``python -c code *args`` in a child with 1 GiB of address space and a minute.
@@ -229,6 +233,17 @@ class TestThresholds:
     def test_cutoffs_are_checked_last(self):
         with pytest.raises(InvalidParameterError, match="^harm_probability_fn"):
             small_config(theta_a=math.nan, harm_probability_fn=lambda B: 2.0)
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_cutoffs_are_resolved_once_when_the_config_is_made(self, monkeypatch, stochastic):
+        cfg = small_config(theta_a=3, stochastic=stochastic)
+        monkeypatch.setattr(sim, "resolve_thresholds", lambda *a: pytest.fail("resolved again"))
+        assert cfg.thresholds() == (3.0, 27.5)
+        assert all(type(theta) is float for theta in cfg.thresholds())
+        rng = np.random.default_rng(0) if stochastic else None
+        step(INITIAL_STATE, cfg, rng)
+        run_simulation(cfg)
+        sweep_admin_cost(cfg, [0.0, 30.0])
 
 
 @st.composite
@@ -459,6 +474,30 @@ class TestRunSimulation:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == (f"ticks={UNALLOCATABLE_TICKS} is more rows than this process "
                                f"can allocate\n")
+
+    @pytest.mark.parametrize("mode", ["--no-stochastic", "--stochastic"])
+    def test_memory_that_runs_out_after_the_first_column_is_a_domain_error(self, mode):
+        # the first column fits in the child, and the walk or a later column runs
+        # out; that once escaped as a bare MemoryError, and from main as a
+        # traceback and exit 1
+        proc = run_bounded(
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from lexopt import DomainError, default_config, run_simulation\n"
+            "from lexopt.cli import main\n"
+            "ticks, mode = sys.argv[1:]\n"
+            "[0.0] * int(ticks)  # the first column alone fits, and is freed\n"
+            "cfg = replace(default_config(), ticks=int(ticks), stochastic=mode == '--stochastic')\n"
+            "try:\n"
+            "    run_simulation(cfg)\n"
+            "except DomainError as exc:\n"
+            "    print(exc, file=sys.stderr)\n"
+            "sys.exit(main(['simulate', '--seed', '0', '--ticks', ticks, mode]))\n",
+            str(LATE_UNALLOCATABLE_TICKS), mode,
+        )
+        message = f"ticks={LATE_UNALLOCATABLE_TICKS} is more rows than this process can allocate"
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [message, f"error: {message}"]
 
     def test_settlement_rate_helper(self):
         assert _settlement_rate(INITIAL_STATE) == 0.0

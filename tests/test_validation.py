@@ -1,4 +1,5 @@
-"""An integer past the float range is an invalid field at every library entry point.
+"""An integer past the float range is an invalid field at every library entry point,
+and a mode of the wrong type a TypeError naming it.
 
 float() refuses such an integer with a bare OverflowError, and str() refuses
 one past the interpreter's digit limit with a bare ValueError; each entry
@@ -17,16 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexopt.alpha_search import AlphaSearchConfig
-from lexopt.cobb_douglas import CobbDouglasProblem, utility
+from lexopt.alpha_search import AlphaSearchConfig, Objective, search_alpha
+from lexopt.cobb_douglas import CobbDouglasProblem, solve_closed_form, utility
 from lexopt.compliance import (StrategyGame, apply_penalty, compliance_dominant,
                                min_compliance_penalty)
 from lexopt.core_model import (CaseParameters, HandRuleInputs, classify_scenario,
                                cooperation_possible)
-from lexopt.cost_schedule import CostSchedule
+from lexopt.cost_schedule import CostSchedule, admissible, phi_component, phi_total, within_budget
 from lexopt._validation import (require_each, require_increasing, require_nonnegative,
                                 require_positive)
 from lexopt.errors import InvalidParameterError
+from lexopt.hessian import HessianVariant, build_bordered_hessian, classify_second_order
 from lexopt.oracle import GridSpec
 from lexopt.sim import ExponentialHarm, default_config
 
@@ -67,6 +69,67 @@ def test_integer_past_float_range_is_a_named_invalid_field(case):
     with pytest.raises(InvalidParameterError,
                        match=f"^{field} must be within the float range, got an integer of 401 digits$"):
         call()
+
+
+GRID = (0.25, 0.5, 1.0, 2.0, 3.0)
+SCHEDULE = CostSchedule(1.0, ((0.5, 0.5),))
+
+
+def search(beta=0.5, **modes):
+    return search_alpha(AlphaSearchConfig(GRID, beta=beta, p1=1, p2=1, P_C=1, **modes))
+
+
+# case -> (the message, a call that passes a mode of the wrong type); a str or an
+# int is truthy and an enum's value is not its member, so each would pick a mode
+WRONG_TYPES = {
+    "AlphaSearchConfig.objective": (
+        "objective must be an Objective, got 'MaxUtility'", lambda: search(objective="MaxUtility")),
+    "AlphaSearchConfig.hessian_variant": (
+        "hessian_variant must be a HessianVariant, got 'DirectForm'",
+        lambda: search(hessian_variant="DirectForm")),
+    "AlphaSearchConfig.include_cross_terms": (
+        "include_cross_terms must be a bool, got 'false'",
+        lambda: search(1.0, hessian_variant=HessianVariant.DIRECT_FORM, include_cross_terms="false")),
+    "build_bordered_hessian.include_cross_terms": (
+        "include_cross_terms must be a bool, got 1",
+        lambda: build_bordered_hessian(PROBLEM, solve_closed_form(PROBLEM),
+                                       HessianVariant.SHADOW_FORM, 1)),
+    "classify_second_order.include_cross_terms": (
+        "include_cross_terms must be a bool, got None",
+        lambda: classify_second_order(PROBLEM, solve_closed_form(PROBLEM), None)),
+    "phi_component.with_fixed": (
+        "with_fixed must be a bool, got 'no'", lambda: phi_component(SCHEDULE, 0, 2.0, "no")),
+    "phi_total.with_fixed": (
+        "with_fixed must be a bool, got 0", lambda: phi_total(SCHEDULE, [2.0], 0)),
+    "admissible.with_fixed": (
+        "with_fixed must be a bool, got 'False'",
+        lambda: admissible(SCHEDULE, [2.0], 5.0, "False")),
+    "within_budget.with_fixed": (
+        "with_fixed must be a bool, got 1.0",
+        lambda: within_budget(SCHEDULE, [2.0], 1.0, 5.0, with_fixed=1.0)),
+    "SimConfig.stochastic": (
+        "stochastic must be a bool, got 'false'",
+        lambda: dataclasses.replace(default_config(), stochastic="false")),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_a_mode_of_the_wrong_type_is_a_named_type_error(case):
+    message, call = WRONG_TYPES[case]
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_the_modes_of_the_right_type_give_their_answers():
+    # what each wrongly typed reproduction above would have had to give
+    assert search(objective=Objective.MAX_UTILITY).alpha_star == 0.25
+    assert search(objective=Objective.MAX_LAMBDA).alpha_star == 3.0
+    for cross, admitted in [(False, [0.25, 0.5]), (True, list(GRID))]:
+        direct = search(1.0, hessian_variant=HessianVariant.DIRECT_FORM, include_cross_terms=cross)
+        assert [e.alpha for e in direct.admissible] == admitted
+    assert phi_component(SCHEDULE, 0, 2.0, False) == 1.0
+    assert phi_component(SCHEDULE, 0, 2.0, True) == 2.0
 
 
 # case -> (a call that passes an integer n to the field, its message up to the value)
