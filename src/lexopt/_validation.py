@@ -1,8 +1,8 @@
 """Small field validators used by the public dataclasses.
 
-Every value check raises :class:`~lexopt.errors.InvalidParameterError` with
-the field name in the message and returns the value coerced to ``float``;
-``require_type`` raises a TypeError naming the field.
+Every value check raises :class:`~lexopt.errors.InvalidParameterError`, made
+by ``invalid`` with the field name as its ``field``, and returns the value
+coerced to ``float``; ``require_type`` raises a TypeError naming the field.
 """
 
 import math
@@ -10,7 +10,7 @@ import sys
 from operator import countOf, lt
 from typing import Callable, Iterable
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, invalid
 
 
 def as_float(name: str, value: float) -> float:
@@ -24,7 +24,7 @@ def as_float(name: str, value: float) -> float:
         return float(value)
     except OverflowError:
         size = shown(value, lambda v: f"an integer of {len(str(abs(v)))} digits")
-        raise InvalidParameterError(f"{name} must be within the float range, got {size}") from None
+        raise invalid(name, f"must be within the float range, got {size}") from None
 
 
 def shown(value: object, text: Callable[[object], str] = repr) -> str:
@@ -42,30 +42,30 @@ def require_finite(name: str, value: float) -> float:
         except InvalidParameterError:  # a ValueError, but its message already names the field
             raise
         except (TypeError, ValueError):
-            raise InvalidParameterError(f"{name} must be a number, got {value!r}") from None
+            raise invalid(name, f"must be a number, got {value!r}") from None
     if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+        raise invalid(name, f"must be finite, got {value!r}")
     return value
 
 
 def require_nonnegative(name: str, value: float) -> float:
     value = require_finite(name, value)
     if value < 0.0:
-        raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
+        raise invalid(name, f"must be >= 0, got {value!r}")
     return value
 
 
 def require_positive(name: str, value: float) -> float:
     value = require_finite(name, value)
     if value <= 0.0:
-        raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+        raise invalid(name, f"must be > 0, got {value!r}")
     return value
 
 
 def require_unit_interval(name: str, value: float) -> float:
     value = require_finite(name, value)
     if not 0.0 <= value <= 1.0:
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
+        raise invalid(name, f"must lie in [0, 1], got {value!r}")
     return value
 
 
@@ -78,9 +78,9 @@ def require_type(name: str, value: object, kind: type) -> None:
 
 def require_count(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        raise invalid(name, f"must be an integer, got {value!r}")
     if value <= 0:
-        raise InvalidParameterError(f"{name} must be >= 1, got {shown(value)}")
+        raise invalid(name, f"must be >= 1, got {shown(value)}")
     return value
 
 
@@ -93,7 +93,7 @@ def require_each(
     """
     grid = [check(f"{name}[{i}]", v) for i, v in enumerate(values)]
     if not grid:
-        raise InvalidParameterError(f"{name} must be nonempty")
+        raise invalid(name, "must be nonempty")
     return grid
 
 
@@ -121,5 +121,5 @@ def require_increasing(
             return list(values)
     grid = require_each(name, values, check)
     if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
-        raise InvalidParameterError(f"{name} must be strictly increasing")
+        raise invalid(name, "must be strictly increasing")
     return grid

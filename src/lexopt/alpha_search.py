@@ -52,13 +52,7 @@ from typing import NamedTuple, Sequence
 from ._validation import require_finite, require_increasing, require_positive, require_type
 from .cobb_douglas import OptimumSolution, _solve
 from .errors import DomainError
-from .hessian import (
-    _LOCAL_MAX,
-    _SHADOW_FORM,
-    DET_NOISE_RTOL,
-    HessianVariant,
-    _second_order,
-)
+from .hessian import DET_NOISE_RTOL, HessianVariant, SecondOrderClass, _second_order
 
 
 class Objective(Enum):
@@ -159,7 +153,7 @@ def _candidate(
     """
     L, R, lam, U, residual = _solve(alpha, beta, p1, p2, P_C)
     _, det, cls = _second_order(alpha, beta, p1, p2, P_C, L, R, lam, variant, cross)
-    if lam > 0.0 and lam / (alpha + beta) > 0.0 and cls is _LOCAL_MAX:
+    if lam > 0.0 and lam / (alpha + beta) > 0.0 and cls is SecondOrderClass.LOCAL_MAX:
         return alpha, L, R, lam, U, lam > 0.0, residual, det
     return None
 
@@ -186,7 +180,7 @@ def _admitted(
     The config has checked that ``variant`` is a HessianVariant.
     """
     b = beta
-    shadow = variant is _SHADOW_FORM
+    shadow = variant is HessianVariant.SHADOW_FORM
     b_P_C, b_b_1, b_1, b_2 = b * P_C, b * (b - 1.0), b - 1.0, b - 2.0
     rows: list[_Row] = []
     append = rows.append

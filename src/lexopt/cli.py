@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from ._validation import as_float, require_each
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, invalid
 
 if TYPE_CHECKING:
     from .sim import SimConfig
@@ -229,11 +229,12 @@ def _load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
     except OSError as exc:
-        raise InvalidParameterError(f"config: cannot read {path!r}: {exc}") from exc
+        raise InvalidParameterError(f"config: cannot read {path!r}: {exc}", field="config") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise InvalidParameterError(f"config: {path!r} is not valid JSON: {exc}") from exc
+        raise InvalidParameterError(f"config: {path!r} is not valid JSON: {exc}",
+                                    field="config") from exc
     if not isinstance(loaded, dict):
-        raise InvalidParameterError(f"config: {path!r} must contain a JSON object")
+        raise InvalidParameterError(f"config: {path!r} must contain a JSON object", field="config")
     return loaded
 
 
@@ -249,18 +250,19 @@ def _coerce(field_spec: Field, value: Any) -> Any:
         return value  # structure checked by the command runner
     types, noun = _KIND_TYPES[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and kind != BOOL):
-        raise InvalidParameterError(f"{field_spec.key} must be {noun} (config file), got {value!r}")
+        raise invalid(field_spec.key, f"must be {noun} (config file), got {value!r}")
     return as_float(field_spec.key, value) if kind == FLOAT else value
 
 
 def _resolve_seed_from_env() -> int:
     raw = os.environ.get("LEXOPT_SEED")
     if raw is None:
-        raise InvalidParameterError("seed is required (--seed flag or LEXOPT_SEED)")
+        raise invalid("seed", "is required (--seed flag or LEXOPT_SEED)")
     try:
         return int(raw)
     except ValueError as exc:
-        raise InvalidParameterError(f"LEXOPT_SEED must be an integer, got {raw!r}") from exc
+        raise InvalidParameterError(f"LEXOPT_SEED must be an integer, got {raw!r}",
+                                    field="seed") from exc
 
 
 def _merge_params(fields: Sequence[Field], args: argparse.Namespace) -> dict:
@@ -269,7 +271,8 @@ def _merge_params(fields: Sequence[Field], args: argparse.Namespace) -> dict:
     unknown = set(file_values) - known
     if unknown:
         raise InvalidParameterError(
-            f"config: unknown key(s) {sorted(unknown)}; expected a subset of {sorted(known)}"
+            f"config: unknown key(s) {sorted(unknown)}; expected a subset of {sorted(known)}",
+            field="config",
         )
 
     merged: dict[str, Any] = {}
@@ -288,7 +291,7 @@ def _merge_params(fields: Sequence[Field], args: argparse.Namespace) -> dict:
         elif f.key == "seed":
             merged[f.key] = _resolve_seed_from_env()
         elif f.default is _REQUIRED:
-            raise InvalidParameterError(f"{f.key} is required (flag --{f.key} or config file)")
+            raise invalid(f.key, f"is required (flag --{f.key} or config file)")
         else:
             merged[f.key] = f.default
     return merged
@@ -297,13 +300,13 @@ def _merge_params(fields: Sequence[Field], args: argparse.Namespace) -> dict:
 def _number(key: str, value: Any) -> float:
     """A JSON number as a float; a boolean is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParameterError(f"{key} must be a number, got {value!r}")
+        raise invalid(key, f"must be a number, got {value!r}")
     return as_float(key, value)
 
 
 def _float_list(key: str, value: Any) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
-        raise InvalidParameterError(f"{key} must be a nonempty JSON array of numbers")
+        raise invalid(key, "must be a nonempty JSON array of numbers")
     return tuple(require_each(key, value, _number))
 
 
@@ -421,11 +424,11 @@ def _run_phi(rates: Any, L: Any, C_b_fixed: float, with_fixed: bool,
     from .cost_schedule import CostSchedule, admissible, phi_component, phi_total, within_budget
 
     if not isinstance(rates, (list, tuple)) or not rates:
-        raise InvalidParameterError("rates must be a nonempty JSON array of [plus, minus] pairs")
+        raise invalid("rates", "must be a nonempty JSON array of [plus, minus] pairs")
     pairs = []
     for i, pair in enumerate(rates):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InvalidParameterError(f"rates[{i}] must be a [plus, minus] pair, got {pair!r}")
+            raise invalid(f"rates[{i}]", f"must be a [plus, minus] pair, got {pair!r}")
         pairs.append(_float_list(f"rates[{i}]", pair))
     schedule = CostSchedule(C_b_fixed=C_b_fixed, rates=tuple(pairs))
     L = _float_list("L", L)
@@ -450,7 +453,7 @@ def _parse_enum(key: str, enum_cls, raw: str):
         return enum_cls(raw)
     except ValueError:
         allowed = ", ".join(v.value for v in enum_cls)
-        raise InvalidParameterError(f"{key} must be one of: {allowed}; got {raw!r}") from None
+        raise invalid(key, f"must be one of: {allowed}; got {raw!r}") from None
 
 
 # beta, p1, p2 and P_C without help text: _PROBLEM_FIELDS would add help lines
@@ -504,10 +507,10 @@ def _run_comply(utilities: Any, allowed: Any, margin: float | None) -> CommandOu
                              compliance_dominant, default_margin, min_compliance_penalty)
 
     if not isinstance(utilities, dict) or not utilities:
-        raise InvalidParameterError("utilities must be a nonempty JSON object of strategy: utility")
+        raise invalid("utilities", "must be a nonempty JSON object of strategy: utility")
     utilities = {str(name): _number(f"utilities[{name!r}]", u) for name, u in utilities.items()}
     if not isinstance(allowed, (list, tuple)):
-        raise InvalidParameterError("allowed must be a JSON array of strategy names")
+        raise invalid("allowed", "must be a JSON array of strategy names")
     game = StrategyGame(utilities=utilities, allowed=frozenset(str(s) for s in allowed))
 
     if margin is None:
@@ -554,11 +557,11 @@ def _build_sim_config(params: dict, C_a_policy: float) -> SimConfig:
             stochastic=params["stochastic"],
         )
     except InvalidParameterError as exc:
-        # a message starts with its field: "p0 must ...", "precaution_cost_grid[0] must ..."
-        name = str(exc).split(" ", 1)[0].split("[", 1)[0]
+        # the field is a SimConfig field or a path into one: "p0", "precaution_cost_grid[0]"
+        name = exc.field.split("[", 1)[0]
         if name not in _SIM_FLAG_NAMES:
             raise
-        raise InvalidParameterError(_SIM_FLAG_NAMES[name] + str(exc)[len(name):]) from exc
+        raise exc.renamed(_SIM_FLAG_NAMES[name] + exc.field[len(name):]) from exc
 
 
 @_command("simulate", "run the litigation market over the configured horizon",

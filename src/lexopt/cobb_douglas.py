@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._validation import as_float, require_positive
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, invalid
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,9 @@ def utility(prob: CobbDouglasProblem, L_C: float, R_B: float) -> float:
     """
     L_C, R_B = as_float("L_C", L_C), as_float("R_B", R_B)
     if math.isnan(L_C) or L_C < 0.0:
-        raise InvalidParameterError(f"L_C must be >= 0, got {L_C!r}")
+        raise invalid("L_C", f"must be >= 0, got {L_C!r}")
     if math.isnan(R_B) or R_B < 0.0:
-        raise InvalidParameterError(f"R_B must be >= 0, got {R_B!r}")
+        raise invalid("R_B", f"must be >= 0, got {R_B!r}")
     if L_C == 0.0 or R_B == 0.0:
         return 0.0
     try:

@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ._validation import as_float, require_finite
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, invalid
 
 #: Default margin is this fraction of the utility scale (see default_margin).
 MARGIN_SCALE_FRACTION = 1e-6
@@ -41,19 +41,17 @@ class StrategyGame:
             )
         utilities = dict(self.utilities)
         if not utilities:
-            raise InvalidParameterError("utilities must contain at least one strategy")
+            raise invalid("utilities", "must contain at least one strategy")
         for name, u in utilities.items():
             require_finite(f"utilities[{name!r}]", u)
         if isinstance(self.allowed, (str, bytes, bytearray)):  # would be read as its characters
             raise TypeError(f"allowed must be a set of strategy names, got {self.allowed!r}")
         allowed = frozenset(self.allowed)
         if not allowed:
-            raise InvalidParameterError("allowed must be nonempty")
+            raise invalid("allowed", "must be nonempty")
         unknown = allowed - utilities.keys()
         if unknown:
-            raise InvalidParameterError(
-                f"allowed contains strategies without utilities: {sorted(unknown)}"
-            )
+            raise invalid("allowed", f"contains strategies without utilities: {sorted(unknown)}")
         object.__setattr__(self, "utilities", utilities)
         object.__setattr__(self, "allowed", allowed)
 
@@ -89,11 +87,11 @@ def min_compliance_penalty(g: StrategyGame, margin: float | None = None) -> floa
     """Smallest uniform penalty on disallowed strategies that restores dominance."""
     if not g.disallowed:
         raise InvalidParameterError(
-            "no disallowed strategy: every strategy is already allowed"
+            "no disallowed strategy: every strategy is already allowed", field="allowed"
         )
     margin = default_margin(g) if margin is None else as_float("margin", margin)
     if not math.isfinite(margin) or margin <= 0.0:
-        raise InvalidParameterError(f"margin must be > 0, got {margin!r}")
+        raise invalid("margin", f"must be > 0, got {margin!r}")
     _, best_in = best_allowed(g)
     _, best_out = _argmax(g.utilities, g.disallowed)
     tau = max(0.0, best_out - best_in + margin)
@@ -109,7 +107,7 @@ def apply_penalty(g: StrategyGame, tau: float) -> StrategyGame:
     """Game with tau subtracted from every disallowed strategy's utility."""
     tau = as_float("tau", tau)
     if not math.isfinite(tau):
-        raise InvalidParameterError(f"tau must be finite, got {tau!r}")
+        raise invalid("tau", f"must be finite, got {tau!r}")
     penalized = {
         name: (u - tau if name not in g.allowed else u) for name, u in g.utilities.items()
     }
@@ -126,7 +124,7 @@ def compliance_dominant(g: StrategyGame, margin: float) -> bool:
     """True when the best allowed strategy beats every disallowed one by >= margin."""
     margin = as_float("margin", margin)
     if not math.isfinite(margin):
-        raise InvalidParameterError(f"margin must be finite, got {margin!r}")
+        raise invalid("margin", f"must be finite, got {margin!r}")
     if not g.disallowed:
         return True
     _, best_in = best_allowed(g)

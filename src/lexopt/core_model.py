@@ -34,7 +34,7 @@ from ._validation import (
     require_nonnegative,
     require_unit_interval,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, invalid
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,9 @@ def resolve_thresholds(
     if theta_b is not None:
         theta_b = require_finite("theta_b", theta_b)
     if theta_a is not None and theta_a <= 0.0:
-        raise InvalidParameterError(f"theta_a must be > 0, got {theta_a!r}")
+        raise invalid("theta_a", f"must be > 0, got {theta_a!r}")
     if theta_b is not None and theta_b <= 0.0:
-        raise InvalidParameterError(f"theta_b must be > 0, got {theta_b!r}")
+        raise invalid("theta_b", f"must be > 0, got {theta_b!r}")
     if theta_a is None or theta_b is None:
         default, _ = default_thresholds(c)
         if not 0.0 < default < math.inf:
@@ -152,7 +152,7 @@ def resolve_thresholds(
             raise InvalidParameterError(
                 f"{' and '.join(left)} {'default' if len(left) == 2 else 'defaults'} to "
                 f"P_C / 2 = (p * W_B + S_B) / 4, which must be finite and > 0, got {default!r} "
-                f"from p={c.p!r}, W_B={c.W_B!r}, S_B={c.S_B!r}"
+                f"from p={c.p!r}, W_B={c.W_B!r}, S_B={c.S_B!r}", field=left[0]
             )
         theta_a = default if theta_a is None else theta_a
         theta_b = default if theta_b is None else theta_b

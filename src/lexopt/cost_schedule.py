@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._validation import require_finite, require_nonnegative, require_type
-from .errors import InvalidParameterError
+from ._validation import require_finite, require_nonnegative, require_type, shown
+from .errors import invalid
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,12 @@ class CostSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "C_b_fixed", require_nonnegative("C_b_fixed", self.C_b_fixed))
         if len(self.rates) == 0:
-            raise InvalidParameterError("rates must have at least one component")
+            raise invalid("rates", "must have at least one component")
         validated = []
         for i, pair in enumerate(self.rates):
             if len(pair) != 2:
-                raise InvalidParameterError(
-                    f"rates[{i}] must be an (alpha_plus, alpha_minus) pair, got {pair!r}"
-                )
+                raise invalid(f"rates[{i}]",
+                              f"must be an (alpha_plus, alpha_minus) pair, got {pair!r}")
             validated.append(
                 (
                     require_nonnegative(f"rates[{i}].alpha_plus", pair[0]),
@@ -63,7 +62,7 @@ def phi_component(s: CostSchedule, i: int, L_i: float, with_fixed: bool = False)
     """
     require_type("with_fixed", with_fixed, bool)
     if not 0 <= i < len(s.rates):  # a negative i would wrap to a component from the end
-        raise IndexError(f"component {i} is out of range for {len(s.rates)} rate pairs")
+        raise IndexError(f"component {shown(i)} is out of range for {len(s.rates)} rate pairs")
     alpha_plus, alpha_minus = s.rates[i]
     L_i = require_finite(f"L[{i}]", L_i)
     if L_i == 0.0:
@@ -76,9 +75,7 @@ def phi_component(s: CostSchedule, i: int, L_i: float, with_fixed: bool = False)
 def phi_total(s: CostSchedule, L: Sequence[float], with_fixed: bool = False) -> float:
     """Sum of component costs; L must supply one activity per rate pair."""
     if len(L) != len(s.rates):
-        raise InvalidParameterError(
-            f"L has {len(L)} components but the schedule has {len(s.rates)}"
-        )
+        raise invalid("L", f"has {len(L)} components but the schedule has {len(s.rates)}")
     total = 0.0  # explicit + in component order: sum() is compensated on Python >= 3.12
     for i, L_i in enumerate(L):
         total += phi_component(s, i, L_i, with_fixed)

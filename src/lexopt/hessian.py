@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._validation import as_float, require_positive, require_type
+from ._validation import as_float, require_positive, require_type, shown
 from .cobb_douglas import CobbDouglasProblem, OptimumSolution, _range_error
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, invalid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,12 +62,6 @@ class SecondOrderClass(Enum):
     LOCAL_MIN = "LocalMin"
     INDETERMINATE = "Indeterminate"
 
-
-# A member read through its Enum class costs a metaclass attribute lookup
-# (about 0.2 us on CPython 3.11), so the per-candidate code reads these.
-_SHADOW_FORM, _DIRECT_FORM = HessianVariant.SHADOW_FORM, HessianVariant.DIRECT_FORM
-_LOCAL_MAX, _LOCAL_MIN = SecondOrderClass.LOCAL_MAX, SecondOrderClass.LOCAL_MIN
-_INDETERMINATE = SecondOrderClass.INDETERMINATE
 
 # |det| below DET_NOISE_RTOL * (max abs entry)**3 cannot be distinguished
 # from accumulated rounding and classifies as Indeterminate.
@@ -93,17 +87,16 @@ def _entries(
     """The bordered Hessian at the point (L_C, R_B, lambda) = (L, R, lam).
 
     A power or quotient that leaves the float range (L_C**2 underflowing to
-    zero, L_C**(alpha - 2) overflowing) is a DomainError.
+    zero, L_C**(alpha - 2) overflowing) is a DomainError.  The callers have
+    checked that ``variant`` is a HessianVariant.
     """
     try:
-        if variant is _SHADOW_FORM:
+        if variant is HessianVariant.SHADOW_FORM:
             h11 = -lam * (a / (a + b)) * P_C / L**2
             h22 = -lam * (b / (a + b)) * P_C / R**2
-        elif variant is _DIRECT_FORM:
+        else:
             h11 = a * (a - 1.0) * L ** (a - 2.0) * R**b
             h22 = b * (b - 1.0) * L**a * R ** (b - 2.0)
-        else:
-            raise InvalidParameterError(f"variant must be a HessianVariant, got {variant!r}")
         h12 = a * b * L ** (a - 1.0) * R ** (b - 1.0) if include_cross_terms else 0.0
     except (ZeroDivisionError, OverflowError) as exc:
         raise DomainError(
@@ -173,7 +166,7 @@ def _second_order(
 
 @dataclass(frozen=True, eq=False)
 class BorderedHessian:
-    """Symmetric 3x3 bordered matrix; entry (0, 0) is identically zero."""
+    """Symmetric 3x3 bordered matrix, entry (0, 0) zero; a mode of the wrong type is a TypeError."""
 
     entries: np.ndarray
     variant: HessianVariant
@@ -182,13 +175,19 @@ class BorderedHessian:
     def __post_init__(self) -> None:
         import numpy as np
 
-        m = np.array(self.entries, dtype=float)
+        require_type("variant", self.variant, HessianVariant)
+        require_type("include_cross_terms", self.include_cross_terms, bool)
+        try:
+            m = np.array(self.entries, dtype=float)
+        except (ValueError, OverflowError):  # text, ragged rows, an integer past the float range
+            raise invalid("entries",
+                          f"must be a 3x3 array of numbers, got {shown(self.entries)}") from None
         if m.shape != (3, 3):
-            raise InvalidParameterError(f"entries must be 3x3, got shape {m.shape}")
+            raise invalid("entries", f"must be 3x3, got shape {m.shape}")
         if m[0, 0] != 0.0:
-            raise InvalidParameterError(f"entries[0, 0] must be 0, got {m[0, 0]!r}")
+            raise invalid("entries[0, 0]", f"must be 0, got {m[0, 0]!r}")
         if not np.array_equal(m, m.T, equal_nan=True):  # NaN counts equal to itself
-            raise InvalidParameterError("entries must be symmetric")
+            raise invalid("entries", "must be symmetric")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -199,9 +198,10 @@ def build_bordered_hessian(
     variant: HessianVariant,
     include_cross_terms: bool = False,
 ) -> BorderedHessian:
-    """Assemble the bordered Hessian at the point carried by ``sol``; the flag must be a bool."""
+    """The bordered Hessian at the point of ``sol``; a mode of the wrong type is a TypeError."""
     import numpy as np
 
+    require_type("variant", variant, HessianVariant)
     require_type("include_cross_terms", include_cross_terms, bool)
     cross = include_cross_terms
     e = _entries(prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, *_point(sol), variant, cross)
@@ -215,13 +215,20 @@ def hessian_determinant(h: BorderedHessian) -> float:
 
 
 def scale_border(h: BorderedHessian, k: float) -> BorderedHessian:
-    """Rescale the border row and column by k > 0 (classification-invariant)."""
+    """Rescale the border row and column by k > 0 (classification-invariant).
+
+    A border that the scaling takes past the float range is a DomainError.
+    """
     import numpy as np
 
     k = require_positive("k", k)
     m = np.array(h.entries)
-    m[0, :] *= k
-    m[:, 0] *= k
+    with np.errstate(over="raise"):
+        try:
+            m[0, :] *= k
+            m[:, 0] *= k
+        except FloatingPointError:
+            raise DomainError(f"the border scaled by k={k!r} leaves the float range") from None
     m[0, 0] = 0.0
     return BorderedHessian(entries=m, variant=h.variant, include_cross_terms=h.include_cross_terms)
 
@@ -238,8 +245,8 @@ def classify_from_determinant(det: float, matrix_scale: float) -> SecondOrderCla
     except OverflowError:
         raise DomainError(f"the noise floor overflows at matrix scale {matrix_scale!r}") from None
     if abs(det) <= floor:
-        return _INDETERMINATE
-    return _LOCAL_MAX if det > 0.0 else _LOCAL_MIN
+        return SecondOrderClass.INDETERMINATE
+    return SecondOrderClass.LOCAL_MAX if det > 0.0 else SecondOrderClass.LOCAL_MIN
 
 
 def classify_second_order(

@@ -17,12 +17,13 @@ is preferred because 1e4 line points buy the fidelity of 1e8 area points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from ._validation import require_positive, shown
+from ._validation import require_each, require_finite, require_positive, shown
 from .cobb_douglas import CobbDouglasProblem
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, invalid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,9 +51,8 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.points_per_axis, int) or self.points_per_axis < 100:
-            raise InvalidParameterError(
-                f"points_per_axis must be an integer >= 100, got {shown(self.points_per_axis)}"
-            )
+            raise invalid("points_per_axis",
+                          f"must be an integer >= 100, got {shown(self.points_per_axis)}")
         if self.clamp_epsilon is not None:
             object.__setattr__(
                 self, "clamp_epsilon", require_positive("clamp_epsilon", self.clamp_epsilon)
@@ -115,19 +115,26 @@ def finite_diff_gradient(
 ) -> np.ndarray:
     """Central-difference gradient of f at point with per-coordinate step h.
 
-    Steps must be strictly positive.  If evaluating a stencil point raises a
-    ValueError the stencil has left f's domain, and that is reported as a
-    DomainError rather than a generic failure.
+    The point's coordinates must be finite numbers, and the steps (one, or
+    one per coordinate) strictly positive.  A stencil that leaves the float
+    range is a DomainError; so is one that leaves f's domain, where
+    evaluating a stencil point raises a ValueError.
     """
     import numpy as np
 
-    x = np.asarray(point, dtype=float)
-    steps = np.broadcast_to(np.asarray(h, dtype=float), x.shape).copy()
+    x = np.array(require_each("point", point, require_finite))
+    try:
+        steps = np.broadcast_to(np.asarray(h, dtype=float), x.shape).copy()
+    except (ValueError, OverflowError):  # text, an integer past the float range, a wrong shape
+        raise invalid("h",
+                      f"must be a number or one number per coordinate, got {shown(h)}") from None
     if np.any(steps <= 0.0) or not np.all(np.isfinite(steps)):
-        raise InvalidParameterError(f"h must be strictly positive and finite, got {h!r}")
+        raise invalid("h", f"must be strictly positive and finite, got {shown(h)}")
 
     grad = np.empty_like(x)
     for i in range(x.size):
+        if not math.isfinite(abs(float(x[i])) + 2.0 * float(steps[i])):  # numpy would warn
+            raise DomainError(f"finite-difference stencil leaves the float range at coordinate {i}")
         offset = np.zeros_like(x)
         offset[i] = steps[i]
         try:

@@ -94,7 +94,7 @@ from ._validation import (
     shown,
 )
 from .core_model import CaseParameters, _settles, resolve_thresholds
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, invalid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,16 +162,13 @@ class SimConfig:
         require_count("n_injurers", self.n_injurers)
         require_count("ticks", self.ticks)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
+            raise invalid("seed", f"must be an integer, got {self.seed!r}")
         require_type("stochastic", self.stochastic, bool)
         if self.stochastic and self.seed < 0:  # numpy's default_rng refuses negative seeds
-            raise InvalidParameterError(
-                f"seed must be >= 0 in stochastic mode, got {shown(self.seed, str)}")
+            raise invalid("seed", f"must be >= 0 in stochastic mode, got {shown(self.seed, str)}")
         if self.stochastic and self.n_injurers > _MAX_DRAW_COUNT:
-            raise InvalidParameterError(
-                f"n_injurers must be <= {_MAX_DRAW_COUNT} in stochastic mode, "
-                f"got {shown(self.n_injurers, str)}"
-            )
+            raise invalid("n_injurers", f"must be <= {_MAX_DRAW_COUNT} in stochastic mode, "
+                                        f"got {shown(self.n_injurers, str)}")
         # each tick multiplies the count by floats, so it must convert to one
         as_float("n_injurers", self.n_injurers)
         grid = require_each("precaution_cost_grid", self.precaution_cost_grid, require_nonnegative)
@@ -192,10 +189,8 @@ class SimConfig:
         for B in self.precaution_cost_grid:
             p = require_unit_interval(f"harm_probability_fn({B})", self.harm_probability_fn(B))
             if previous is not None and p > previous + 1e-12:
-                raise InvalidParameterError(
-                    f"harm_probability_fn must be nonincreasing on the grid; "
-                    f"rises at B={B}"
-                )
+                raise invalid("harm_probability_fn",
+                              f"must be nonincreasing on the grid; rises at B={B}")
             previous = p
         # cutoffs, given or defaulted, that classify_scenario would refuse, refused
         # before any run; the default does not depend on C_a
@@ -365,7 +360,7 @@ def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None
     if cfg.stochastic and rng is None:
         raise InvalidParameterError(
             "step needs an rng in stochastic mode: pass one numpy Generator and "
-            "reuse it on every tick"
+            "reuse it on every tick", field="rng"
         )
     plan = _RunPlan(cfg, cfg.C_a_policy)
     stretch = next(_stretches(plan, rng if cfg.stochastic else None, _settlement_rate(state), 1))

@@ -5,11 +5,12 @@ few of its flags, may move some of them into a JSON config file (or swap the
 file for bytes that do not decode), and may add a malformed token, a JSON
 flag nested too deeply, or a bad config key.  Every run must exit 0, 1, 2 or
 64 without an exception escaping; a failure prints nothing on stdout and
-exactly one ``error:`` line on stderr (after any override notes); a success
-prints the same bytes when run again, and they parse as the JSON or CSV
-they claim to be.  An argv whose every token is a value its flag's
-parser accepts is never a usage error, so a value argparse mistakes for an
-option (``--R_B -1e3``) fails the test.
+exactly one ``error:`` line on stderr (after any override notes), and an
+exit 1 prints an InvalidParameterError whose field is a flag of the command,
+the config file or the seed; a success prints the same bytes when run
+again, and they parse as the JSON or CSV they claim to be.  An argv whose
+every token is a value its flag's parser accepts is never a usage error, so
+a value argparse mistakes for an option (``--R_B -1e3``) fails the test.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from lexopt import __version__, cli
 from lexopt.cli import BOOL, COMMANDS, FLOAT, INT, JSONVAL, STR, _Table, main
+from lexopt.errors import InvalidParameterError
 from test_golden import CLI_ONESHOT_OPS, workload
 
 PROBLEM = {"alpha": "2", "beta": "1", "p1": "1", "p2": "1", "P_C": "6"}
@@ -202,6 +205,27 @@ def test_rendered_outputs_hold_exact_types(monkeypatch):
         assert set(out.csv_comments) <= set(out.json_payload), argv
 
 
+@contextlib.contextmanager
+def field_errors():
+    """A list of the InvalidParameterErrors that main's merge or command runner raises."""
+    seen = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except InvalidParameterError as exc:
+                seen.append(exc)
+                raise
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_merge_params", recording(cli._merge_params))
+        for name, spec in COMMANDS.items():
+            mp.setitem(COMMANDS, name, spec._replace(runner=recording(spec.runner)))
+        yield seen
+
+
 @settings(max_examples=400)
 @given(case=cases())
 def test_generated_argv_keeps_the_exit_code_contract(case):
@@ -216,8 +240,15 @@ def test_generated_argv_keeps_the_exit_code_contract(case):
 
 
 def check_contract(argv: list[str], well_formed: bool) -> None:
-    code, out, err = run(argv)
+    with field_errors() as seen:
+        code, out, err = run(argv)
     assert code in ((0, 1, 2) if well_formed else (0, 1, 2, 64)), (code, err)
+    if code == 1:
+        # the field names a flag of the command, the config file, or the seed
+        [exc] = seen
+        assert err.endswith(f"error: {exc}\n"), (err, exc)
+        flags = {f.key for f in COMMANDS[argv[0]].fields} | {"config", "seed"}
+        assert re.match(r"\w+", exc.field).group() in flags, (argv, exc.field, str(exc))
     if code != 0:
         assert out == ""
     if code in (1, 2):

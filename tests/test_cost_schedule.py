@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ class TestPhiComponent:
         s = CostSchedule(0.0, ((1.0, 1.0),))
         with pytest.raises(IndexError, match=f"component {i} is out of range for 1 rate pairs"):
             phi_component(s, i, 1.0)
+
+    def test_component_index_past_the_digit_limit_is_shown_by_size(self):
+        s = CostSchedule(0.0, ((1.0, 1.0),))
+        digits = sys.get_int_max_str_digits()
+        if digits == 0:
+            pytest.skip("this interpreter has no integer digit limit")
+        with pytest.raises(IndexError, match=f"^component an integer of more than {digits} digits"):
+            phi_component(s, -10**5000, 1.0)
 
     def test_nonfinite_activity_rejected(self):
         s = CostSchedule(0.0, ((1.0, 1.0),))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ class TestBuildBorderedHessian:
         with pytest.raises(ValueError):
             h.entries[1, 1] = 99.0
 
+    def test_variant_past_the_digit_limit_is_a_type_error_shown_by_size(self):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("this interpreter has no integer digit limit")
+        with pytest.raises(TypeError) as info:
+            build_bordered_hessian(SQRT_PROB, solve_closed_form(SQRT_PROB), -10**5000)
+        assert str(info.value) == (
+            f"variant must be a HessianVariant, got an integer of more than {limit} digits")
+
     def test_boundary_point_rejected(self):
         from lexopt import OptimumSolution
 
@@ -106,6 +116,14 @@ class TestBorderedHessianValidation:
             (_, b1, b2), (_, h11, h12), (_, _, h22) = m
             assert math.isnan(hessian_determinant(h))
             assert math.isnan(_determinant(b1, b2, h11, h12, h22))
+
+    @pytest.mark.parametrize("entries, shown", [("x", "'x'"), (10**400, "1" + "0" * 400),
+                                                ([[0, 1], [1]], "[[0, 1], [1]]")])
+    def test_entries_that_are_not_numbers_are_refused(self, entries, shown):
+        with pytest.raises(InvalidParameterError) as info:
+            BorderedHessian(entries, HessianVariant.SHADOW_FORM)
+        assert info.value.field == "entries"
+        assert str(info.value) == f"entries must be a 3x3 array of numbers, got {shown}"
 
     def test_asymmetric_with_nan_is_refused(self):
         for m in ([[0, 1, 1], [1, math.nan, 0], [1, 2, 1.0]],
@@ -205,6 +223,14 @@ class TestScaleBorder:
                     dets = hessian_determinant(hs)
                     cls = classify_from_determinant(dets, float(np.max(np.abs(hs.entries))))
                     assert cls is base
+
+    def test_border_scaled_past_the_float_range_is_a_domain_error(self):
+        prob = CobbDouglasProblem(2.0, 1.0, 1.0, 1.0, 6.0)  # a border of -16
+        h = build_bordered_hessian(prob, solve_closed_form(prob), HessianVariant.SHADOW_FORM)
+        with pytest.raises(DomainError) as info:
+            scale_border(h, sys.float_info.max)
+        assert str(info.value) == (
+            "the border scaled by k=1.7976931348623157e+308 leaves the float range")
 
     def test_nonpositive_factor_rejected(self):
         sol = solve_closed_form(SQRT_PROB)

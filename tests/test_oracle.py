@@ -150,6 +150,26 @@ class TestFiniteDiffGradient:
         with pytest.raises(InvalidParameterError, match="h"):
             finite_diff_gradient(lambda v: v[0], (1.0,), 0.0)
 
+    @pytest.mark.parametrize("h, shown", [("x", "'x'"), (10**400, "1" + "0" * 400),
+                                          ([[1]], "[[1]]"), ([1e-6] * 3, "[1e-06, 1e-06, 1e-06]")])
+    def test_step_that_is_not_numbers_rejected(self, h, shown):
+        with pytest.raises(InvalidParameterError) as info:
+            finite_diff_gradient(lambda v: v[0], (1.0, 2.0), h)
+        assert info.value.field == "h"
+        assert str(info.value) == f"h must be a number or one number per coordinate, got {shown}"
+
+    @pytest.mark.parametrize("point, field", [((1.0, math.nan), "point[1]"), ((), "point"),
+                                              (("x",), "point[0]")])
+    def test_point_that_is_not_finite_numbers_rejected(self, point, field):
+        with pytest.raises(InvalidParameterError) as info:
+            finite_diff_gradient(lambda v: 0.0, point, 1e-6)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("point, h", [((1.0,), 1e308), ((1e308,), 1e308)])
+    def test_stencil_leaving_the_float_range_reports_domain_error(self, point, h):
+        with pytest.raises(DomainError, match="^finite-difference stencil leaves the float range"):
+            finite_diff_gradient(lambda v: v[0], point, h)
+
     def test_stencil_leaving_domain_reports_domain_error(self):
         def strictly_positive_log(v):
             if v[0] <= 0.0:

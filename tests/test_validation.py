@@ -7,10 +7,20 @@ point must instead raise InvalidParameterError naming the field.
 
 A grid of plain floats is checked in C; it must give what the per-element
 path gives, the same grid or the same error text.
+
+Every InvalidParameterError carries the field it names, and every public
+callable keeps the README's input contract (its "Errors" section) for
+arguments of any kind.
 """
 
+import ast
 import dataclasses
+import enum
+import inspect
+import itertools
 import math
+import pathlib
+import re
 import sys
 
 import numpy as np
@@ -25,12 +35,14 @@ from lexopt.compliance import (StrategyGame, apply_penalty, compliance_dominant,
 from lexopt.core_model import (CaseParameters, HandRuleInputs, classify_scenario,
                                cooperation_possible)
 from lexopt.cost_schedule import CostSchedule, admissible, phi_component, phi_total, within_budget
-from lexopt._validation import (require_each, require_increasing, require_nonnegative,
-                                require_positive)
-from lexopt.errors import InvalidParameterError
-from lexopt.hessian import HessianVariant, build_bordered_hessian, classify_second_order
+from lexopt._validation import (as_float, require_count, require_each, require_finite,
+                                require_increasing, require_nonnegative, require_positive,
+                                require_unit_interval)
+from lexopt.errors import InvalidParameterError, LexoptError, invalid
+from lexopt.hessian import (BorderedHessian, HessianVariant, build_bordered_hessian,
+                            classify_second_order)
 from lexopt.oracle import GridSpec
-from lexopt.sim import ExponentialHarm, default_config
+from lexopt.sim import INITIAL_STATE, CaseTemplate, ExponentialHarm, default_config
 
 HUGE = 10**400  # 401 digits
 CASE = CaseParameters(p=0.5, W_B=100.0, S_B=60.0, C_a=10.0, C_b=4.0)
@@ -94,6 +106,15 @@ WRONG_TYPES = {
         "include_cross_terms must be a bool, got 1",
         lambda: build_bordered_hessian(PROBLEM, solve_closed_form(PROBLEM),
                                        HessianVariant.SHADOW_FORM, 1)),
+    "build_bordered_hessian.variant": (
+        "variant must be a HessianVariant, got 'ShadowForm'",
+        lambda: build_bordered_hessian(PROBLEM, solve_closed_form(PROBLEM), "ShadowForm")),
+    "BorderedHessian.variant": (
+        "variant must be a HessianVariant, got 'x'",
+        lambda: BorderedHessian(np.eye(3) - 1, "x", "no")),
+    "BorderedHessian.include_cross_terms": (
+        "include_cross_terms must be a bool, got 'no'",
+        lambda: BorderedHessian(np.eye(3) - 1, HessianVariant.SHADOW_FORM, "no")),
     "classify_second_order.include_cross_terms": (
         "include_cross_terms must be a bool, got None",
         lambda: classify_second_order(PROBLEM, solve_closed_form(PROBLEM), None)),
@@ -226,3 +247,213 @@ def test_a_valid_float_grid_is_checked_at_its_ends():
     seen.clear()
     assert require_increasing("grid", (*grid[:-1], 5), check) == [*grid[:-1], 5.0]
     assert len(seen) == 1000  # an int takes the per-element path
+
+
+# ---------------------------------------------------------------------------
+# the field of an InvalidParameterError
+
+# helper -> an argument it refuses
+REFUSED = {as_float: 10**400, require_finite: math.nan, require_nonnegative: -1.0,
+           require_positive: 0.0, require_unit_interval: 2.0, require_count: 0}
+
+
+@pytest.mark.parametrize("helper", REFUSED, ids=lambda h: h.__name__)
+def test_each_helper_names_the_field_it_was_given(helper):
+    with pytest.raises(InvalidParameterError) as info:
+        helper("theta_a", REFUSED[helper])
+    assert info.value.field == "theta_a" and str(info.value).startswith("theta_a ")
+
+
+@pytest.mark.parametrize("helper", [require_each, require_increasing])
+@pytest.mark.parametrize("values, field", [([1.0, -1.0], "grid[1]"), ([], "grid")])
+def test_a_grid_names_the_element_at_fault(helper, values, field):
+    with pytest.raises(InvalidParameterError) as info:
+        helper("grid", values, require_nonnegative)
+    assert info.value.field == field and str(info.value).startswith(field + " ")
+
+
+def test_a_grid_out_of_order_names_the_grid():
+    with pytest.raises(InvalidParameterError) as info:
+        require_increasing("grid", (1.0, 1.0), require_nonnegative)
+    assert (info.value.field, str(info.value)) == ("grid", "grid must be strictly increasing")
+
+
+def test_every_invalid_parameter_error_in_the_package_names_its_field():
+    # the others are made by errors.invalid, which always does
+    import lexopt
+
+    for path in pathlib.Path(lexopt.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", "") == "InvalidParameterError"):
+                assert "field" in {k.arg for k in node.keywords}, f"{path.name}:{node.lineno}"
+
+
+def test_an_error_without_a_field_is_the_plain_exception():
+    exc = InvalidParameterError("text")
+    assert (exc.field, str(exc), exc.args) == (None, "text", ("text",))
+
+
+def test_a_renamed_error_replaces_the_field_in_its_message():
+    exc = invalid("precaution_cost_grid[2]", "must be >= 0, got -1.0")
+    renamed = exc.renamed("precaution_grid[2]")
+    assert renamed.field == "precaution_grid[2]"
+    assert str(renamed) == "precaution_grid[2] must be >= 0, got -1.0"
+
+
+# ---------------------------------------------------------------------------
+# the input contract of every public callable
+
+
+def _gradient_sum(v):
+    return float(sum(v))
+
+
+def _generator():
+    return (x for x in (1.0, 2.0))
+
+
+SOLUTION = solve_closed_form(PROBLEM)
+SIM_CONFIG = dataclasses.replace(default_config(), n_injurers=100, ticks=3)
+MATRIX = build_bordered_hessian(PROBLEM, SOLUTION, HessianVariant.DIRECT_FORM)
+
+#: valid values of each parameter, by name
+VALID = {
+    "p": [0.5], "W_B": [100.0], "S_B": [60.0], "C_a": [10.0], "C_b": [4.0],
+    "B_prec": [1.0], "P_harm": [0.5], "L_harm": [10.0],
+    "alpha": [2.0], "beta": [1.0], "p1": [1.0], "p2": [1.0], "P_C": [6.0],
+    "L_C": [4.0], "R_B": [2.0, 11.0], "theta_a": [None, 20.0], "theta_b": [None, 20.0],
+    "wta": [1.0], "wtp": [2.0], "plaintiff_cost_share": [0.5], "defendant_cost_share": [0.5],
+    "variant": list(HessianVariant), "include_cross_terms": [False, True],
+    "entries": [MATRIX.entries.tolist()], "det": [1.0, -1.0], "matrix_scale": [1.0],
+    "k": [2.0], "C_b_fixed": [1.0], "rates": [((0.5, 0.5),)], "i": [0], "L_i": [2.0],
+    "L": [[2.0]], "with_fixed": [False, True],
+    "alpha_grid": [(0.5, 1.0, 2.0)], "objective": list(Objective),
+    "hessian_variant": list(HessianVariant), "alpha_star": [0.5], "phi_sum": [1.0],
+    "utilities": [{"a": 3.0, "b": 1.0}], "allowed": [frozenset({"b"})], "margin": [None, 1e-3],
+    "tau": [2.0], "points_per_axis": [100], "clamp_epsilon": [None, 1e-6],
+    "f": [_gradient_sum], "point": [(1.0, 2.0)],
+    "n_injurers": [100], "precaution_cost_grid": [(0.0, 5.0)],
+    "harm_probability_fn": [ExponentialHarm(0.1, 0.1)],
+    "case_template": [CaseTemplate(0.5, 100.0, 60.0, 4.0)], "C_a_policy": [10.0],
+    "settlement_liability_discount": [0.5], "ticks": [3], "seed": [0], "stochastic": [False],
+    "p0": [0.1], "decay": [0.1], "settlement_rate": [0.0], "C_a_grid": [(0.0, 10.0)],
+}
+#: a parameter that takes one of the package's records (or a generator), by name or by
+#: (callable, name): only these values are passed to it
+RECORDS = {
+    "c": [CASE], "prob": [PROBLEM], "sol": [SOLUTION], "s": [SCHEDULE], "g": [GAME],
+    "spec": [GridSpec(points_per_axis=100)], "state": [INITIAL_STATE], "cfg": [SIM_CONFIG],
+    "rng": [None, np.random.default_rng(0)],
+    ("search_alpha", "cfg"): [AlphaSearchConfig((0.5, 1.0, 2.0), 1.0, 1.0, 1.0, 6.0)],
+    ("hand_liability", "h"): [HandRuleInputs(1.0, 0.5, 10.0)],
+    ("hessian_determinant", "h"): [MATRIX], ("scale_border", "h"): [MATRIX],
+}
+VALID[("finite_diff_gradient", "h")] = [1e-6, (1e-6, 1e-7)]
+#: one value of each kind that a caller might pass in error; a generator is made per call
+JUNK = [-0.0, 5e-324, sys.float_info.max, math.inf, -math.inf, math.nan, 10**400, -10**5000,
+        True, "text", None, [[1.0, [2.0]], []], [[1]], _generator]
+
+
+def _public_callables():
+    """Every callable of lexopt.__all__ but the exceptions and the enums, whose
+    lookup by value is Python's."""
+    import lexopt
+
+    for name in lexopt.__all__:
+        obj = getattr(lexopt, name)
+        if callable(obj) and not (isinstance(obj, type)
+                                  and issubclass(obj, (enum.Enum, BaseException))):
+            yield name, obj
+
+
+PUBLIC = dict(_public_callables())
+
+
+def parameters(name):
+    """(parameter, its valid values, whether it takes a record) for PUBLIC[name]."""
+    fn = PUBLIC[name]
+    for param in inspect.signature(fn).parameters:
+        record = RECORDS.get((name, param), RECORDS.get(param))
+        if record is not None:
+            yield param, record, True
+        elif isinstance(fn, type) and issubclass(fn, tuple):  # a NamedTuple takes anything
+            yield param, VALID.get(param, [1.0]), False
+        else:
+            yield param, VALID.get((name, param), VALID.get(param)), False
+
+
+def _fields_of(values):
+    """The field names of the records among ``values``."""
+    names = set()
+    for v in values:
+        if dataclasses.is_dataclass(v):
+            names |= {f.name for f in dataclasses.fields(v)}
+        names |= set(getattr(v, "_fields", ()))
+    return names
+
+
+#: (callable, field root) -> the parameter it stands for: phi_component names its
+#: activity as the component L[i] of the vector phi_total passes it
+STANDS_FOR = {("phi_component", "L"): "L_i"}
+
+
+def check_contract(name, kwargs):
+    """Call PUBLIC[name]: it returns, or raises a LexoptError or a TypeError.
+
+    An InvalidParameterError names a parameter or a path into one, or the
+    field of a record it was given.  A component index out of range is an
+    IndexError, as it is for a sequence.  A warning fails, as it does under
+    the suite's filterwarnings setting.
+    """
+    try:
+        PUBLIC[name](**kwargs)
+    except InvalidParameterError as exc:
+        assert exc.field is not None, (name, str(exc))
+        root = re.match(r"\w+", exc.field).group()
+        root = STANDS_FOR.get((name, root), root)
+        assert root in kwargs or root in _fields_of(kwargs.values()), (name, exc.field)
+    except (LexoptError, TypeError):
+        pass
+    except IndexError:
+        assert name == "phi_component" and kwargs["i"] != 0, kwargs
+
+
+def test_every_public_callable_has_its_valid_values():
+    assert len(PUBLIC) > 50
+    for name in PUBLIC:
+        for param, values, _ in parameters(name):
+            assert values, (name, param)
+
+
+def single_junk_calls():
+    """(callable, arguments) with one argument junk and the rest valid, for every
+    callable, every non-record parameter, every junk value and every valid rest."""
+    for name in sorted(PUBLIC):
+        params = list(parameters(name))
+        for valid in itertools.product(*(values for _, values, _ in params)):
+            for param, _, record in params:
+                for value in [] if record else JUNK:
+                    args = {p: v for (p, _, _), v in zip(params, valid)}
+                    args[param] = value() if value is _generator else value
+                    yield name, args
+
+
+def test_every_public_callable_keeps_the_input_contract_for_each_junk_argument():
+    calls = 0
+    for name, kwargs in single_junk_calls():
+        check_contract(name, kwargs)
+        calls += 1
+    assert calls > 4000
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_every_public_callable_keeps_the_input_contract(data):
+    name = data.draw(st.sampled_from(sorted(PUBLIC)), label="callable")
+    kwargs = {}
+    for param, values, record in parameters(name):
+        junk = not record and data.draw(st.booleans(), label=f"{param} is junk")
+        value = data.draw(st.sampled_from(JUNK if junk else values), label=param)
+        kwargs[param] = value() if value is _generator else value
+    check_contract(name, kwargs)
