@@ -679,6 +679,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # the rows fit, but the text rendered from them need not
+        size = (f"ticks={params['ticks']} is more rows" if args.command == "simulate"
+                else "the output is more")
+        print(f"error: {size} than this process can allocate", file=sys.stderr)
+        return 2
     sys.stdout.write(text)
     return 0
 

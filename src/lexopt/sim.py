@@ -43,16 +43,17 @@ from the state saved before the chunk up to that draw.  ``step`` in
 stochastic mode needs the caller's ``rng``, passed on every call, and makes
 one scalar draw from it.
 
-One column kernel turns a stretch into its ticks' injuries and welfare:
-the welfare is one expression, with the parentheses of the sum above,
-evaluated once per stretch, on the one float a deterministic stretch's
-ticks share or on a drawn stretch's draws as one float64 array, whose
-elementwise + - * round as Python's float arithmetic does.  A run's
-running totals, aggregate_trials and welfare, are Python's + in tick order
-from +0.0, as one step adds onto the previous state.  For ``simulate`` a
-stochastic run's count columns hold the draws as ints, and
-aggregate_trials their exact running sums, while they stay below 2**53,
-where "%d" of the int prints the digits "%.17g" prints for the float.
+One welfare kernel, ``_RunPlan.welfare``, is the expression with the
+parentheses of the sum above.  ``step`` evaluates it on floats, a
+deterministic run once per stretch on the one float its ticks share, and a
+stochastic run once on all its draws as one float64 array, with each
+tick's B, whose elementwise + - * round as Python's float arithmetic does.
+A run's running totals, aggregate_trials and welfare, are Python's + in
+tick order from +0.0, as one step adds onto the previous state.  For
+``simulate`` a stochastic run's count columns hold the draws as ints, and
+aggregate_trials their exact running sums, when n_injurers * ticks, which
+bounds every count, is below 2**53, where "%d" of the int prints the
+digits "%.17g" prints for the float.
 
 The walk reads C_a only through the settle/trial decision, made on floats,
 so the sweep walks the horizon once per decision class, not once per cell.
@@ -127,6 +128,11 @@ class CaseTemplate:
     S_B: float
     C_b: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p", require_unit_interval("p", self.p))
+        for name in ("W_B", "S_B", "C_b"):
+            object.__setattr__(self, name, require_nonnegative(name, getattr(self, name)))
+
     def with_admin_cost(self, C_a: float) -> CaseParameters:
         return CaseParameters(p=self.p, W_B=self.W_B, S_B=self.S_B, C_a=C_a, C_b=self.C_b)
 
@@ -176,8 +182,6 @@ class SimConfig:
         object.__setattr__(self, "L_harm", require_nonnegative("L_harm", self.L_harm))
         object.__setattr__(self, "C_a_policy", require_nonnegative("C_a_policy", self.C_a_policy))
         require_type("case_template", self.case_template, CaseTemplate)
-        c = self.case_template.with_admin_cost(self.C_a_policy)  # the fields, validated, as floats
-        object.__setattr__(self, "case_template", CaseTemplate(c.p, c.W_B, c.S_B, c.C_b))
         object.__setattr__(
             self,
             "settlement_liability_discount",
@@ -267,26 +271,12 @@ class _RunPlan:
         """The next tick's lagged settlement rate: every filing settled, or none did."""
         return 1.0 if self.settles and filings > 0.0 else 0.0
 
-    def columns(self, B: float, injuries, ticks: int, C_a: float,
-                counts: bool = True) -> tuple[list | None, list]:
-        """(injuries, welfare) of each tick of a stretch at B and C_a, as lists of floats.
+    def welfare(self, B, x, C_a: float):
+        """One tick's welfare at B, x injuries and C_a; B and x floats or float64 arrays.
 
-        The welfare is one expression, evaluated once per stretch: on the one
-        injury count that a deterministic stretch's ticks share, or on a drawn
-        stretch's draws as one float64 array, whose elementwise + - * round
-        as Python's float arithmetic does.  An overflow leaves an inf or a
-        nan in the welfare, which the caller reports; numpy warns of none.
-        A drawn stretch's injuries are None unless ``counts`` asks for them.
+        An overflow leaves an inf or a nan, which the caller reports; an array
+        caller silences numpy's warnings.
         """
-        if not self.cfg.stochastic:
-            return [injuries] * ticks, [self._welfare(B, injuries, C_a)] * ticks
-        import numpy as np
-
-        x = np.asarray(injuries, dtype=float)
-        with np.errstate(all="ignore"):
-            return x.tolist() if counts else None, self._welfare(B, x, C_a).tolist()
-
-    def _welfare(self, B: float, x, C_a: float):
         case, cfg = self.cfg.case_template, self.cfg
         s, t = (x, 0.0) if self.settles else (0.0, x)  # every filing settles or none does
         return (s * case.S_B + t * case.p * case.W_B - (s * case.C_b + t * C_a)
@@ -363,20 +353,18 @@ def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None
             "reuse it on every tick", field="rng"
         )
     plan = _RunPlan(cfg, cfg.C_a_policy)
-    stretch = next(_stretches(plan, rng if cfg.stochastic else None, _settlement_rate(state), 1))
-    (injuries,), (welfare,) = plan.columns(*stretch, cfg.C_a_policy)
+    B, p_harm = plan.precaution(_settlement_rate(state))
+    n = cfg.n_injurers
+    injuries = float(rng.binomial(n, p_harm)) if cfg.stochastic else n * p_harm
     settlements, trials = (injuries, 0.0) if plan.settles else (0.0, injuries)
     return SimState(state.tick + 1, injuries, injuries, settlements, trials,
-                    state.aggregate_trials + trials, state.welfare + welfare)
+                    state.aggregate_trials + trials,
+                    state.welfare + plan.welfare(B, injuries, cfg.C_a_policy))
 
 
 #: The most rows a per-tick list can hold: past it, sizing ``[x] * ticks``
 #: fails (a MemoryError or an OverflowError) before any memory is asked for.
 _MAX_ROWS = sys.maxsize // struct.calcsize("P")
-
-#: Below 2**53 an integral float is an int exactly, and "%d" of the int
-#: prints the digits "%.17g" prints for the float.
-_WHOLE_LIMIT = 2**53
 
 
 def _running(terms: Iterable, start):
@@ -399,12 +387,13 @@ def _per_tick_rows(ticks: int) -> Iterator[None]:
 def _run_columns(cfg: SimConfig, whole_counts: bool = False) -> list[Sequence]:
     """The SimState fields over the full horizon from the zero state, one column per field.
 
-    Each stretch's ticks come from ``_RunPlan.columns``; aggregate_trials and
-    welfare are running totals, added in tick order from +0.0 as step adds
-    onto the previous state.  With ``whole_counts`` a stochastic run's
-    injuries, filings, settlements and trials are the draws as ints, and
-    aggregate_trials their running sums, each column while all its values
-    stay below 2**53; a column that reaches it holds floats.  A horizon of
+    The welfare column is ``_RunPlan.welfare`` once per deterministic stretch,
+    or once on a stochastic run's draws; aggregate_trials and welfare are
+    running totals, added in tick order from +0.0 as step adds onto the
+    previous state.  With ``whole_counts`` a stochastic run's injuries,
+    filings, settlements and trials are the draws as ints, and
+    aggregate_trials their running sums, when n_injurers * ticks, the bound
+    of every count, is below 2**53; otherwise they are floats.  A horizon of
     more ticks than a list can hold, or than this process can allocate, is
     a DomainError naming ticks.  One column is sized before the walk, so a
     horizon whose first column does not fit fails before any tick is run;
@@ -418,26 +407,28 @@ def _run_columns(cfg: SimConfig, whole_counts: bool = False) -> list[Sequence]:
         none = [0.0] * cfg.ticks  # one per-tick column, sized before the walk draws anything
         plan = _RunPlan(cfg, cfg.C_a_policy)
         stretches = list(_stretches(plan, _generator(cfg), 0.0, cfg.ticks))
-        whole = False
-        if whole_counts and cfg.stochastic:
+        if cfg.stochastic:
             import numpy as np
 
             draws = np.concatenate([drawn for _, drawn, _ in stretches])
-            whole = draws.max() < _WHOLE_LIMIT
-        injuries, welfare = [], []
-        for stretch in stretches:  # float injuries only where the counts stay floats
-            x, w = plan.columns(*stretch, cfg.C_a_policy, counts=not whole)
-            if not whole:
-                injuries += x
-            welfare += w
-        if whole:
-            injuries, none = draws.tolist(), [0] * cfg.ticks
+            x = draws.astype(float)
+            Bs = np.repeat([B for B, _, _ in stretches], [ticks for _, _, ticks in stretches])
+            with np.errstate(all="ignore"):
+                welfare = plan.welfare(Bs, x, cfg.C_a_policy).tolist()
+            # each count is at most n_injurers * ticks; below 2**53 "%d" of the
+            # int prints the digits "%.17g" prints for the float
+            if whole_counts and cfg.n_injurers * cfg.ticks < 2**53:
+                injuries, none = draws.tolist(), [0] * cfg.ticks
+            else:
+                injuries = x.tolist()
+        else:
+            injuries, welfare = [], []
+            for B, x, ticks in stretches:
+                injuries += [x] * ticks
+                welfare += [plan.welfare(B, x, cfg.C_a_policy)] * ticks
         settlements, trials = (injuries, none) if plan.settles else (none, injuries)
-        aggregate_trials = _running(trials, none[0])
-        if whole and aggregate_trials[-1] >= _WHOLE_LIMIT:
-            aggregate_trials = _running(map(float, trials), 0.0)
-        return [range(1, cfg.ticks + 1), injuries, injuries, settlements, trials, aggregate_trials,
-                _running(welfare, 0.0)]
+        return [range(1, cfg.ticks + 1), injuries, injuries, settlements, trials,
+                _running(trials, none[0]), _running(welfare, 0.0)]
 
 
 def _repeat_add(x: float, c: float, n: int) -> float:
@@ -532,12 +523,16 @@ def sweep_admin_cost(cfg: SimConfig, C_a_grid: Sequence[float]) -> list[SweepRow
         # from +0.0, left to right as += adds (sum() compensates); every injury is a filing
         for B, injuries, ticks in _stretches(plan, _generator(cfg), 0.0, cfg.ticks):
             if cfg.stochastic:
-                columns = [plan.columns(B, injuries, ticks, grid[i]) for i in summed]
-                filings = reduce(add, columns[0][0], filings)
-                welfare = [reduce(add, w, total) for (_, w), total in zip(columns, welfare)]
+                import numpy as np
+
+                x = np.asarray(injuries, dtype=float)  # the drawn stretch, converted once
+                filings = reduce(add, x.tolist(), filings)
+                with np.errstate(all="ignore"):
+                    welfare = [reduce(add, plan.welfare(B, x, grid[i]).tolist(), total)
+                               for i, total in zip(summed, welfare)]
             else:  # the one value a deterministic stretch's ticks share, added ticks times
                 filings = _repeat_add(filings, injuries, ticks)
-                welfare = [_repeat_add(total, plan._welfare(B, injuries, grid[i]), ticks)
+                welfare = [_repeat_add(total, plan.welfare(B, injuries, grid[i]), ticks)
                            for i, total in zip(summed, welfare)]
         settlements, trials = (filings, 0.0) if settles else (0.0, filings)  # block decision
         rate = settlements / filings if filings > 0.0 else 0.0

@@ -415,6 +415,24 @@ class TestSimulateAndSweep:
         assert proc.stderr.splitlines() == [
             f"error: ticks={UNALLOCATABLE_TICKS} is more rows than this process can allocate"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command, error", [
+        (["simulate", "--ticks", "7"], "ticks=7 is more rows"),
+        (["sweep", "--C_a_grid", "[0, 30]"], "the output is more"),
+    ])
+    def test_render_out_of_memory_is_a_domain_error(self, capsys, monkeypatch, fmt, command,
+                                                    error):
+        # rows that fit can render to text that does not: under ulimit -v 500000,
+        # simulate --ticks 1000000 once printed a MemoryError traceback and exited 1
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli._Table, "json", out_of_memory)
+        monkeypatch.setattr(cli._Table, "csv", out_of_memory)
+        code, out, err = run_cli(capsys, [*command, "--seed", "0", "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {error} than this process can allocate"]
+
 
     @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--C_a_grid", "[0, 30]"]])
     def test_negative_seed_is_invalid_in_stochastic_mode(self, capsys, command):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -103,6 +104,26 @@ class TestCaseTemplate:
     def test_bad_admin_cost_names_the_field(self):
         with pytest.raises(InvalidParameterError, match="C_a"):
             CaseTemplate(p=0.5, W_B=100.0, S_B=60.0, C_b=4.0).with_admin_cost(-1.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p", "x", "p must be a number, got 'x'"),
+        ("p", -1.0, "p must lie in [0, 1], got -1.0"),
+        ("W_B", None, "W_B must be a number, got None"),
+        ("S_B", [], "S_B must be a number, got []"),
+        ("C_b", math.inf, "C_b must be finite, got inf"),
+    ])
+    def test_fields_are_checked_when_made(self, field, value, message):
+        # as CaseParameters checks them: a bad template used to pass until a
+        # SimConfig or a with_admin_cost call, and default_thresholds of
+        # p = -1 returned (-25.0, -25.0)
+        kw = {**dict(p=0.5, W_B=100.0, S_B=60.0, C_b=4.0), field: value}
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$") as info:
+            CaseTemplate(**kw)
+        assert info.value.field == field
+
+    def test_fields_are_floats(self):
+        case = CaseTemplate(p=1, W_B=100, S_B=60, C_b=4)
+        assert [type(v) for v in (case.p, case.W_B, case.S_B, case.C_b)] == [float] * 4
 
 
 class TestSimConfigValidation:
@@ -758,6 +779,11 @@ class TestAgainstReferenceLoop:
     # the batched draws: a rate that flips mid-chunk, runs longer than a chunk,
     # and the largest count a draw takes
     @example(cfg=ZERO_DRAWS, grid=BOTH_DECISIONS)
+    # a settling run whose rate flips 8 times, so its one drawn welfare column
+    # spans both precaution levels, and the same run with a total that
+    # overflows to -inf at tick 223
+    @example(cfg=replace(ZERO_DRAWS, C_a_policy=30.0), grid=BOTH_DECISIONS)
+    @example(cfg=replace(ZERO_DRAWS, C_a_policy=30.0, L_harm=1e308), grid=BOTH_DECISIONS)
     @example(cfg=small_config(ticks=2000, stochastic=True, seed=11), grid=BOTH_DECISIONS)
     @example(cfg=small_config(n_injurers=2**63 - 1, stochastic=True), grid=BOTH_DECISIONS)
     # a precaution choice near a tie: at full liability B = 10 costs 1e-5 less
@@ -1058,7 +1084,14 @@ class TestWholeCounts:
         assert self.kinds(cfg) == ["float"] * 6
 
     def test_aggregate_trials_past_2_to_the_53_stays_floats(self):
+        # the int counts are decided from the inputs: n_injurers * ticks bounds
+        # every count, so each count column is floats once it reaches 2**53
         cfg = replace(default_config(), stochastic=True, n_injurers=5 * 10**14, ticks=300)
         totals = [s.aggregate_trials for s in run_simulation(cfg)]
         assert totals[-4] < 2**53 <= totals[-3]  # crossed at tick 298
-        assert self.kinds(cfg) == ["int"] * 4 + ["float"] * 2
+        assert self.kinds(cfg) == ["float"] * 6
+        # at 2**47 injurers the counts stay far below 2**53, and the bound decides
+        cfg = replace(cfg, n_injurers=2**47, ticks=64)
+        assert run_simulation(cfg)[-1].aggregate_trials < 2**50
+        assert self.kinds(cfg) == ["float"] * 6
+        assert self.kinds(replace(cfg, ticks=63)) == ["int"] * 5 + ["float"]
