@@ -8,20 +8,21 @@ line, with numbers rendered to 17 significant digits so values round-trip
 exactly.  Identical invocations produce byte-identical output.
 
 Exit codes: 0 success (an empty search result is still success), 1 invalid
-input (the message names the offending field), 2 domain failure, 64 usage
-error.  Commands that simulate (``simulate``, ``sweep``) require a seed,
-either via ``--seed`` or the LEXOPT_SEED environment variable; the flag
-wins.
+input (the message names the offending field), 2 domain failure (input or
+output too large to allocate, or text stdout cannot encode included), 64
+usage error.  Commands that simulate (``simulate``, ``sweep``) require a
+seed, either via ``--seed`` or the LEXOPT_SEED environment variable; the
+flag wins.
 
 ``main`` builds each command's parser once per process, and help and error
-text is formatted as it is printed.  Tables are kept as columns.
+text is formatted as it is printed.  Tables are kept as columns, and each
+renders through one row template per format.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -42,9 +43,9 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # serialization: one walk for both formats.  A scalar's text comes from one
 # table keyed by exact type; any other type, a subclass such as
-# numpy.float64 included, is a TypeError.  Every table is a _Table; a table
-# of numbers renders through one row template per format.  Values render in
-# payload order, so the first non-finite float is the one reported.
+# numpy.float64 included, is a TypeError.  Every table is a _Table, and
+# renders through one row template per format.  Values render in payload
+# order, so the first non-finite float is the one reported.
 
 
 def _fmt_float(x: float) -> str:
@@ -64,7 +65,13 @@ _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
 }
 # the formats differ only in how they write None and strings
 _JSON_TEXT = {**_SCALAR_TEXT, type(None): lambda _: "null", str: json.dumps}
-_CSV_TEXT = {**_SCALAR_TEXT, type(None): lambda _: "", str: str}
+# CSV text holding a comma, a double quote, CR or LF is quoted, its quotes doubled
+_CSV_QUOTED = frozenset(',"\r\n')
+_CSV_TEXT = {**_SCALAR_TEXT, type(None): lambda _: "",
+             str: lambda s: s if _CSV_QUOTED.isdisjoint(s) else '"%s"' % s.replace('"', '""')}
+# a row whose only cell is empty is written "", as the csv module writes it
+_LONE_CSV_TEXT = {**_CSV_TEXT, type(None): lambda _: '""',
+                  str: lambda s: _CSV_TEXT[str](s) or '""'}
 
 
 def _json_template(keys: tuple, level: int) -> str:
@@ -103,57 +110,49 @@ class _Table:
 
     It renders as a list of dicts with ``columns`` as keys would, to the
     byte, one dict per row of ``zip(*cells, strict=True)``: columns of
-    unequal length are a ValueError.  When every column holds ints or
-    floats, a row template made once per table types each cell by its
-    column's first value (``%d``, ``%.17g``) and a row is one ``%``.
-    Otherwise JSON renders the rows as those dicts, and CSV writes the cells
-    with ``csv.writer``, which quotes text as the csv module does.  A plain
-    class, not a dataclass: making a dataclass costs every command process
-    about a millisecond.
+    unequal length are a ValueError.  Each format has one row template, made
+    once per table, and a row is one ``%``.  The template types each column
+    by its first value: ints print through ``%d``, floats through ``%.17g``,
+    and any other column is made its cells' text first, in ``_JSON_TEXT`` or
+    ``_CSV_TEXT``, for ``%s``.  A plain class, not a dataclass: making a
+    dataclass costs every command process about a millisecond.
     """
 
     def __init__(self, columns: tuple[str, ...], cells: Sequence[Sequence]) -> None:
         self.columns = columns
         self.cells = cells  # one sequence of values per column, in column order
 
-    def _rows(self) -> Iterator[tuple]:
-        return zip(*self.cells, strict=True)
-
-    def _specs(self) -> tuple[str, ...] | None:
-        """The typed cell directives, once every float is known to be finite;
-        None when there is no row or a column holds anything but ints and floats."""
-        if not all(self.cells) or not all(type(col[0]) in _NUMBER_SPECS for col in self.cells):
-            return None
-        floats = [col for col in self.cells if type(col[0]) is float]
+    def _filled(self, text: dict[type, Callable[[Any], str]]) -> tuple[tuple[str, ...], Iterator]:
+        """Each column's directive, and the rows that fill them once every
+        float is known to be finite; a column of neither ints nor floats is
+        its cells' text in ``text``."""
+        cells = self.cells
+        specs = tuple(_NUMBER_SPECS.get(type(col[0]) if col else None, "%s") for col in cells)
+        floats = [col for spec, col in zip(specs, cells) if spec == "%.17g"]
         if not all(all(map(math.isfinite, col)) for col in floats):
             for row in zip(*floats):  # render order, so the first bad value is reported
                 for v in row:
                     _fmt_float(v)
-        return tuple(_NUMBER_SPECS[type(col[0])] for col in self.cells)
+        columns = [col if spec != "%s" else [text.get(type(v), _unsupported)(v) for v in col]
+                   for spec, col in zip(specs, cells)]
+        return specs, zip(*columns, strict=True)
 
     def json(self, level: int) -> str:
-        specs = self._specs()
-        if specs is None:  # no row, or not all numbers: render the dicts it stands for
-            return _json_render([dict(zip(self.columns, row)) for row in self._rows()], level)
+        if not any(self.cells):  # no row
+            return "[]"
+        specs, rows = self._filled(_JSON_TEXT)
         # the JSON template is itself %-formatted with the directives, so a %
         # in a column name is escaped once for each of the two formattings
         keys = tuple(c.replace("%", "%%") for c in self.columns)
         pad = "  " * level
         row = pad + "  " + _json_template(keys, level + 1) % specs
-        return "[\n" + ",\n".join(map(row.__mod__, self._rows())) + "\n" + pad + "]"
+        return "[\n" + ",\n".join(map(row.__mod__, rows)) + "\n" + pad + "]"
 
     def csv(self) -> str:
-        import csv  # only a --format csv process loads the module
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        specs = self._specs()
-        if specs is not None:  # number text never needs quoting
-            return buf.getvalue() + "".join(map((",".join(specs) + "\n").__mod__, self._rows()))
-        text = _CSV_TEXT.get
-        writer.writerows([text(type(v), _unsupported)(v) for v in row] for row in self._rows())
-        return buf.getvalue()
+        text = _LONE_CSV_TEXT if len(self.columns) == 1 else _CSV_TEXT
+        specs, rows = self._filled(text)
+        header = ",".join(map(text[str], self.columns)) + "\n"
+        return header + "".join(map((",".join(specs) + "\n").__mod__, rows))
 
 
 class CommandOutput(NamedTuple):
@@ -669,9 +668,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
 
     spec = COMMANDS[args.command]
+    size = "the input is more"  # what a MemoryError is blamed on
     try:
         params = _merge_params(spec.fields, args)
         out = spec.runner(**params)
+        # the rows fit, but the text rendered from them need not
+        size = (f"ticks={params['ticks']} is more rows" if args.command == "simulate"
+                else "the output is more")
         text = _emit(out, args.format)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -679,12 +682,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # the rows fit, but the text rendered from them need not
-        size = (f"ticks={params['ticks']} is more rows" if args.command == "simulate"
-                else "the output is more")
+    except MemoryError:
         print(f"error: {size} than this process can allocate", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)  # encoded whole before a byte is written
+    except UnicodeEncodeError as exc:
+        print(f"error: the output holds {ascii(exc.object[exc.start])}, which stdout's "
+              f"{exc.encoding} encoding cannot write ({exc.reason})", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -305,6 +306,23 @@ class TestComply:
         assert "overflowed" in err
         assert "must be finite" not in err
 
+    @pytest.mark.parametrize("name, encoding, message", [
+        # a JSON escape, so the argv holds no lone surrogate
+        ("\\ud800", "utf-8", "'\\ud800', which stdout's utf-8 encoding cannot write "
+                              "(surrogates not allowed)"),
+        ("\u00e9", "ascii", "'\\xe9', which stdout's ascii encoding cannot write "
+                           "(ordinal not in range(128))"),
+    ], ids=["surrogate", "ascii"])
+    def test_text_stdout_cannot_encode_is_a_domain_error(self, name, encoding, message):
+        # it was a UnicodeEncodeError traceback with exit 1; JSON escapes the text
+        argv = ["comply", "--utilities", f'{{"{name}": 1, "b": 2}}', "--allowed", f'["{name}"]',
+                "--format", "csv"]
+        proc = subprocess.run([sys.executable, "-m", "lexopt", *argv], capture_output=True,
+                              timeout=120, env={**os.environ, "PYTHONIOENCODING": encoding})
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode().splitlines() == [
+            f"error: the output holds {message}"]
+
 
 class TestSimulateAndSweep:
     SMALL = ["--n_injurers", "50", "--ticks", "3"]
@@ -432,6 +450,20 @@ class TestSimulateAndSweep:
         code, out, err = run_cli(capsys, [*command, "--seed", "0", "--format", fmt])
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: {error} than this process can allocate"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", [["simulate", "--ticks", "7"],
+                                         ["sweep", "--C_a_grid", "[0, 30]"]])
+    def test_input_out_of_memory_is_not_blamed_on_ticks(self, capsys, monkeypatch, fmt, command):
+        # a 15M-entry precaution_grid under ulimit -v 250000 once printed
+        # "error: ticks=100 is more rows than this process can allocate"
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_float_list", out_of_memory)
+        code, out, err = run_cli(capsys, [*command, "--seed", "0", "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: the input is more than this process can allocate"]
 
 
     @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--C_a_grid", "[0, 30]"]])

@@ -61,7 +61,8 @@ floats = st.one_of(
 numbers = st.one_of(st.floats(), st.integers(-10**4, 10**4),
                     st.sampled_from([1e308, -1e308, 10**400]))
 number_lists = st.lists(numbers, max_size=5)
-names = st.sampled_from(["a", "b", "c", "a,b", 'c"d'])
+# no NUL: csv.reader refuses a line holding one before Python 3.11
+names = st.sampled_from(["a", "b", "c", "a,b", 'c"d', "a\rb"])
 json_junk = st.one_of(st.none(), st.booleans(), numbers, names, st.just({}))
 
 # the run length and the grids stay small so that a case takes milliseconds
@@ -160,9 +161,9 @@ EXACT = (type(None), bool, int, float, str)
 def check_exact_types(obj, where="payload"):
     """Every scalar is of an exact builtin type, and every _Table column holds one type.
 
-    The renderer looks a scalar's text up by its exact type, and a table of
-    ints and floats renders each row through directives typed by the first
-    value of each column.  A table has one column of cells per name, all of
+    The renderer looks a scalar's text up by its exact type, and a table
+    renders each row through directives typed by the first value of each
+    column.  A table has one column of cells per name, all of
     one length.
     """
     if type(obj) is _Table:

@@ -10,6 +10,12 @@ well: the reference renders one as the list of dicts it stands for, and
 ``simulate``'s table as the per-tick dicts the command printed before, built
 from the per-tick reference loop in ``test_sim``.
 
+``csv.writer`` is the byte reference for CSV text only where every supported
+Python writes alike: it quotes a field holding CR from Python 3.13 on only,
+and refuses one holding NUL before 3.11.  ``rule_csv_lines`` is written from
+the quoting rule the README states, and is the reference for all text; CSV
+text without NUL also reads back through ``csv.reader``.
+
 The reference renders a scalar subclass (``numpy.float64``) by its base
 type, and a CSV cell of any other type by ``str()``; the renderer takes
 exact types only and raises ``TypeError`` for the rest, so the payloads here
@@ -23,6 +29,7 @@ import json
 import math
 import random
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +97,36 @@ def ref_csv_lines(columns, rows):
     for row in rows:
         writer.writerow([ref_csv_cell(row[c]) for c in columns])
     return buf.getvalue()
+
+
+def rule_csv_field(text):
+    """The README's rule: text holding a comma, a double quote, CR or LF is
+    wrapped in double quotes, with inner quotes doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_cells(columns, rows):
+    """The header and each row's cells, as text."""
+    return [list(columns), *([ref_csv_cell(row[c]) for c in columns] for row in rows)]
+
+
+def rule_csv_lines(columns, rows):
+    """Each line's cells by the rule; a line whose only cell is empty is
+    written "", as the csv module writes it."""
+    return "".join(('""' if cells == [""] else ",".join(map(rule_csv_field, cells))) + "\n"
+                   for cells in csv_cells(columns, rows))
+
+
+def csv_texts(columns, rows):
+    return [*columns, *(v for row in rows for v in row.values() if type(v) is str)]
+
+
+def csv_writer_agrees(columns, rows):
+    """Whether every supported Python's csv.writer writes these cells as the rule does."""
+    refused = "\r\x00" if sys.version_info < (3, 11) else "\r"
+    return not any(c in text for text in csv_texts(columns, rows) for c in refused)
 
 
 def outcome(render, *args):
@@ -221,17 +258,30 @@ class TestAgainstReference:
                            [[r[k] for r in SIM_LIKE["rows"]] for k in SIM_LIKE["rows"][0]]),
                     SIM_LIKE["rows"]), level=1)
     @example(table=(_Table(("a", "b"), [[], []]), []), level=1)
+    # csv.writer wrote the CR bare before Python 3.13, and refused the NUL before 3.11
+    @example(table=(_Table(("a\rb", "c"), [["\r", "x\x00y"], [1, 2]]),
+                    [{"a\rb": "\r", "c": 1}, {"a\rb": "x\x00y", "c": 2}]), level=0)
+    # a line whose only cell is empty
+    @example(table=(_Table(("",), [["", "x"]]), [{"": ""}, {"": "x"}]), level=0)
+    @example(table=(_Table(("a",), [[None]]), [{"a": None}]), level=0)
     def test_table_bytes(self, table, level):
         table, rows = table
+        columns = list(table.columns)
         assert _json_render(table, level) == ref_json_render(rows, level)
-        assert table.csv() == ref_csv_lines(list(table.columns), rows)
+        text = table.csv()
+        assert text == rule_csv_lines(columns, rows)
+        if csv_writer_agrees(columns, rows):
+            assert text == ref_csv_lines(columns, rows)
+        if not any("\x00" in t for t in csv_texts(columns, rows)):
+            # csv.reader refuses a line holding NUL before Python 3.11
+            assert list(csv.reader(io.StringIO(text, newline=""))) == csv_cells(columns, rows)
 
     @settings(max_examples=300)
     @given(table=tables(non_finite=True))
     def test_table_outcome_with_non_finite_values(self, table):
         table, rows = table
         assert outcome(_json_render, table) == outcome(ref_json_render, rows)
-        assert outcome(table.csv) == outcome(ref_csv_lines, list(table.columns), rows)
+        assert outcome(table.csv) == outcome(rule_csv_lines, list(table.columns), rows)
 
     def test_unsupported_type_is_the_same_type_error(self):
         for payload in ({"a": np.int64(1)}, {"a": [{"b": object}]}, {"a": np.bool_(True)}):
@@ -492,3 +542,20 @@ class TestCsvQuoting:
         csv.writer(buf, lineterminator="\n").writerows([list(record), list(record.values())])
         assert out == "# lexopt 0.1.0\n" + buf.getvalue()
         assert out.splitlines()[2] == f"{quoted},10,1,5,{quoted},10,true"
+
+    @pytest.mark.parametrize("name, cell", [
+        ("a\rb", '"a\rb"'), ("a\nb", '"a\nb"'), ("a,b", '"a,b"'), ('a"b', '"a""b"'),
+        ("a\x00b", "a\x00b"), ("a\tb", "a\tb"), ('\r\n,"\x00\t', '"\r\n,""\x00\t"'),
+    ], ids=["CR", "LF", "comma", "quote", "NUL", "tab", "all"])
+    def test_comply_csv_bytes_are_the_same_on_every_python(self, capsys, name, cell):
+        # csv.writer wrote the CR bare before Python 3.13, and refused the NUL
+        # before 3.11 (a _csv.Error traceback)
+        code = main(["comply", "--utilities", json.dumps({name: 10, "b": 14}),
+                     "--allowed", json.dumps([name]), "--margin", "1", "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out.encode() == (
+            b"# lexopt 0.1.0\n"
+            b"best_allowed_strategy,best_allowed_utility,margin,penalty,"
+            b"post_penalty_best_strategy,post_penalty_best_utility,compliance_dominant\n"
+            + f"{cell},10,1,5,{cell},10,true\n".encode()
+        )
