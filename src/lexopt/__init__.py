@@ -26,7 +26,7 @@ _EXPORTS = {
     "hessian": (
         "BorderedHessian", "HessianVariant", "SecondOrderClass", "build_bordered_hessian",
         "hessian_determinant", "classify_from_determinant", "classify_second_order",
-        "scale_border", "DET_NOISE_RTOL",
+        "DET_NOISE_RTOL",
     ),
     "cost_schedule": ("CostSchedule", "phi_component", "phi_total", "admissible",
                       "within_budget"),

@@ -397,11 +397,9 @@ def _run_hessian(cross_terms: bool, **problem: float) -> CommandOutput:
     # a CSV row holds the upper triangle of the symmetric matrix
     upper = [(i, j) for i in range(3) for j in range(i, 3)]
     rows = []
-    point = _point(sol)
+    point = _point(prob, sol)
     for variant in HessianVariant:  # payload keys shadow_form, direct_form
-        entries, det, cls = _second_order(
-            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, *point, variant, cross_terms
-        )
+        entries, det, cls = _second_order(*point, variant, cross_terms)
         m = _matrix(*entries)
         payload[variant.name.lower()] = {"matrix": m, "det": det, "classification": cls.value}
         rows.append((variant.value, *(m[i][j] for i, j in upper), det, cls.value))

@@ -25,31 +25,27 @@ maximum and det < 0 a local minimum.  Determinants are expanded along the
 first row exactly as the cofactor derivation writes them; tests compare the
 expansion against a generic determinant routine.
 
-The check itself runs on plain floats: one private kernel takes the point
+The check runs on plain floats: one private kernel takes the point
 (L_C*, R_B*, lambda) as three floats and returns the five distinct entries,
 the determinant and the class, and the classification report and the
-command line go through it.  They take an ``OptimumSolution`` from outside,
-so they check that both demands are positive before they unpack it.  The
-alpha search runs the kernel's operations, in its order, fused with the
-solver's in one loop body, and calls the kernel itself for a candidate
-that leaves the float range, so its errors are the kernel's.
-``BorderedHessian`` and its functions wrap the same entries and determinant
-in a read-only numpy matrix for callers that want the matrix object; only
-they import numpy.
+command line go through it.  They take a ``CobbDouglasProblem`` and an
+``OptimumSolution`` from outside, so they check the type of each and that
+both demands are positive before they unpack them.  The alpha search runs
+the kernel's operations, in its order, fused with the solver's in one loop
+body, and calls the kernel itself for a candidate that leaves the float
+range, so its errors are the kernel's.  ``build_bordered_hessian`` returns
+the same entries as a ``BorderedHessian`` record of three rows of floats,
+and ``hessian_determinant`` checks a caller's rows before it expands them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from ._validation import as_float, require_positive, require_type, shown
 from .cobb_douglas import CobbDouglasProblem, OptimumSolution, _range_error
 from .errors import DomainError, invalid
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class HessianVariant(Enum):
@@ -67,9 +63,10 @@ class SecondOrderClass(Enum):
 # from accumulated rounding and classifies as Indeterminate.
 DET_NOISE_RTOL = 1e-10
 
-# The distinct entries (b1, b2, h11, h12, h22) of a bordered Hessian; the
-# corner is 0, b1 = -lam * p1 and b2 = -lam * p2 form the border.
+# The distinct entries (b1, b2, h11, h12, h22) of a bordered Hessian, and its
+# rows; the corner is 0, b1 = -lam * p1 and b2 = -lam * p2 form the border.
 _Entries = tuple[float, float, float, float, float]
+_Rows = tuple[tuple[float, ...], ...]
 
 
 def _entries(
@@ -106,15 +103,18 @@ def _entries(
     return -lam * p1, -lam * p2, h11, h12, h22
 
 
-def _point(sol: OptimumSolution) -> tuple[float, float, float]:
-    """The point (L_C*, R_B*, lambda) that ``sol`` carries; both demands must be > 0."""
+def _point(prob: CobbDouglasProblem, sol: OptimumSolution) -> tuple[float, ...]:
+    """The parameters of ``prob``, then the point (L_C*, R_B*, lambda) of ``sol``; demands > 0."""
+    require_type("prob", prob, CobbDouglasProblem)
+    require_type("sol", sol, OptimumSolution)
     L = require_positive("L_C_star", sol.L_C_star)
-    return L, require_positive("R_B_star", sol.R_B_star), sol.lam
+    R = require_positive("R_B_star", sol.R_B_star)
+    return prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, L, R, sol.lam
 
 
-def _matrix(b1: float, b2: float, h11: float, h12: float, h22: float) -> list[list[float]]:
-    """The 3x3 bordered matrix of the distinct entries, as nested lists."""
-    return [[0.0, b1, b2], [b1, h11, h12], [b2, h12, h22]]
+def _matrix(b1: float, b2: float, h11: float, h12: float, h22: float) -> _Rows:
+    """The 3x3 bordered matrix of the distinct entries, row by row."""
+    return (0.0, b1, b2), (b1, h11, h12), (b2, h12, h22)
 
 
 def _determinant(b1: float, b2: float, h11: float, h12: float, h22: float) -> float:
@@ -146,9 +146,9 @@ def _second_order(
     """Entries, determinant and class of one variant at the point (L, R, lam).
 
     The whole second-order check on plain floats.  The noise floor scales
-    with the largest absolute entry, the zero corner included; unlike
-    numpy's maximum, ``max`` does not propagate NaN, but a NaN entry makes
-    the determinant NaN, which classifies as LocalMin at any scale.
+    with the largest absolute entry, the zero corner included; ``max``
+    does not propagate NaN, but a NaN entry makes the determinant NaN,
+    which classifies as LocalMin at any scale.
     ``alpha_search._admitted`` repeats the operations of this check, and of
     ``_entries`` and ``_determinant``, in their order, so a change here is
     made there too.
@@ -164,32 +164,12 @@ def _second_order(
         raise DomainError(f"{variant.value} bordered Hessian: {exc}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class BorderedHessian:
-    """Symmetric 3x3 bordered matrix, entry (0, 0) zero; a mode of the wrong type is a TypeError."""
+class BorderedHessian(NamedTuple):
+    """Three rows of three floats, and the mode that made them; it checks nothing."""
 
-    entries: np.ndarray
+    entries: _Rows
     variant: HessianVariant
-    include_cross_terms: bool = field(default=False)
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        require_type("variant", self.variant, HessianVariant)
-        require_type("include_cross_terms", self.include_cross_terms, bool)
-        try:
-            m = np.array(self.entries, dtype=float)
-        except (ValueError, OverflowError):  # text, ragged rows, an integer past the float range
-            raise invalid("entries",
-                          f"must be a 3x3 array of numbers, got {shown(self.entries)}") from None
-        if m.shape != (3, 3):
-            raise invalid("entries", f"must be 3x3, got shape {m.shape}")
-        if m[0, 0] != 0.0:
-            raise invalid("entries[0, 0]", f"must be 0, got {m[0, 0]!r}")
-        if not np.array_equal(m, m.T, equal_nan=True):  # NaN counts equal to itself
-            raise invalid("entries", "must be symmetric")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+    include_cross_terms: bool = False
 
 
 def build_bordered_hessian(
@@ -199,45 +179,42 @@ def build_bordered_hessian(
     include_cross_terms: bool = False,
 ) -> BorderedHessian:
     """The bordered Hessian at the point of ``sol``; a mode of the wrong type is a TypeError."""
-    import numpy as np
-
     require_type("variant", variant, HessianVariant)
     require_type("include_cross_terms", include_cross_terms, bool)
-    cross = include_cross_terms
-    e = _entries(prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, *_point(sol), variant, cross)
-    return BorderedHessian(np.array(_matrix(*e)), variant, cross)
+    entries = _entries(*_point(prob, sol), variant, include_cross_terms)
+    return BorderedHessian(_matrix(*entries), variant, include_cross_terms)
 
 
 def hessian_determinant(h: BorderedHessian) -> float:
-    """Determinant by cofactor expansion along the first (border) row."""
-    (_, b1, b2), (_, h11, h12), (_, _, h22) = h.entries.tolist()
-    return _determinant(b1, b2, h11, h12, h22)
+    """Determinant by cofactor expansion along the first (border) row.
 
-
-def scale_border(h: BorderedHessian, k: float) -> BorderedHessian:
-    """Rescale the border row and column by k > 0 (classification-invariant).
-
-    A border that the scaling takes past the float range is a DomainError.
+    ``h`` may be made outside the package, so its modes must be of their types
+    and its entries 3x3 numbers, zero at the corner and symmetric (NaN == NaN).
     """
-    import numpy as np
-
-    k = require_positive("k", k)
-    m = np.array(h.entries)
-    with np.errstate(over="raise"):
-        try:
-            m[0, :] *= k
-            m[:, 0] *= k
-        except FloatingPointError:
-            raise DomainError(f"the border scaled by k={k!r} leaves the float range") from None
-    m[0, 0] = 0.0
-    return BorderedHessian(entries=m, variant=h.variant, include_cross_terms=h.include_cross_terms)
+    require_type("h", h, BorderedHessian)
+    require_type("variant", h.variant, HessianVariant)
+    require_type("include_cross_terms", h.include_cross_terms, bool)
+    try:
+        m = [[as_float("entries", v) for v in row] for row in h.entries]
+    except (TypeError, ValueError):  # text, a scalar, an integer past the float range
+        m = None
+    if m is None or len({len(row) for row in m}) > 1:  # or ragged rows
+        raise invalid("entries", f"must be a 3x3 array of numbers, got {shown(h.entries)}")
+    if len(m) != 3 or len(m[0]) != 3:
+        raise invalid("entries", f"must be 3x3, got shape {(len(m), *map(len, m[:1]))}")
+    (corner, b1, b2), (c1, h11, h12), (c2, c3, h22) = m
+    if corner != 0.0:
+        raise invalid("entries[0, 0]", f"must be 0, got {corner!r}")
+    if any(a != b and (a == a or b == b) for a, b in ((b1, c1), (b2, c2), (h12, c3))):
+        raise invalid("entries", "must be symmetric")  # NaN counts equal to itself
+    return _determinant(b1, b2, h11, h12, h22)
 
 
 def classify_from_determinant(det: float, matrix_scale: float) -> SecondOrderClass:
     """Sign test with a noise floor of DET_NOISE_RTOL * matrix_scale**3.
 
-    A floor that overflows is a DomainError naming the matrix scale, a numpy
-    scalar's too: the power is taken on a plain float, which raises.
+    A floor that overflows is a DomainError naming the matrix scale, a float
+    subclass's too: the power is taken on a plain float, which raises.
     """
     matrix_scale = as_float("matrix_scale", matrix_scale)
     try:
@@ -256,10 +233,5 @@ def classify_second_order(
 ) -> dict[HessianVariant, SecondOrderClass]:
     """Evaluate and classify both variants at the solution point; the flag must be a bool."""
     require_type("include_cross_terms", include_cross_terms, bool)
-    point = _point(sol)
-    return {
-        variant: _second_order(
-            prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C, *point, variant, include_cross_terms
-        )[2]
-        for variant in HessianVariant
-    }
+    point = _point(prob, sol)
+    return {v: _second_order(*point, v, include_cross_terms)[2] for v in HessianVariant}

@@ -37,7 +37,6 @@ from lexopt import (
     phi_component,
     phi_total,
     run_simulation,
-    scale_border,
     solve_closed_form,
     sweep_admin_cost,
     utility,
@@ -45,6 +44,7 @@ from lexopt import (
 )
 from lexopt.alpha_search import AlphaSearchConfig, Objective, search_alpha
 from lexopt.cli import main
+from test_hessian import scaled_border
 
 
 def _report(n: int, name: str, ok: bool) -> None:
@@ -158,7 +158,7 @@ def test_criterion_4_second_order_certificates():
             if not (det > 0.0 and label is SecondOrderClass.LOCAL_MAX):
                 all_local_max = False
             for k in (0.5, 2.0, 10.0):
-                hs = scale_border(h, k)
+                hs = scaled_border(h, k)
                 label_k = classify_from_determinant(
                     hessian_determinant(hs), float(np.max(np.abs(hs.entries)))
                 )

@@ -322,7 +322,7 @@ def reference_select_best(entries, key):
 
 
 def reference_search(cfg: AlphaSearchConfig) -> AlphaSearchResult:
-    """search_alpha written out on the public numpy path, one problem per candidate."""
+    """search_alpha written out on the public matrix path, one problem per candidate."""
     admissible = []
     for alpha in cfg.alpha_grid:
         prob = CobbDouglasProblem(alpha=alpha, beta=cfg.beta, p1=cfg.p1, p2=cfg.p2, P_C=cfg.P_C)

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexopt import (
@@ -18,12 +18,20 @@ from lexopt import (
     classify_from_determinant,
     classify_second_order,
     hessian_determinant,
-    scale_border,
     solve_closed_form,
 )
 from lexopt.hessian import _determinant, _second_order
 
+SHADOW = HessianVariant.SHADOW_FORM
+
 SQRT_PROB = CobbDouglasProblem(0.5, 0.5, 1, 1, 2)
+
+
+def scaled_border(h: BorderedHessian, k: float) -> BorderedHessian:
+    """``h`` with its border row and column multiplied by k, the corner kept 0."""
+    (_, b1, b2), (_, h11, h12), (_, _, h22) = h.entries
+    entries = ((0.0, k * b1, k * b2), (k * b1, h11, h12), (k * b2, h12, h22))
+    return h._replace(entries=entries)
 
 
 def random_problem(rng, lo=0.1, hi=3.0) -> CobbDouglasProblem:
@@ -36,45 +44,41 @@ def random_problem(rng, lo=0.1, hi=3.0) -> CobbDouglasProblem:
     )
 
 
+problems = st.builds(
+    CobbDouglasProblem,
+    alpha=st.floats(0.05, 5.0),
+    beta=st.floats(0.05, 5.0),
+    p1=st.floats(0.1, 10.0),
+    p2=st.floats(0.1, 10.0),
+    P_C=st.floats(0.1, 100.0),
+)
+
+
 class TestBuildBorderedHessian:
     def test_sqrt_case_entries_shadow(self):
         sol = solve_closed_form(SQRT_PROB)
         h = build_bordered_hessian(SQRT_PROB, sol, HessianVariant.SHADOW_FORM)
-        expected = np.array(
-            [
-                [0.0, -0.5, -0.5],
-                [-0.5, -0.5, 0.0],
-                [-0.5, 0.0, -0.5],
-            ]
-        )
-        np.testing.assert_array_equal(h.entries, expected)
+        assert h.entries == ((0.0, -0.5, -0.5), (-0.5, -0.5, 0.0), (-0.5, 0.0, -0.5))
 
     def test_sqrt_case_entries_direct(self):
         sol = solve_closed_form(SQRT_PROB)
         h = build_bordered_hessian(SQRT_PROB, sol, HessianVariant.DIRECT_FORM)
-        expected = np.array(
-            [
-                [0.0, -0.5, -0.5],
-                [-0.5, -0.25, 0.0],
-                [-0.5, 0.0, -0.25],
-            ]
-        )
-        np.testing.assert_array_equal(h.entries, expected)
+        assert h.entries == ((0.0, -0.5, -0.5), (-0.5, -0.25, 0.0), (-0.5, 0.0, -0.25))
 
     def test_cross_term_fills_off_diagonal(self):
         sol = solve_closed_form(SQRT_PROB)
         h = build_bordered_hessian(
             SQRT_PROB, sol, HessianVariant.DIRECT_FORM, include_cross_terms=True
         )
-        assert h.entries[1, 2] == 0.25
-        assert h.entries[2, 1] == 0.25
+        assert h.entries[1][2] == 0.25
+        assert h.entries[2][1] == 0.25
         assert h.include_cross_terms
 
-    def test_entries_are_read_only(self):
-        sol = solve_closed_form(SQRT_PROB)
-        h = build_bordered_hessian(SQRT_PROB, sol, HessianVariant.SHADOW_FORM)
-        with pytest.raises(ValueError):
-            h.entries[1, 1] = 99.0
+    def test_entries_are_three_rows_of_three_floats(self):
+        h = build_bordered_hessian(SQRT_PROB, solve_closed_form(SQRT_PROB), SHADOW, True)
+        assert h == (h.entries, SHADOW, True) and type(h.entries) is tuple
+        assert [type(row) for row in h.entries] == [tuple] * 3
+        assert [type(v) for row in h.entries for v in row] == [float] * 9
 
     def test_variant_past_the_digit_limit_is_a_type_error_shown_by_size(self):
         limit = sys.get_int_max_str_digits()
@@ -93,43 +97,113 @@ class TestBuildBorderedHessian:
             build_bordered_hessian(SQRT_PROB, sol, HessianVariant.SHADOW_FORM)
 
 
-class TestBorderedHessianValidation:
+def determinant_of(entries) -> float:
+    """hessian_determinant of a caller-made matrix: where its entries are checked."""
+    return hessian_determinant(BorderedHessian(entries, SHADOW))
+
+
+class TestHessianDeterminantValidation:
     def test_wrong_shape(self):
         with pytest.raises(InvalidParameterError, match="3x3"):
-            BorderedHessian(np.zeros((2, 2)), HessianVariant.SHADOW_FORM)
+            determinant_of(np.zeros((2, 2)))
 
     def test_nonzero_corner(self):
         m = np.full((3, 3), 1.0)
         with pytest.raises(InvalidParameterError, match=r"\[0, 0\]"):
-            BorderedHessian(m, HessianVariant.SHADOW_FORM)
+            determinant_of(m)
 
     def test_asymmetric(self):
         m = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
         with pytest.raises(InvalidParameterError, match="symmetric"):
-            BorderedHessian(m, HessianVariant.SHADOW_FORM)
+            determinant_of(m)
 
     def test_symmetric_with_nan_is_accepted(self):
         # NaN counts equal to itself in the symmetry check, on or off the diagonal
         for m in ([[0, 1, 1], [1, math.nan, 0], [1, 0, 1.0]],
                   [[0, 1, math.nan], [1, 2, 0], [math.nan, 0, 1.0]]):
-            h = BorderedHessian(np.array(m), HessianVariant.SHADOW_FORM)
             (_, b1, b2), (_, h11, h12), (_, _, h22) = m
-            assert math.isnan(hessian_determinant(h))
+            assert math.isnan(determinant_of(np.array(m)))
             assert math.isnan(_determinant(b1, b2, h11, h12, h22))
 
     @pytest.mark.parametrize("entries, shown", [("x", "'x'"), (10**400, "1" + "0" * 400),
                                                 ([[0, 1], [1]], "[[0, 1], [1]]")])
     def test_entries_that_are_not_numbers_are_refused(self, entries, shown):
         with pytest.raises(InvalidParameterError) as info:
-            BorderedHessian(entries, HessianVariant.SHADOW_FORM)
+            determinant_of(entries)
         assert info.value.field == "entries"
         assert str(info.value) == f"entries must be a 3x3 array of numbers, got {shown}"
 
     def test_asymmetric_with_nan_is_refused(self):
+        # NaN on one side of the diagonal only, the upper or the lower
         for m in ([[0, 1, 1], [1, math.nan, 0], [1, 2, 1.0]],
-                  [[0, 1, math.nan], [1, 2, 0], [1, 0, 1.0]]):
+                  [[0, 1, math.nan], [1, 2, 0], [1, 0, 1.0]],
+                  [[0, 1, 1], [math.nan, 2, 0], [1, 0, 1.0]],
+                  [[0, 1, 1], [1, 2, 0], [1, math.nan, 1.0]]):
             with pytest.raises(InvalidParameterError, match="symmetric"):
-                BorderedHessian(np.array(m), HessianVariant.SHADOW_FORM)
+                determinant_of(np.array(m))
+
+    def test_messages_name_the_shape_and_the_corner(self):
+        for entries, field, text in [
+            (np.zeros((2, 2)), "entries", "must be 3x3, got shape (2, 2)"),
+            ([], "entries", "must be 3x3, got shape (0,)"),
+            ([[0.0, 1.0, 1.0]], "entries", "must be 3x3, got shape (1, 3)"),
+            (np.full((3, 3), 1.0), "entries[0, 0]", "must be 0, got 1.0"),
+            ([[0.0, 1.0, 2.0], [1.0, 3.0, 4.0], [2.0, 5.0, 6.0]], "entries", "must be symmetric"),
+        ]:
+            with pytest.raises(InvalidParameterError) as info:
+                determinant_of(entries)
+            assert (info.value.field, str(info.value)) == (field, f"{field} {text}")
+
+
+def refused_by_numpy(entries) -> bool:
+    """Whether the numpy check that BorderedHessian once ran refused ``entries``."""
+    try:
+        m = np.array(entries, dtype=float)
+    except ValueError:  # ragged rows
+        return True
+    return bool(m.shape != (3, 3) or m[0, 0] != 0.0
+                or not np.array_equal(m, m.T, equal_nan=True))
+
+
+CELLS = st.sampled_from([0, 0.0, -0.0, 1, 2, math.nan, math.inf])
+
+
+@st.composite
+def near_matrices(draw):
+    """Mostly 3x3 lists, some of another or ragged shape; many symmetric with a zero
+    corner, then one cell redrawn, so a single asymmetry is common."""
+    sizes = st.integers(0, 4) if draw(st.integers(0, 4)) == 0 else st.just(3)
+    m = [[draw(CELLS) for _ in range(draw(sizes))] for _ in range(draw(sizes))]
+    if draw(st.booleans()):  # copy the upper triangle down, where it exists
+        for i, row in enumerate(m):
+            for j in range(min(i, len(row))):
+                if i < len(m[j]):
+                    row[j] = m[j][i]
+        if m and m[0]:
+            m[0][0] = draw(st.sampled_from([0, 0.0, -0.0]))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(m)) if m else []
+        if row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(CELLS)
+    return m
+
+
+class TestMovedChecks:
+    """hessian_determinant refuses exactly the matrices the numpy check refused."""
+
+    @settings(max_examples=1000)
+    @given(m=near_matrices())
+    @example(m=[[0, 1, 1], [1, 2, 1], [1, math.nan, 2]])  # NaN in the lower triangle only
+    @example(m=[[0, 1, math.nan], [1, 2, 1], [1, 1, 2]])  # and in the upper
+    def test_refuses_what_numpy_refused(self, m):
+        try:
+            determinant_of(m)
+        except InvalidParameterError as exc:
+            refused = True
+            assert exc.field in ("entries", "entries[0, 0]")
+        else:
+            refused = False
+        assert refused is refused_by_numpy(m)
 
 
 class TestHessianDeterminant:
@@ -199,15 +273,31 @@ class TestHessianDeterminant:
             assert d_shadow == pytest.approx(d_true, rel=1e-12)
 
 
-class TestScaleBorder:
+class TestScaledBorder:
+    """Scaling the border row and column by k > 0 scales det by k**2 and keeps the class."""
+
     def test_determinant_scales_quadratically(self):
         sol = solve_closed_form(SQRT_PROB)
         h = build_bordered_hessian(SQRT_PROB, sol, HessianVariant.SHADOW_FORM)
         base = hessian_determinant(h)
         for k in (0.5, 2.0, 7.25):
-            assert hessian_determinant(scale_border(h, k)) == pytest.approx(
+            assert hessian_determinant(scaled_border(h, k)) == pytest.approx(
                 k * k * base, rel=1e-12
             )
+
+    @settings(max_examples=300)
+    @given(prob=problems, variant=st.sampled_from(HessianVariant), cross=st.booleans(),
+           k=st.floats(1e-3, 1e3), j=st.integers(-20, 20))
+    def test_determinant_scales_quadratically_on_the_rows(self, prob, variant, cross, k, j):
+        h = build_bordered_hessian(prob, solve_closed_form(prob), variant, cross)
+        det = hessian_determinant(h)
+        # a power of two scales every product of the expansion exactly
+        assert hessian_determinant(scaled_border(h, 2.0**j)) == 4.0**j * det
+        # any other k, to within the rounding of the expansion's terms
+        (_, b1, b2), (_, h11, h12), (_, _, h22) = h.entries
+        terms = abs(b1) * (abs(b1 * h22) + abs(h12 * b2)) + abs(b2) * (abs(b1 * h12)
+                                                                     + abs(h11 * b2))
+        assert abs(hessian_determinant(scaled_border(h, k)) - k * k * det) <= 1e-14 * k * k * terms
 
     def test_classification_never_flips(self):
         rng = np.random.default_rng(33)
@@ -219,25 +309,10 @@ class TestScaleBorder:
                 det = hessian_determinant(h)
                 base = classify_from_determinant(det, float(np.max(np.abs(h.entries))))
                 for k in (1e-3, 0.5, 2.0, 1e3):
-                    hs = scale_border(h, k)
+                    hs = scaled_border(h, k)
                     dets = hessian_determinant(hs)
                     cls = classify_from_determinant(dets, float(np.max(np.abs(hs.entries))))
                     assert cls is base
-
-    def test_border_scaled_past_the_float_range_is_a_domain_error(self):
-        prob = CobbDouglasProblem(2.0, 1.0, 1.0, 1.0, 6.0)  # a border of -16
-        h = build_bordered_hessian(prob, solve_closed_form(prob), HessianVariant.SHADOW_FORM)
-        with pytest.raises(DomainError) as info:
-            scale_border(h, sys.float_info.max)
-        assert str(info.value) == (
-            "the border scaled by k=1.7976931348623157e+308 leaves the float range")
-
-    def test_nonpositive_factor_rejected(self):
-        sol = solve_closed_form(SQRT_PROB)
-        h = build_bordered_hessian(SQRT_PROB, sol, HessianVariant.SHADOW_FORM)
-        for k in (0.0, -2.0):
-            with pytest.raises(InvalidParameterError, match="k"):
-                scale_border(h, k)
 
 
 class TestClassification:
@@ -345,7 +420,7 @@ class TestNonFiniteEntries:
 
 
 def _seed_cofactor(m: np.ndarray) -> float:
-    """The full first-row expansion on the numpy matrix, as the seed code computed it."""
+    """The full first-row expansion on a numpy matrix, as the seed code computed it."""
     return (
         m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
         - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
@@ -353,18 +428,9 @@ def _seed_cofactor(m: np.ndarray) -> float:
     )
 
 
-problems = st.builds(
-    CobbDouglasProblem,
-    alpha=st.floats(0.05, 5.0),
-    beta=st.floats(0.05, 5.0),
-    p1=st.floats(0.1, 10.0),
-    p2=st.floats(0.1, 10.0),
-    P_C=st.floats(0.1, 100.0),
-)
-
-
 class TestFloatKernel:
-    """The plain-float kernel against the numpy matrix and a generic determinant."""
+    """The plain-float kernel against the public matrix, as a numpy array, and a generic
+    determinant."""
 
     @settings(max_examples=300)
     @given(prob=problems, variant=st.sampled_from(HessianVariant), cross=st.booleans())
@@ -375,7 +441,7 @@ class TestFloatKernel:
             sol.L_C_star, sol.R_B_star, sol.lam, variant, cross,
         )
         h = build_bordered_hessian(prob, sol, variant, cross)
-        m = h.entries
+        m = np.array(h.entries)
         b1, b2, h11, h12, h22 = entries
         layout = [0.0, b1, b2, b1, h11, h12, b2, h12, h22]
         assert [v.hex() for v in layout] == [float(v).hex() for v in m.ravel()]

@@ -1,13 +1,16 @@
 """Each command loads only the modules it runs; numpy stays off the import
 path of commands that only do float arithmetic, and no command loads the csv
-module, as the CLI quotes CSV text itself.
+module, as the CLI quotes CSV text itself.  ``lexopt.hessian`` imports
+neither numpy nor dataclasses.
 
 Each check that looks at sys.modules runs in a fresh interpreter, because
 this test process has loaded numpy and every lexopt module already.
 """
 
+import ast
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -123,6 +126,41 @@ def test_submodule_attribute_loads_on_first_use():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "False"]
+
+
+HESSIAN_PROBE = """
+import json, sys
+from lexopt.cobb_douglas import CobbDouglasProblem, solve_closed_form
+
+before = set(sys.modules)
+from lexopt.hessian import (HessianVariant, build_bordered_hessian, classify_second_order,
+                            hessian_determinant)
+
+prob = CobbDouglasProblem(2.0, 1.0, 1.0, 1.0, 6.0)
+sol = solve_closed_form(prob)
+for variant in HessianVariant:
+    hessian_determinant(build_bordered_hessian(prob, sol, variant, True))
+classify_second_order(prob, sol, True)
+print(json.dumps({"added": sorted(set(sys.modules) - before), "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_the_hessian_module_loads_no_numpy_and_no_dataclasses():
+    # CobbDouglasProblem, the problem record, is a dataclass, so importing
+    # lexopt.cobb_douglas loads dataclasses; lexopt.hessian adds no module of
+    # its own, run or imported, and imports neither numpy nor dataclasses
+    done = subprocess.run([sys.executable, "-c", HESSIAN_PROBE], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"added": ["lexopt.hessian"], "numpy": False}
+    source = pathlib.Path(importlib.import_module("lexopt.hessian").__file__).read_text("utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module)
+    assert imported == {"__future__", "enum", "typing"}
 
 
 def test_default_sweep_grid_is_numpy_linspace_as_plain_floats():

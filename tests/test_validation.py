@@ -40,7 +40,7 @@ from lexopt._validation import (as_float, require_count, require_each, require_f
                                 require_unit_interval)
 from lexopt.errors import InvalidParameterError, LexoptError, invalid
 from lexopt.hessian import (BorderedHessian, HessianVariant, build_bordered_hessian,
-                            classify_second_order)
+                            classify_second_order, hessian_determinant)
 from lexopt.oracle import GridSpec
 from lexopt.sim import INITIAL_STATE, CaseTemplate, ExponentialHarm, default_config
 
@@ -109,12 +109,13 @@ WRONG_TYPES = {
     "build_bordered_hessian.variant": (
         "variant must be a HessianVariant, got 'ShadowForm'",
         lambda: build_bordered_hessian(PROBLEM, solve_closed_form(PROBLEM), "ShadowForm")),
-    "BorderedHessian.variant": (
+    "hessian_determinant.variant": (
         "variant must be a HessianVariant, got 'x'",
-        lambda: BorderedHessian(np.eye(3) - 1, "x", "no")),
-    "BorderedHessian.include_cross_terms": (
+        lambda: hessian_determinant(BorderedHessian(np.eye(3) - 1, "x", "no"))),
+    "hessian_determinant.include_cross_terms": (
         "include_cross_terms must be a bool, got 'no'",
-        lambda: BorderedHessian(np.eye(3) - 1, HessianVariant.SHADOW_FORM, "no")),
+        lambda: hessian_determinant(BorderedHessian(np.eye(3) - 1, HessianVariant.SHADOW_FORM,
+                                                    "no"))),
     "classify_second_order.include_cross_terms": (
         "include_cross_terms must be a bool, got None",
         lambda: classify_second_order(PROBLEM, solve_closed_form(PROBLEM), None)),
@@ -325,8 +326,8 @@ VALID = {
     "L_C": [4.0], "R_B": [2.0, 11.0], "theta_a": [None, 20.0], "theta_b": [None, 20.0],
     "wta": [1.0], "wtp": [2.0], "plaintiff_cost_share": [0.5], "defendant_cost_share": [0.5],
     "variant": list(HessianVariant), "include_cross_terms": [False, True],
-    "entries": [MATRIX.entries.tolist()], "det": [1.0, -1.0], "matrix_scale": [1.0],
-    "k": [2.0], "C_b_fixed": [1.0], "rates": [((0.5, 0.5),)], "i": [0], "L_i": [2.0],
+    "entries": [MATRIX.entries], "det": [1.0, -1.0], "matrix_scale": [1.0],
+    "C_b_fixed": [1.0], "rates": [((0.5, 0.5),)], "i": [0], "L_i": [2.0],
     "L": [[2.0]], "with_fixed": [False, True],
     "alpha_grid": [(0.5, 1.0, 2.0)], "objective": list(Objective),
     "hessian_variant": list(HessianVariant), "alpha_star": [0.5], "phi_sum": [1.0],
@@ -347,7 +348,7 @@ RECORDS = {
     "rng": [None, np.random.default_rng(0)],
     ("search_alpha", "cfg"): [AlphaSearchConfig((0.5, 1.0, 2.0), 1.0, 1.0, 1.0, 6.0)],
     ("hand_liability", "h"): [HandRuleInputs(1.0, 0.5, 10.0)],
-    ("hessian_determinant", "h"): [MATRIX], ("scale_border", "h"): [MATRIX],
+    ("hessian_determinant", "h"): [MATRIX],
 }
 VALID[("finite_diff_gradient", "h")] = [1e-6, (1e-6, 1e-7)]
 #: one value of each kind that a caller might pass in error; a generator is made per call
@@ -457,3 +458,41 @@ def test_every_public_callable_keeps_the_input_contract(data):
         value = data.draw(st.sampled_from(JUNK if junk else values), label=param)
         kwargs[param] = value() if value is _generator else value
     check_contract(name, kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the record parameters of the hessian module
+
+#: (callable, record parameter) -> a call with every other argument valid
+HESSIAN_RECORDS = {
+    ("build_bordered_hessian", "prob"):
+        lambda v: build_bordered_hessian(v, SOLUTION, HessianVariant.SHADOW_FORM),
+    ("build_bordered_hessian", "sol"):
+        lambda v: build_bordered_hessian(PROBLEM, v, HessianVariant.SHADOW_FORM),
+    ("classify_second_order", "prob"): lambda v: classify_second_order(v, SOLUTION),
+    ("classify_second_order", "sol"): lambda v: classify_second_order(PROBLEM, v),
+    ("hessian_determinant", "h"): hessian_determinant,
+}
+#: what each record parameter must be
+RECORD_CLASS = {"prob": "a CobbDouglasProblem", "sol": "an OptimumSolution",
+                "h": "a BorderedHessian"}
+
+
+@pytest.mark.parametrize("case", HESSIAN_RECORDS, ids="-".join)
+def test_a_record_parameter_of_another_type_is_a_named_type_error(case):
+    param = case[1]
+    # each junk value, and the other records of the module (a record of another class)
+    for value in [*JUNK, PROBLEM, SOLUTION, MATRIX, CASE, tuple(SOLUTION), MATRIX.entries]:
+        if type(value).__name__ == RECORD_CLASS[param].split()[-1]:
+            continue
+        with pytest.raises(TypeError) as info:
+            HESSIAN_RECORDS[case](value() if value is _generator else value)
+        assert str(info.value).startswith(f"{param} must be {RECORD_CLASS[param]}, got "), value
+
+
+def test_junk_entries_of_a_bordered_hessian_are_an_invalid_field():
+    for value in JUNK:
+        entries = value() if value is _generator else value
+        with pytest.raises(InvalidParameterError) as info:
+            hessian_determinant(BorderedHessian(entries, HessianVariant.SHADOW_FORM))
+        assert info.value.field == "entries" and str(info.value).startswith("entries must be ")
