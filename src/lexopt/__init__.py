@@ -36,12 +36,12 @@ _EXPORTS = {
         "StrategyGame", "best_allowed", "best_overall", "min_compliance_penalty",
         "apply_penalty", "compliance_dominant", "default_margin", "MARGIN_SCALE_FRACTION",
     ),
-    "oracle": ("GridSpec", "GridMax", "grid_max_on_budget", "grid_max_on_rectangle",
-               "finite_diff_gradient", "default_clamp_epsilon"),
+    "oracle": ("GridSpec", "GridMax", "grid_max_on_budget", "finite_diff_gradient",
+               "default_clamp_epsilon", "CLAMP_RTOL"),
     "sim": (
         "SimConfig", "SimState", "SweepRow", "CaseTemplate", "ExponentialHarm",
         "choose_precaution", "step", "run_simulation", "sweep_admin_cost",
-        "default_config", "default_sweep_grid",
+        "default_config", "default_sweep_grid", "INITIAL_STATE",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -22,16 +22,16 @@ in grid order regardless of evaluation order.
 Each candidate is one fused pass on plain floats (``_admitted``): the
 closed-form optimum (L_C*, R_B*, lambda, U*, identity residual) and the
 selected variant's second-order check share one loop body and its powers,
-with the operations of the scalar kernels ``_solve`` and ``_second_order``
-in their order, so every bit is theirs.  A candidate whose arithmetic
-leaves the float range is run again through those scalar kernels, the only
-error path, so the first such candidate in grid order raises the
-DomainError that the single-point path raises for it.  A candidate that
-passes all three predicates is kept as one tuple of floats, so rejected
-candidates build no records.  alpha* is picked from the kept U* (or
-lambda) column, its first maximum, before any record is built.  The kept
-tuples then become ``OptimumSolution`` and ``AdmissibleAlpha`` records with
-one ``tuple.__new__`` call per record, in C.
+with the operations of the scalar kernels ``solve_closed_form`` and
+``_second_order`` in their order, so every bit is theirs.  A candidate
+whose arithmetic leaves the float range is run again through those scalar
+kernels, the only error path, so the first such candidate in grid order
+raises the DomainError that the single-point path raises for it.  A
+candidate that passes all three predicates is kept as one tuple of floats,
+so rejected candidates build no records.  alpha* is picked from the kept U*
+(or lambda) column, its first maximum, before any record is built.  The
+kept tuples then become ``OptimumSolution`` and ``AdmissibleAlpha`` records
+with one ``tuple.__new__`` call per record, in C.
 
 The result records (``OptimumSolution``, ``AdmissibleAlpha`` and
 ``AlphaSearchResult``) are NamedTuples: they unpack and index, compare
@@ -50,7 +50,7 @@ from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from ._validation import require_finite, require_increasing, require_positive, require_type
-from .cobb_douglas import OptimumSolution, _solve
+from .cobb_douglas import CobbDouglasProblem, OptimumSolution, solve_closed_form
 from .errors import DomainError
 from .hessian import DET_NOISE_RTOL, HessianVariant, SecondOrderClass, _second_order
 
@@ -147,14 +147,16 @@ def _candidate(
 ) -> _Row | None:
     """One candidate through the scalar kernels: its row if admitted, else None.
 
-    ``_solve`` then ``_second_order``, each raising the DomainError it
-    raises for a point that leaves the float range.  The reference for
-    ``_admitted`` and its only error path.
+    ``solve_closed_form`` then ``_second_order``, each raising the
+    DomainError it raises for a point that leaves the float range.  The
+    config has validated every value, so the problem record's checks pass.
+    The reference for ``_admitted`` and its only error path.
     """
-    L, R, lam, U, residual = _solve(alpha, beta, p1, p2, P_C)
+    L, R, lam, U, kkt_ok, residual = solve_closed_form(
+        CobbDouglasProblem(alpha, beta, p1, p2, P_C))
     _, det, cls = _second_order(alpha, beta, p1, p2, P_C, L, R, lam, variant, cross)
     if lam > 0.0 and lam / (alpha + beta) > 0.0 and cls is SecondOrderClass.LOCAL_MAX:
-        return alpha, L, R, lam, U, lam > 0.0, residual, det
+        return alpha, L, R, lam, U, kkt_ok, residual, det
     return None
 
 
@@ -169,15 +171,16 @@ def _admitted(
 ) -> list[_Row]:
     """The rows of the admitted candidates, in grid order, from one float pass each.
 
-    The loop body is ``_solve`` and ``_second_order`` written out with
-    their operations in their order, so every bit matches ``_candidate``:
-    the powers R_B* ** beta, L_C* ** alpha and L_C* ** (alpha - 1) are each
-    computed once for both, and the terms that do not vary with alpha once
-    per grid.  Since the noise floor is >= 0 and never NaN, det_H above it
-    is exactly the LocalMax class.  A candidate whose arithmetic raises, or
-    whose identity residual is not finite, is run again through
-    ``_candidate``, which raises the error the scalar kernels raise for it.
-    The config has checked that ``variant`` is a HessianVariant.
+    The loop body is ``solve_closed_form`` and ``_second_order`` written
+    out with their operations in their order, so every bit matches
+    ``_candidate``: the powers R_B* ** beta, L_C* ** alpha and
+    L_C* ** (alpha - 1) are each computed once for both, and the terms that
+    do not vary with alpha once per grid.  Since the noise floor is >= 0 and
+    never NaN, det_H above it is exactly the LocalMax class.  A candidate
+    whose arithmetic raises, or whose identity residual is not finite, is
+    run again through ``_candidate``, which raises the error the scalar
+    kernels raise for it.  The config has checked that ``variant`` is a
+    HessianVariant.
     """
     b = beta
     shadow = variant is HessianVariant.SHADOW_FORM

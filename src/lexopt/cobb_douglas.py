@@ -147,27 +147,15 @@ def solve_closed_form(prob: CobbDouglasProblem) -> OptimumSolution:
     """Closed-form constrained maximum of the problem.
 
     The budget binds, demands split P_C in proportion alpha : beta, and the
-    multiplier comes from the L_C first-order condition.
+    multiplier comes from the L_C first-order condition.  A quotient or
+    power that leaves the float range, U* underflowing to zero (which leaves
+    the identity residual undefined), and a demand, multiplier or U* that is
+    not finite are each a DomainError.  U* is the plain power product of the
+    demands, without ``utility``'s argument checks.
+    ``alpha_search._admitted`` repeats these operations in this order, so a
+    change here is made there too.
     """
-    L_C_star, R_B_star, lam, U_star, residual = _solve(
-        prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C)
-    return OptimumSolution(L_C_star, R_B_star, lam, U_star, lam > 0.0, residual)
-
-
-def _solve(
-    a: float, b: float, p1: float, p2: float, P_C: float
-) -> tuple[float, float, float, float, float]:
-    """solve_closed_form on fields a CobbDouglasProblem has already validated.
-
-    Returns the plain floats (L_C*, R_B*, lambda, U*, identity residual), so
-    a caller that discards most optima builds no record for them.  A quotient
-    or power that leaves the float range, U* underflowing to zero (which
-    leaves the identity residual undefined), and a demand, multiplier or U*
-    that is not finite are each a DomainError.  The demands are computed
-    here, not passed in, so U* is the plain power product, without
-    ``utility``'s argument checks.  ``alpha_search._admitted`` repeats these
-    operations in this order, so a change here is made there too.
-    """
+    a, b, p1, p2, P_C = prob.alpha, prob.beta, prob.p1, prob.p2, prob.P_C
     total = a + b
     try:
         # multiply before dividing so round-number inputs stay exact
@@ -196,7 +184,7 @@ def _solve(
             f"optimum is not finite: L_C*={L_C_star!r}, R_B*={R_B_star!r}, "
             f"lambda={lam!r}, U*={U_star!r}"
         )
-    return L_C_star, R_B_star, lam, U_star, identity_residual
+    return OptimumSolution(L_C_star, R_B_star, lam, U_star, lam > 0.0, identity_residual)
 
 
 def first_order_residuals(

@@ -32,9 +32,10 @@ from typing import NamedTuple
 from ._validation import (
     require_finite,
     require_nonnegative,
+    require_type,
     require_unit_interval,
 )
-from .errors import InvalidParameterError, invalid
+from .errors import DomainError, InvalidParameterError, invalid
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,16 @@ def reasonable_bargain(c: CaseParameters) -> BargainDecomposition:
     """Split the reasonable bargain into benefit and cost components.
 
     R_B = (p * W_B + S_B) / 2 - (C_a + 3 * C_b) / 2, returned together with
-    the two halves so that R_B + L_C = P_C holds by construction.
+    the two halves so that R_B + L_C = P_C holds by construction.  A half
+    whose sum leaves the float range is a DomainError.
     """
+    require_type("c", c, CaseParameters)
     P_C = 0.5 * (c.p * c.W_B + c.S_B)
     L_C = 0.5 * (c.C_a + 3.0 * c.C_b)
-    return BargainDecomposition(R_B=P_C - L_C, P_C=P_C, L_C=L_C)
+    R_B = P_C - L_C
+    if not math.isfinite(R_B):  # both halves are >= 0, so one of them is inf
+        raise DomainError(f"reasonable bargain leaves the float range: P_C={P_C!r}, L_C={L_C!r}")
+    return BargainDecomposition(R_B=R_B, P_C=P_C, L_C=L_C)
 
 
 def default_thresholds(c: CaseParameters) -> tuple[float, float]:
@@ -176,6 +182,7 @@ def classify_scenario(
     payoff.  Every other quadrant goes to trial.  Thresholds default to
     P_C / 2 and must be strictly positive.
     """
+    require_type("c", c, CaseParameters)
     theta_a, theta_b = resolve_thresholds(c, theta_a, theta_b)
 
     high_b = c.C_b >= theta_b
@@ -202,6 +209,7 @@ def hand_liability(h: HandRuleInputs) -> bool:
 
     The boundary P_harm * L_harm == B_prec is not liable.
     """
+    require_type("h", h, HandRuleInputs)
     return h.P_harm * h.L_harm > h.B_prec
 
 
@@ -227,7 +235,9 @@ def derive_wta_wtp(
         WTP = p * W_B + defendant_cost_share * C_a
 
     With C_a = 0 the two coincide and cooperation is exactly at the boundary.
+    A WTP past the largest float is a DomainError; WTA cannot overflow.
     """
+    require_type("c", c, CaseParameters)
     plaintiff_cost_share = require_unit_interval(
         "plaintiff_cost_share", plaintiff_cost_share
     )
@@ -237,4 +247,7 @@ def derive_wta_wtp(
     expected_judgment = c.p * c.W_B
     wta = expected_judgment - plaintiff_cost_share * c.C_a
     wtp = expected_judgment + defendant_cost_share * c.C_a
+    if wtp == math.inf:
+        raise DomainError(f"wtp leaves the float range: p * W_B={expected_judgment!r}, "
+                          f"defendant_cost_share * C_a={defendant_cost_share * c.C_a!r}")
     return wta, wtp

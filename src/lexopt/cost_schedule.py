@@ -19,11 +19,12 @@ charge makes phi discontinuous at zero, which is intended.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from ._validation import require_finite, require_nonnegative, require_type, shown
-from .errors import invalid
+from .errors import DomainError, invalid
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,13 @@ class CostSchedule:
             )
         object.__setattr__(self, "rates", tuple(validated))
 
-    def __len__(self) -> int:
-        return len(self.rates)
-
 
 def phi_component(s: CostSchedule, i: int, L_i: float, with_fixed: bool = False) -> float:
     """Cost of component i at activity L_i under the selected form.
 
     ``with_fixed`` must be a bool, here and in the functions that call this
-    one; any other value, such as the text "no", is a TypeError.
+    one; any other value, such as the text "no", is a TypeError.  A cost
+    that leaves the float range is a DomainError.
     """
     require_type("with_fixed", with_fixed, bool)
     if not 0 <= i < len(s.rates):  # a negative i would wrap to a component from the end
@@ -69,16 +68,21 @@ def phi_component(s: CostSchedule, i: int, L_i: float, with_fixed: bool = False)
         return 0.0
     rate = alpha_plus if L_i > 0.0 else alpha_minus
     linear = rate * abs(L_i)
-    return s.C_b_fixed + linear if with_fixed else linear
+    cost = s.C_b_fixed + linear if with_fixed else linear
+    if cost == math.inf:
+        raise DomainError(f"phi of component {i} leaves the float range at L[{i}]={L_i!r}")
+    return cost
 
 
 def phi_total(s: CostSchedule, L: Sequence[float], with_fixed: bool = False) -> float:
-    """Sum of component costs; L must supply one activity per rate pair."""
+    """Sum of component costs, one activity in L per rate pair; an overflow is a DomainError."""
     if len(L) != len(s.rates):
         raise invalid("L", f"has {len(L)} components but the schedule has {len(s.rates)}")
     total = 0.0  # explicit + in component order: sum() is compensated on Python >= 3.12
     for i, L_i in enumerate(L):
         total += phi_component(s, i, L_i, with_fixed)
+    if total == math.inf:
+        raise DomainError(f"phi_total of {len(L)} component costs leaves the float range")
     return total
 
 

@@ -345,13 +345,16 @@ def step(state: SimState, cfg: SimConfig, rng: np.random.Generator | None = None
     In stochastic mode the injuries are drawn from rng, which is required:
     pass one generator and keep passing it, as run_simulation does.  Each
     call makes one scalar ``rng.binomial(n, p)`` call, so any object with
-    that method will do.
+    that method will do; an rng without one is a TypeError.
     """
     if cfg.stochastic and rng is None:
         raise InvalidParameterError(
             "step needs an rng in stochastic mode: pass one numpy Generator and "
             "reuse it on every tick", field="rng"
         )
+    if cfg.stochastic and not callable(getattr(rng, "binomial", None)):
+        raise TypeError(f"rng must have a binomial method, as a numpy Generator has, "
+                        f"got {shown(rng)}")
     plan = _RunPlan(cfg, cfg.C_a_policy)
     B, p_harm = plan.precaution(_settlement_rate(state))
     n = cfg.n_injurers

@@ -1093,6 +1093,22 @@ class TestFloatRangeFailures:
         for fmt in ("json", "csv"):
             assert run_cli(capsys, [*argv, "--format", fmt]) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bargain", "--p", "1", "--W_B", "1e308", "--S_B", "1e308", "--C_a", "1e308",
+          "--C_b", "1e308"],
+         "reasonable bargain leaves the float range: P_C=inf, L_C=inf"),
+        (["bargain", "--p", "1", "--W_B", "1", "--S_B", "1", "--C_a", "0", "--C_b", "1e308"],
+         "reasonable bargain leaves the float range: P_C=1.0, L_C=inf"),
+        (["phi", "--rates", "[[1e308, 1]]", "--L", "[2]", "--C_b_fixed", "1e308",
+          "--with_fixed"],
+         "phi of component 0 leaves the float range at L[0]=2.0"),
+        (["phi", "--rates", "[[1e308, 1], [1e308, 1]]", "--L", "[1, 1]"],
+         "phi_total of 2 component costs leaves the float range"),
+    ])
+    def test_overflowing_bargain_or_cost_names_what_overflowed(self, capsys, argv, message):
+        for fmt in ("json", "csv"):
+            assert run_cli(capsys, [*argv, "--format", fmt]) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", ["solve", "hessian"])
     def test_infinite_demand_is_not_blamed_on_a_computed_field(self, capsys, command):
         code, _, err = run_cli(capsys, [command, *self.OVERFLOW_ARGS])

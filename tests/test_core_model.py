@@ -1,12 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexopt import (
     CaseParameters,
     CostRegime,
     Decision,
+    DomainError,
     HandRuleInputs,
     InvalidParameterError,
     classify_scenario,
@@ -42,6 +46,20 @@ class TestReasonableBargain:
         assert d.negative_bargain
         # reported as-is, never clamped
         assert d.R_B == d.P_C - d.L_C
+
+    @pytest.mark.parametrize("kw", [
+        dict(p=1.0, W_B=1e308, S_B=1e308, C_a=1e308, C_b=1e308),  # both halves: inf - inf
+        dict(p=1.0, W_B=1e308, S_B=1e308, C_a=0.0, C_b=0.0),  # P_C
+        dict(p=0.0, W_B=0.0, S_B=0.0, C_a=0.0, C_b=1e308),  # L_C
+    ])
+    def test_a_half_past_the_float_range_is_a_domain_error(self, kw):
+        with pytest.raises(DomainError, match="reasonable bargain leaves the float range"):
+            reasonable_bargain(CaseParameters(**kw))
+
+    def test_the_largest_halves_keep_their_bits(self):
+        big = sys.float_info.max
+        d = reasonable_bargain(CaseParameters(p=1.0, W_B=big, S_B=0.0, C_a=big, C_b=0.0))
+        assert (d.R_B, d.P_C, d.L_C) == (0.0, 0.5 * big, 0.5 * big)
 
     def test_identity_holds_to_ulp_scale(self):
         rng = np.random.default_rng(7)
@@ -241,6 +259,36 @@ class TestWtaWtp:
             )
             wta, wtp = derive_wta_wtp(c, rng.uniform(0, 1), rng.uniform(0, 1))
             assert cooperation_possible(wta, wtp)
+
+    BIG = sys.float_info.max
+
+    @settings(max_examples=1000)
+    @given(
+        p=st.floats(0.0, 1.0),
+        amounts=st.lists(st.floats(0.0, allow_infinity=False) | st.sampled_from([0.0, BIG]),
+                         min_size=4, max_size=4),
+        shares=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    @example(p=1.0, amounts=[BIG] * 4, shares=(1.0, 1.0))
+    @example(p=1.0, amounts=[BIG, 0.0, BIG, 0.0], shares=(0.0, 1e-300))
+    @example(p=5e-324, amounts=[BIG, 0.0, 0.0, 0.0], shares=(0.0, 0.0))
+    def test_the_bracket_holds_the_expected_judgment_or_overflows(self, p, amounts, shares):
+        W_B, S_B, C_a, C_b = amounts
+        c = CaseParameters(p=p, W_B=W_B, S_B=S_B, C_a=C_a, C_b=C_b)
+        try:
+            wta, wtp = derive_wta_wtp(c, *shares)
+        except DomainError:
+            # only a WTP past the largest float is refused
+            assert c.p * c.W_B + shares[1] * c.C_a == math.inf
+            return
+        assert wta <= c.p * c.W_B <= wtp < math.inf
+        assert cooperation_possible(wta, wtp) is True
+
+    def test_wtp_past_the_float_range_is_a_domain_error(self):
+        c = CaseParameters(p=1.0, W_B=1e308, S_B=1e308, C_a=1e308, C_b=1e308)
+        with pytest.raises(DomainError, match="wtp leaves the float range"):
+            derive_wta_wtp(c, 1.0, 1.0)
+        assert derive_wta_wtp(c, 1.0, 0.5) == (0.0, 1.5e308)
 
     @pytest.mark.parametrize("plaintiff,defendant", [(-0.1, 0.5), (0.5, 1.5)])
     def test_out_of_range_shares_rejected(self, plaintiff, defendant):

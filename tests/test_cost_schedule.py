@@ -6,6 +6,7 @@ import pytest
 
 from lexopt import (
     CostSchedule,
+    DomainError,
     InvalidParameterError,
     admissible,
     phi_component,
@@ -40,9 +41,6 @@ class TestCostScheduleValidation:
     def test_non_numeric_rate_names_the_field(self):
         with pytest.raises(InvalidParameterError, match=r"rates\[0\].alpha_plus must be a number"):
             CostSchedule(0.0, (("a", "b"),))
-
-    def test_len_counts_components(self):
-        assert len(CostSchedule(0.0, ((0.1, 0.1), (0.2, 0.2)))) == 2
 
 
 class TestPhiComponent:
@@ -79,6 +77,23 @@ class TestPhiComponent:
         with pytest.raises(InvalidParameterError, match=r"L\[0\]"):
             phi_component(s, 0, math.inf)
 
+    @pytest.mark.parametrize("C_b,ap,L,with_fixed", [
+        (1e308, 1e308, 2.0, True),  # the rate term alone overflows
+        (1e308, 1e308, -2.0, False),
+        (1.7e308, 1e308, 1.0, True),  # each term fits, their sum does not
+    ])
+    def test_cost_past_the_float_range_is_a_domain_error(self, C_b, ap, L, with_fixed):
+        s = CostSchedule(C_b, ((ap, ap),))
+        with pytest.raises(DomainError, match=r"phi of component 0 leaves the float range"):
+            phi_component(s, 0, L, with_fixed)
+        with pytest.raises(DomainError):
+            phi_total(s, [L], with_fixed)
+
+    def test_largest_cost_keeps_its_bits(self):
+        big = sys.float_info.max
+        assert phi_component(CostSchedule(0.0, ((big, 0.0),)), 0, 1.0) == big
+        assert phi_component(CostSchedule(big, ((0.0, 0.0),)), 0, -1.0, True) == big
+
 
 class TestPhiTotal:
     def test_sums_components(self):
@@ -97,6 +112,14 @@ class TestPhiTotal:
         for i, L_i in enumerate(L):
             total = total + phi_component(s, i, L_i)
         assert phi_total(s, L).hex() == total.hex() == (1e16).hex()
+
+    def test_sum_past_the_float_range_is_a_domain_error(self):
+        s = CostSchedule(0.0, ((1e308, 1e308),) * 2)
+        assert phi_component(s, 1, 1.0) == 1e308
+        with pytest.raises(DomainError, match="phi_total of 2 component costs leaves the"):
+            phi_total(s, [1.0, -1.0])
+        with pytest.raises(DomainError):
+            admissible(s, [1.0, 1.0], 1.0)
 
     def test_length_mismatch(self):
         s = CostSchedule(0.0, ((1.0, 1.0),))

@@ -101,11 +101,41 @@ def test_no_command_loads_the_oracle():
     assert "lexopt.sim" in loaded and "lexopt.oracle" not in loaded
 
 
+#: public top-level names of an exported submodule that are not exported, and why
+INTERNAL = {
+    ("errors", "invalid"): "builds the package's InvalidParameterErrors; callers catch them",
+    ("core_model", "resolve_thresholds"): "classify_scenario's cutoffs, shared with sim and cli",
+    ("sim", "require_admin_cost_grid"): "sweep_admin_cost's grid check, shared with cli",
+}
+
+
+def _top_level_names(tree: ast.Module) -> list[str]:
+    """The names a module's own top-level def, class and assignment statements bind."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
 def test_every_export_is_its_submodule_attribute():
+    # and, conversely, every public name of an exported submodule is exported or listed
+    unlisted = []
     for module, names in lexopt._EXPORTS.items():
         submodule = importlib.import_module(f"lexopt.{module}")
         for name in names:
             assert getattr(lexopt, name) is getattr(submodule, name), name
+        tree = ast.parse(pathlib.Path(submodule.__file__).read_text("utf-8"))
+        unlisted += [f"{module}.{name}" for name in _top_level_names(tree)
+                     if not name.startswith("_") and name not in names
+                     and (module, name) not in INTERNAL]
+    assert unlisted == []
+    for module, name in INTERNAL:  # a listed name is still there, and still not exported
+        assert hasattr(importlib.import_module(f"lexopt.{module}"), name)
+        assert name not in lexopt._EXPORTS[module]
     assert lexopt.__all__ == ["__version__", *lexopt._SOURCE]
     assert set(lexopt.__all__) <= set(dir(lexopt))
     star: dict = {}
@@ -116,7 +146,7 @@ def test_every_export_is_its_submodule_attribute():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="'lexopt' has no attribute 'no_such_name'"):
         lexopt.no_such_name  # noqa: B018
-    assert not hasattr(lexopt, "_solve")  # private names are not exported
+    assert not hasattr(lexopt, "_admitted")  # private names are not exported
 
 
 def test_submodule_attribute_loads_on_first_use():

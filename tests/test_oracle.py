@@ -15,7 +15,6 @@ from lexopt import (
     default_clamp_epsilon,
     finite_diff_gradient,
     grid_max_on_budget,
-    grid_max_on_rectangle,
     solve_closed_form,
 )
 
@@ -92,25 +91,6 @@ class TestGridMaxOnBudget:
             grid_max_on_budget(prob, GridSpec(points_per_axis=100))
 
 
-class TestGridMaxOnRectangle:
-    def test_unconstrained_max_sits_at_far_corner(self):
-        # U is increasing in both arguments, so the box maximum is the corner
-        prob = CobbDouglasProblem(0.5, 0.5, 1.0, 1.0, 2.0)
-        spec = GridSpec(points_per_axis=200)
-        gm = grid_max_on_rectangle(prob, spec)
-        eps = default_clamp_epsilon(prob)
-        assert gm.L_C == pytest.approx(2.0 - eps, rel=1e-12)
-        assert gm.R_B == pytest.approx(2.0 - eps, rel=1e-12)
-
-    def test_empty_clamped_axis_is_a_domain_error(self):
-        # the budget line is fine, but the R_B side of the box is narrower than 2 * eps
-        prob = CobbDouglasProblem(0.5, 0.5, 1.0, 1e10, 1.0)
-        spec = GridSpec(points_per_axis=100)
-        assert grid_max_on_budget(prob, spec).R_B > 0.0
-        with pytest.raises(DomainError, match="R_B range"):
-            grid_max_on_rectangle(prob, spec)
-
-
 class TestGridSpecValidation:
     def test_too_few_points_rejected(self):
         with pytest.raises(InvalidParameterError, match="points_per_axis"):
@@ -119,10 +99,6 @@ class TestGridSpecValidation:
     def test_non_integer_points_rejected(self):
         with pytest.raises(InvalidParameterError, match="points_per_axis"):
             GridSpec(points_per_axis=1000.0)
-
-    def test_nonpositive_clamp_rejected(self):
-        with pytest.raises(InvalidParameterError, match="clamp_epsilon"):
-            GridSpec(clamp_epsilon=0.0)
 
 
 class TestFiniteDiffGradient:
